@@ -37,6 +37,13 @@ from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names
 
 _ENV_THREADS = "CSRK_THREADS"
 
+# the options that parameterise each problem, in its factory's keyword order
+_PROBLEM_PARAMS = {
+    "linear": ("a", "b", "x0", "T"),
+    "system2d": (),
+    "ode": ("lam", "x0", "T"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -126,17 +133,24 @@ def _load_scheme(args):
     return builtin_scheme(args.scheme)
 
 
+def _problem_params(args):
+    return {k: getattr(args, k) for k in _PROBLEM_PARAMS[args.problem]}
+
+
 def _build_problem(args):
-    name = args.problem
-    if name == "linear":
-        params = {"a": args.a, "b": args.b, "x0": args.x0, "T": args.T}
-        return linear_problem(**params), params
-    if name == "ode":
-        params = {"lam": getattr(args, "lam"), "x0": args.x0, "T": args.T}
-        return ode_problem(**params), params
-    if name == "system2d":
-        return system2d_problem(), {}
-    raise KeyError(f"unknown problem {name!r}")
+    # the factories are module globals looked up at call time, so a caller
+    # that replaces them (for instance to trace drift calls) is honoured
+    factory = {"linear": linear_problem, "system2d": system2d_problem,
+               "ode": ode_problem}[args.problem]
+    return factory(**_problem_params(args))
+
+
+def _setup(args):
+    """Scheme, problem, functional and reference of a problem command."""
+    scheme = _load_scheme(args)
+    problem = _build_problem(args)
+    f = functional_from_name(args.f)
+    return scheme, problem, f, problem.reference_for(f, _provenance(args))
 
 
 def _floats(text):
@@ -147,6 +161,17 @@ def _ints(text):
     return [int(v) for v in text.split(",") if v]
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_scheme_args(p, file_ok=True):
     p.add_argument("--scheme", default=None, help="builtin scheme name")
     if file_ok:
@@ -155,8 +180,7 @@ def _add_scheme_args(p, file_ok=True):
 
 
 def _add_problem_args(p):
-    p.add_argument("--problem", required=True,
-                   choices=["linear", "system2d", "ode"])
+    p.add_argument("--problem", required=True, choices=list(_PROBLEM_PARAMS))
     p.add_argument("--a", type=float, default=1.5)
     p.add_argument("--b", type=float, default=0.1)
     p.add_argument("--lam", type=float, default=1.0)
@@ -169,13 +193,17 @@ def _add_problem_args(p):
 
 
 def _add_mc_args(p):
-    p.add_argument("--M", type=int, default=10**5, help="sample count")
+    p.add_argument("--M", dest="m_samples", metavar="M", type=int,
+                   default=10**5, help="sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--confidence", type=float, default=0.9)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get(_ENV_THREADS, "1")),
+    # a string default goes through type=, so a bad CSRK_THREADS is a usage
+    # error of the commands that take --threads and of no other
+    p.add_argument("--threads", type=_positive_int,
+                   default=os.environ.get(_ENV_THREADS, "1"),
                    help="worker threads (does not affect results)")
-    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=_positive_int,
+                   default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--allow-shortened", action="store_true",
                    help="accept step sizes that do not divide the horizon")
 
@@ -192,8 +220,15 @@ def _provenance(args):
     return "derived_closed_form" if args.reference == "derived" else args.reference
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``csrk: error:`` line, exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"csrk: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="csrk",
         description="Continuous stochastic Runge-Kutta weak approximation",
     )
@@ -254,32 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from(args, **extra) -> RunConfig:
-    cfg = RunConfig(command=args.command,
-                    output_format=args.output_format,
-                    output=args.output)
-    for name in ("scheme", "scheme_file", "f", "h", "t_eval", "seed",
-                 "confidence", "tol", "grid_points", "reference"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "h_list"):
-        cfg.h_list = args.h_list
-    if hasattr(args, "n_list"):
-        cfg.n_list = args.n_list
-    if hasattr(args, "theta_list"):
-        cfg.theta_list = args.theta_list
-    if hasattr(args, "M"):
-        cfg.m_samples = args.M
+def _config_from(args) -> RunConfig:
+    cfg = {f.name: getattr(args, f.name)
+           for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
     if hasattr(args, "problem"):
-        cfg.problem = args.problem
-        if args.problem == "linear":
-            cfg.problem_params = {"a": args.a, "b": args.b,
-                                  "x0": args.x0, "T": args.T}
-        elif args.problem == "ode":
-            cfg.problem_params = {"lam": args.lam, "x0": args.x0, "T": args.T}
-    for k, v in extra.items():
-        setattr(cfg, k, v)
-    return cfg
+        cfg["problem_params"] = _problem_params(args)
+    return RunConfig(**cfg)
 
 
 def _cmd_schemes(args):
@@ -308,7 +323,7 @@ def _cmd_check(args):
 
 def _cmd_simulate(args):
     scheme = _load_scheme(args)
-    problem, _ = _build_problem(args)
+    problem = _build_problem(args)
     grid = grid_for_step(problem, args.h)
     path = simulate_path(scheme, problem, grid, PathStream(args.seed, 0))
     em = Emitter(_config_from(args))
@@ -327,17 +342,13 @@ def _cmd_simulate(args):
 
 
 def _error_rows(args, with_order):
-    scheme = _load_scheme(args)
-    problem, _ = _build_problem(args)
-    f = functional_from_name(args.f)
-    prov = _provenance(args)
+    scheme, problem, f, ref = _setup(args)
     records = error_table(
-        scheme, problem, f, args.t_eval, args.h_list, args.M, args.seed,
-        confidence=args.confidence, provenance=prov,
+        scheme, problem, f, args.t_eval, args.h_list, args.m_samples,
+        args.seed, confidence=args.confidence, provenance=ref.provenance,
         allow_shortened=args.allow_shortened, chunk_size=args.chunk_size,
         threads=args.threads,
     )
-    ref = problem.reference_for(f, prov)
     em = Emitter(_config_from(args),
                  [("reference_provenance", ref.provenance)])
     em.set_columns("h", "mu", "sigma2_mu", "ci_low", "ci_high")
@@ -352,17 +363,13 @@ def _error_rows(args, with_order):
 
 
 def _cmd_dense(args):
-    scheme = _load_scheme(args)
-    problem, _ = _build_problem(args)
-    f = functional_from_name(args.f)
-    prov = _provenance(args)
+    scheme, problem, f, ref = _setup(args)
     rows = dense_error_profile(
-        scheme, problem, f, args.h, args.theta_list, args.M, args.seed,
-        confidence=args.confidence, provenance=prov,
+        scheme, problem, f, args.h, args.theta_list, args.m_samples,
+        args.seed, confidence=args.confidence, provenance=ref.provenance,
         chunk_size=args.chunk_size, threads=args.threads,
     )
-    ref = problem.reference_for(f, prov)
-    em = Emitter(_config_from(args, h=args.h),
+    em = Emitter(_config_from(args),
                  [("reference_provenance", ref.provenance)])
     em.set_columns("t", "theta", "mu", "sigma2_mu", "ci_low", "ci_high")
     for t, th, r in rows:
@@ -371,51 +378,31 @@ def _cmd_dense(args):
     return 0
 
 
-def _cmd_local_order(args):
-    scheme = _load_scheme(args)
-    problem, _ = _build_problem(args)
-    f = functional_from_name(args.f)
-    prov = _provenance(args)
-    ref = problem.reference_for(f, prov)
-    pairs = []
-    for h in args.h_list:
-        grid = TimeGrid.uniform(problem.t0, problem.t0 + h, 1)
-        val = exact_weak_expectation(scheme, problem, grid, f,
-                                     outcome_cap=args.outcome_cap)
-        pairs.append((h, val - ref.value(problem.t0 + h)))
-    est = empirical_order(pairs)
+def _cmd_exact(args):
+    """local-order: one step of each h; exact-order: N steps over [t0, T]."""
+    scheme, problem, f, ref = _setup(args)
+    t0, T = problem.t0, problem.T
+    theta = getattr(args, "theta_eval", 1.0)
+    if args.command == "local-order":
+        lead = ("h",)
+        runs = [(TimeGrid.uniform(t0, t0 + h, 1), (h,)) for h in args.h_list]
+    else:
+        lead = ("N", "h")
+        runs = [(TimeGrid.uniform(t0, T, n), (n, (T - t0) / n))
+                for n in args.n_list]
     em = Emitter(_config_from(args),
                  [("reference_provenance", ref.provenance)])
-    em.set_columns("h", "error")
-    for h, err in pairs:
-        em.add_row(h, err)
-    em.add_footer("slope", est.slope)
-    em.emit()
-    return 0
-
-
-def _cmd_exact_order(args):
-    scheme = _load_scheme(args)
-    problem, _ = _build_problem(args)
-    f = functional_from_name(args.f)
-    prov = _provenance(args)
-    ref = problem.reference_for(f, prov)
+    em.set_columns(*lead, "error")
     pairs = []
-    for n in args.n_list:
-        grid = TimeGrid.uniform(problem.t0, problem.T, n)
-        t_last, h_last = grid.step(n - 1)
+    for grid, cols in runs:
         val = exact_weak_expectation(scheme, problem, grid, f,
-                                     theta_eval=args.theta_eval,
+                                     theta_eval=theta,
                                      outcome_cap=args.outcome_cap)
-        h = (problem.T - problem.t0) / n
-        pairs.append((h, val - ref.value(t_last + args.theta_eval * h_last)))
-    est = empirical_order(pairs)
-    em = Emitter(_config_from(args),
-                 [("reference_provenance", ref.provenance)])
-    em.set_columns("N", "h", "error")
-    for n, (h, err) in zip(args.n_list, pairs):
-        em.add_row(n, h, err)
-    em.add_footer("slope", est.slope)
+        t_last, h_last = grid.step(grid.n_steps - 1)
+        err = val - ref.value(t_last + theta * h_last)
+        pairs.append((cols[-1], err))
+        em.add_row(*cols, err)
+    em.add_footer("slope", empirical_order(pairs).slope)
     em.emit()
     return 0
 
@@ -427,8 +414,8 @@ _COMMANDS = {
     "error-table": lambda a: _error_rows(a, with_order=False),
     "converge": lambda a: _error_rows(a, with_order=True),
     "dense": _cmd_dense,
-    "local-order": _cmd_local_order,
-    "exact-order": _cmd_exact_order,
+    "local-order": _cmd_exact,
+    "exact-order": _cmd_exact,
 }
 
 
@@ -444,6 +431,10 @@ def main(argv=None) -> int:
     except (TableauError, CapacityError, BlowupError, KeyError, ValueError,
             OSError) as exc:
         print(f"csrk: error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"csrk: error: a value overflows a float ({exc}); "
+              "try smaller problem parameters", file=sys.stderr)
         return 2
 
 

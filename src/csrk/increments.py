@@ -6,8 +6,10 @@ V[k][l] for l < k are independent +-h with probability 1/2 each, with
 V[k][k] = -h and V antisymmetric off the diagonal.  The iterated-integral
 stand-ins derive as I_(k) = dW[k] and I_(k,l) = (dW[k] dW[l] + V[k][l]) / 2.
 
-All laws have finite support, so moments and weak expectations can be
-computed exactly by enumeration.
+``_from_uniforms`` is the one statement of this law: sampling maps counter
+uniforms through it, and exact enumeration maps one representative uniform
+per support point through it.  All laws have finite support, so moments and
+weak expectations can be computed exactly by enumeration.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .streams import PathStream, uniforms
 
 __all__ = [
     "StepIncrements",
-    "OutcomeEnumeration",
     "CapacityError",
     "sample",
     "sample_batch",
@@ -53,10 +54,6 @@ class StepIncrements:
     def m(self) -> int:
         return self.dW.shape[-1]
 
-    def ihat(self) -> np.ndarray:
-        """I_(k) = dW[k]."""
-        return self.dW
-
     def ihat2(self) -> np.ndarray:
         """Matrix of I_(k,l); the diagonal is (dW[k]^2 - h) / 2."""
         return 0.5 * (
@@ -66,6 +63,11 @@ class StepIncrements:
 
 def uniforms_per_step(m: int) -> int:
     return m + m * (m - 1) // 2
+
+
+# (representative uniform, probability) per support point, in support order
+_W_SUPPORT = ((0.0, 1.0 / 6.0), (0.5, 2.0 / 3.0), (5.0 / 6.0, 1.0 / 6.0))
+_V_SUPPORT = ((0.0, 0.5), (0.5, 0.5))
 
 
 def _from_uniforms(m: int, h: float, u: np.ndarray):
@@ -108,25 +110,14 @@ def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
     return _from_uniforms(m, h, u)
 
 
-@dataclass(frozen=True)
-class OutcomeEnumeration:
-    h: float
-    m: int
-    outcomes: tuple[tuple[StepIncrements, float], ...]
-
-    def __len__(self):
-        return len(self.outcomes)
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-
 def outcome_count(m: int) -> int:
     return 3**m * 2 ** (m * (m - 1) // 2)
 
 
-def enumerate_outcomes(m: int, h: float, cap: int = 10**6) -> OutcomeEnumeration:
-    """Full joint sample space with exact probabilities."""
+def enumerate_outcomes(
+    m: int, h: float, cap: int = 10**6
+) -> tuple[tuple[StepIncrements, float], ...]:
+    """Full joint sample space as (increments, exact probability) pairs."""
     if m < 1:
         raise ValueError("need m >= 1")
     if h <= 0:
@@ -136,26 +127,15 @@ def enumerate_outcomes(m: int, h: float, cap: int = 10**6) -> OutcomeEnumeration
         raise CapacityError(
             f"enumeration of m={m} has {total} outcomes, above the cap {cap}"
         )
-    r3h = math.sqrt(3.0 * h)
-    w_support = ((-r3h, 1.0 / 6.0), (0.0, 2.0 / 3.0), (r3h, 1.0 / 6.0))
-    v_support = ((-h, 0.5), (h, 0.5))
-    npairs = m * (m - 1) // 2
-    pairs = [(k, l) for k in range(m) for l in range(k)]
-    outcomes = []
-    for w_choice in itertools.product(w_support, repeat=m):
-        for v_choice in itertools.product(v_support, repeat=npairs):
-            dW = np.array([w for w, _ in w_choice])
-            V = np.full((m, m), 0.0)
-            np.fill_diagonal(V, -h)
-            p = 1.0
-            for _, pw in w_choice:
-                p *= pw
-            for (k, l), (v, pv) in zip(pairs, v_choice):
-                V[k, l] = v
-                V[l, k] = -v
-                p *= pv
-            outcomes.append((StepIncrements(h, dW, V), p))
-    return OutcomeEnumeration(h, m, tuple(outcomes))
+    # one representative uniform per support point of _from_uniforms
+    supports = [_W_SUPPORT] * m + [_V_SUPPORT] * (m * (m - 1) // 2)
+    choices = list(itertools.product(*supports))
+    u = np.array([[uv for uv, _ in choice] for choice in choices])
+    dW, V = _from_uniforms(m, h, u)
+    return tuple(
+        (StepIncrements(h, dw, v), math.prod(p for _, p in choice))
+        for choice, dw, v in zip(choices, dW, V)
+    )
 
 
 def moments_exact(m: int, h: float, factors, cap: int = 10**6) -> float:

@@ -39,7 +39,11 @@ __all__ = [
 
 
 class BlowupError(ArithmeticError):
-    """A drift/diffusion evaluation returned a non-finite value."""
+    """A drift/diffusion evaluation returned a non-finite value.
+
+    For batched states ``path`` is the batch row of the first non-finite
+    value; Monte Carlo turns it into the global path index.
+    """
 
     def __init__(self, msg, t_n=None, stage=None, family=None, step=None,
                  path=None):
@@ -66,6 +70,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t0: float, T: float, n_steps: int) -> "TimeGrid":
+        if n_steps < 1:
+            raise ValueError(f"need at least one step, got {n_steps}")
         # nodes by count so the last one lands on T exactly
         times = t0 + (T - t0) * np.arange(n_steps + 1) / n_steps
         times[-1] = T
@@ -112,11 +118,15 @@ class StageCache:
     b_cross: tuple | None  # s tuples of m tuples of m arrays: b^k at Hhat_i^(l)
 
 
-def _check_finite(arr, t_n, stage, family):
+def _check_finite(arr, t_n, stage, family, batched):
     if not np.all(np.isfinite(arr)):
+        # batch row of the first non-finite value (C order: rows in order)
+        row = None
+        if batched:
+            row = int(np.argmin(np.isfinite(arr))) // (arr.size // len(arr))
         raise BlowupError(
             f"non-finite {family} value at t={t_n}, stage {stage + 1}",
-            t_n=t_n, stage=stage, family=family,
+            t_n=t_n, stage=stage, family=family, path=row,
         )
 
 
@@ -137,6 +147,7 @@ def compute_step_arrays(
     B0, B1, B2 = scheme.B0, scheme.B1, scheme.B2
     sqrt_h = math.sqrt(h)
     y_n = np.asarray(y_n, dtype=float)
+    batched = y_n.ndim > 1
     cross = scheme.uses_cross_stages and m > 1
     a_vals: list = [None] * s
     b_diag: list = [None] * s
@@ -153,7 +164,7 @@ def compute_step_arrays(
         a_vals[i] = np.asarray(
             problem.drift(t_n + scheme.c0[i] * h, H0), dtype=float
         )
-        _check_finite(a_vals[i], t_n, i, "drift")
+        _check_finite(a_vals[i], t_n, i, "drift", batched)
 
         diag_i = []
         for k in range(m):
@@ -166,7 +177,7 @@ def compute_step_arrays(
             bmat = np.asarray(
                 problem.diffusion(t_n + scheme.c1[i] * h, Hk), dtype=float
             )
-            _check_finite(bmat, t_n, i, "diffusion")
+            _check_finite(bmat, t_n, i, "diffusion", batched)
             diag_i.append(bmat[..., :, k])
         b_diag[i] = tuple(diag_i)
 
@@ -182,7 +193,7 @@ def compute_step_arrays(
                 bmat = np.asarray(
                     problem.diffusion(t_n + scheme.c2[i] * h, Hl), dtype=float
                 )
-                _check_finite(bmat, t_n, i, "cross diffusion")
+                _check_finite(bmat, t_n, i, "cross diffusion", batched)
                 for k in range(m):
                     if k != l:
                         cross_i[k][l] = bmat[..., :, k]

@@ -1,18 +1,22 @@
 """Monte Carlo and exact-enumeration weak-error estimation.
 
+Both engines advance batches of states with one step routine, ``_advance``.
+
 The MC engine advances fixed-size chunks of paths through the grid with all
 arithmetic vectorized over the chunk.  Per-chunk mean/M2 statistics are
-combined in ascending chunk order, so the result is bit-identical for any
+folded in ascending chunk order, so the result is bit-identical for any
 thread count given (seed, M, chunk size).  Increments are counter-based
 functions of (seed, path index, step), see streams.py.
 
 The enumeration oracle expands the joint outcome tree of all steps level by
-level and is exact up to floating-point arithmetic; it is the noise-free
-reference the MC machinery is validated against.
+level, outcome by outcome in slices of at most ``_ENUM_SLICE`` states, and is
+exact up to floating-point arithmetic; it is the noise-free reference the MC
+machinery is validated against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -116,8 +120,22 @@ def grid_for_step(problem: SdeProblem, h: float,
 
 
 # ---------------------------------------------------------------------------
-# chunked Monte Carlo core
+# batched step (shared by both engines) and chunked Monte Carlo core
 # ---------------------------------------------------------------------------
+
+def _advance(scheme, problem, grid, n, y, dW, V, theta=1.0):
+    """Step n of the grid from states y: (cache, Y(t_n + theta h_n)).
+
+    A BlowupError leaves with its step index set.
+    """
+    t_n, h_n = grid.step(n)
+    try:
+        cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, V)
+    except BlowupError as exc:
+        exc.step = n
+        raise
+    return cache, evaluate_dense(cache, scheme, theta)
+
 
 def _chunk_values(scheme, problem, grid, eval_points, f, seed, start, count):
     """f-values at every eval point for paths [start, start+count)."""
@@ -130,14 +148,11 @@ def _chunk_values(scheme, problem, grid, eval_points, f, seed, start, count):
     y = np.broadcast_to(problem.x0, (count, problem.dim_state)).copy()
     vals = np.empty((len(eval_points), count))
     for n in range(last_step + 1):
-        t_n, h_n = grid.step(n)
-        dW, V = sample_batch(m, h_n, seed, paths, n)
+        dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
         try:
-            cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, V)
-            y = evaluate_dense(cache, scheme, 1.0)
+            cache, y = _advance(scheme, problem, grid, n, y, dW, V)
         except BlowupError as exc:
-            exc.step = n
-            exc.path = start  # first path of the failing chunk
+            exc.path += start
             raise
         for idx, theta in by_step.get(n, ()):
             v = y if theta == 1.0 else evaluate_dense(cache, scheme, theta)
@@ -167,6 +182,8 @@ def _mc_moments(scheme, problem, grid, eval_points, f, M, seed,
     """Per-eval-point (count, mean, M2), deterministic in (seed, M, chunk)."""
     if M < 2:
         raise ValueError("need at least M = 2 samples")
+    if chunk_size < 1:
+        raise ValueError("need chunk_size >= 1")
     n_chunks = (M + chunk_size - 1) // chunk_size
 
     def one(c):
@@ -179,17 +196,11 @@ def _mc_moments(scheme, problem, grid, eval_points, f, M, seed,
         m2 = ((vals - mean[:, None]) ** 2).sum(axis=1)
         return count, mean, m2
 
+    # both maps yield in ascending chunk order, which fixes the reduction
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(one, range(n_chunks))
-            acc = None
-            for r in results:  # ascending chunk order fixes the reduction
-                acc = r if acc is None else _combine(acc, r)
-    else:
-        acc = None
-        for c in range(n_chunks):
-            acc = one(c) if acc is None else _combine(acc, one(c))
-    return acc
+            return functools.reduce(_combine, pool.map(one, range(n_chunks)))
+    return functools.reduce(_combine, map(one, range(n_chunks)))
 
 
 def mc_expectations_at(
@@ -268,25 +279,21 @@ def exact_weak_expectation(
     states = problem.x0[None, :].copy()
     probs = np.array([1.0])
     for n in range(N):
-        t_n, h_n = grid.step(n)
-        outs = enumerate_outcomes(m, h_n)
+        outs = enumerate_outcomes(m, grid.step(n)[1])
         final = n == N - 1
         theta = theta_eval if final else 1.0
         new_states, new_probs, total = [], [], 0.0
         for inc, p in outs:
             for lo in range(0, states.shape[0], _ENUM_SLICE):
-                sl = states[lo:lo + _ENUM_SLICE]
-                cache = compute_step_arrays(
-                    scheme, problem, t_n, sl, h_n, inc.dW, inc.V
-                )
-                y = evaluate_dense(cache, scheme, theta)
+                sl = slice(lo, lo + _ENUM_SLICE)
+                # keep no cache alive into the next slice's step
+                y = _advance(scheme, problem, grid, n, states[sl],
+                             inc.dW, inc.V, theta)[1]
                 if final:
-                    total += p * float(
-                        probs[lo:lo + _ENUM_SLICE] @ f(y)
-                    )
+                    total += p * float(probs[sl] @ f(y))
                 else:
                     new_states.append(y)
-                    new_probs.append(p * probs[lo:lo + _ENUM_SLICE])
+                    new_probs.append(p * probs[sl])
         if final:
             return total
         states = np.concatenate(new_states)

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import pytest
 
+import csrk.cli
+import csrk.stats
 from csrk import __version__
 from csrk.cli import main
 from csrk.tableau import builtin_scheme, tableau_to_json
@@ -184,3 +187,129 @@ class TestExactCommands:
         )
         assert code == 2
         assert "cap" in err
+
+
+def usage_error(capsys, *argv):
+    """Exit status and stderr lines of a command expected to be refused."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestUsageErrors:
+    MC = ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--t-eval", "2.0", "--h-list", "0.5", "--M", "100")
+
+    @pytest.mark.parametrize("argv", [
+        MC + ("--chunk-size", "0"),
+        MC + ("--threads", "0"),
+        MC + ("--threads", "-3"),
+        ("error-table", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--a", "800", "--t-eval", "1.7", "--h-list", "0.5", "--M", "100"),
+        ("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--N-list", "0"),
+        ("simulate", "--problem", "linear", "--h", "0.5"),
+    ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
+            "N-list-0", "no-scheme"])
+    def test_one_line_exit_2(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("csrk: error: "), err
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_bad_threads_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("CSRK_THREADS", "abc")
+        code, _, _ = run(capsys, "schemes")
+        assert code == 0
+        code, err = usage_error(capsys, *self.MC)
+        assert code == 2
+        assert err == ["csrk: error: argument --threads: expected a positive "
+                       "integer, got 'abc'"]
+
+    def test_threads_environment_default(self, capsys, monkeypatch):
+        _, one, _ = run(capsys, *self.MC)
+        monkeypatch.setenv("CSRK_THREADS", "2")
+        _, two, _ = run(capsys, *self.MC)
+        assert body_lines(one) == body_lines(two)
+
+
+class TestTracingHooks:
+    """perfbench traces the layers by replacing these module globals; the
+    engines must keep calling them there, positionally, at these rates."""
+
+    def install(self, monkeypatch, counting):
+        calls = {"step": [], "dense": [], "enum": [], "problem": []}
+
+        def spy(key, fn):
+            def wrapper(*args, **kwargs):
+                assert not kwargs, f"{key} called with keywords {kwargs}"
+                calls[key].append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays",
+                            spy("step", csrk.stats.compute_step_arrays))
+        monkeypatch.setattr(csrk.stats, "evaluate_dense",
+                            spy("dense", csrk.stats.evaluate_dense))
+        monkeypatch.setattr(csrk.stats, "enumerate_outcomes",
+                            spy("enum", csrk.stats.enumerate_outcomes))
+        for name in ("linear_problem", "system2d_problem"):
+            factory = getattr(csrk.cli, name)
+
+            def traced(*args, _factory=factory, **kwargs):
+                problem, counts = counting(_factory(*args, **kwargs))
+                calls["problem"].append(counts)
+                return problem
+            monkeypatch.setattr(csrk.cli, name, traced)
+        return calls
+
+    @pytest.mark.parametrize("problem,f,extra,t_eval,h_list,m", [
+        ("linear", "x", (), "2.0", (0.5, 0.25), 1),
+        ("system2d", "x2", ("--reference", "derived"), "4.0", (2.0, 1.0), 2),
+    ], ids=["linear", "system2d"])
+    def test_monte_carlo_contract(self, capsys, monkeypatch, counting,
+                                  problem, f, extra, t_eval, h_list, m):
+        calls = self.install(monkeypatch, counting)
+        M, chunk = 1000, 256  # serial: the counters are not thread-safe
+        code, _, _ = run(
+            capsys, "converge", "--scheme", "CRDI3WM", "--problem", problem,
+            "--f", f, *extra, "--t-eval", t_eval,
+            "--h-list", ",".join(map(str, h_list)), "--M", str(M),
+            "--chunk-size", str(chunk), "--threads", "1",
+        )
+        assert code == 0
+        n_chunks = -(-M // chunk)
+        steps = n_chunks * sum(round(float(t_eval) / h) for h in h_list)
+        assert len(calls["step"]) == steps
+        assert all(len(a) == 7 for a in calls["step"])
+        # the eval time is a grid node, so no dense call beyond theta = 1
+        assert len(calls["dense"]) == steps
+        assert all(len(a) == 3 for a in calls["dense"])
+        assert calls["enum"] == []
+        scheme = builtin_scheme("CRDI3WM")
+        s = scheme.stages
+        families = 2 if scheme.uses_cross_stages and m > 1 else 1
+        [counts] = calls["problem"]
+        assert counts == {"drift": s * steps,
+                          "diffusion": s * m * families * steps}
+
+    def test_enumeration_contract(self, capsys, monkeypatch, counting):
+        calls = self.install(monkeypatch, counting)
+        n_list = (2, 3)
+        code, _, _ = run(
+            capsys, "exact-order", "--scheme", "CRDI3WM", "--problem",
+            "linear", "--f", "x2", "--N-list", ",".join(map(str, n_list)),
+        )
+        assert code == 0
+        assert len(calls["enum"]) == sum(n_list)
+        assert all(len(a) == 2 for a in calls["enum"])
+        # one step call per outcome and level while a level fits one slice
+        steps = 3 * sum(n_list)
+        assert len(calls["step"]) == len(calls["dense"]) == steps
+        s = builtin_scheme("CRDI3WM").stages
+        [counts] = calls["problem"]
+        assert counts == {"drift": s * steps, "diffusion": s * steps}

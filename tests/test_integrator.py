@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,10 @@ class TestTimeGrid:
             TimeGrid([0.0])
         with pytest.raises(ValueError):
             TimeGrid([0.0, 1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before dividing by 0
+            with pytest.raises(ValueError, match="at least one step"):
+                TimeGrid.uniform(0.0, 1.0, 0)
 
 
 class TestStages:

@@ -1,12 +1,26 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from csrk.increments import CapacityError
-from csrk.integrator import TimeGrid
-from csrk.sde import Functional, linear_problem, ode_problem, system2d_problem
+from csrk.increments import CapacityError, enumerate_outcomes
+from csrk.integrator import (
+    BlowupError,
+    TimeGrid,
+    compute_step,
+    evaluate_dense,
+    simulate_path,
+)
+from csrk.sde import (
+    Functional,
+    SdeProblem,
+    linear_problem,
+    ode_problem,
+    system2d_problem,
+)
+from csrk.streams import PathStream
 from csrk.stats import (
     ErrorRecord,
     dense_error_profile,
@@ -107,7 +121,80 @@ class TestMonteCarlo:
             assert joint.mean == single.mean
 
 
+# drift overflows once a stage value passes 8: a few paths of seed 3 blow up
+BLOWS_UP = SdeProblem(
+    dim_state=1, dim_noise=1,
+    drift=lambda t, x: np.where(x > 8.0, np.inf, 0.5 * x),
+    diffusion=lambda t, x: x[..., :, None],
+    x0=[1.0], t0=0.0, T=1.0, label="blows-up",
+)
+
+
+class TestBlowup:
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_mc_names_first_failing_path(self, threads):
+        t = builtin_scheme("CRDI2WM")
+        grid = TimeGrid.uniform(0.0, 1.0, 4)
+        M, chunk, seed = 256, 64, 3
+        failures = []
+        for p in range(M):
+            try:
+                simulate_path(t, BLOWS_UP, grid, PathStream(seed, p))
+            except BlowupError as exc:
+                failures.append((p // chunk, exc.step, p))
+        # chunks run in order; within one, the earliest step, then lowest path
+        _, step, path = min(failures)
+        assert path >= chunk  # the failing chunk does not start at path 0
+        with pytest.raises(BlowupError) as ei:
+            mc_expectation(t, BLOWS_UP, grid, FX, 1.0, M, seed,
+                           chunk_size=chunk, threads=threads)
+        assert (ei.value.step, ei.value.path) == (step, path)
+
+    def test_enumeration_carries_step(self):
+        late = SdeProblem(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x: np.where(t < 0.4, x, np.inf * x),
+            diffusion=lambda t, x: 0.0 * x[..., :, None],
+            x0=[1.0], t0=0.0, T=1.0, label="late-blowup",
+        )
+        with pytest.raises(BlowupError) as ei:
+            exact_weak_expectation(builtin_scheme("EULER_OPT"), late,
+                                   TimeGrid.uniform(0.0, 1.0, 5), FX)
+        assert ei.value.step == 2
+
+
+def per_path_expectation(scheme, problem, grid, f, theta_eval):
+    """E f(Y) summed over every outcome sequence, one path at a time."""
+    m, N = problem.dim_noise, grid.n_steps
+    laws = [enumerate_outcomes(m, grid.step(n)[1]) for n in range(N)]
+    total = 0.0
+    for seq in itertools.product(*laws):
+        y, prob = problem.x0, 1.0
+        for n, (inc, p) in enumerate(seq):
+            t_n, h_n = grid.step(n)
+            cache = compute_step(scheme, problem, t_n, y, h_n, inc)
+            y = evaluate_dense(cache, scheme,
+                               theta_eval if n == N - 1 else 1.0)
+            prob *= p
+        total += prob * float(f(y))
+    return total
+
+
 class TestExactExpectation:
+    @pytest.mark.parametrize("theta", (1.0, 0.5))
+    @pytest.mark.parametrize("name,problem,N,f", [
+        ("CRDI3WM", LIN, 3, FX2),
+        # the second component is driven by the first, so the steps' moment
+        # maps do not commute and the step order matters
+        ("CRDI2WM", system2d_problem(), 2, Functional("square", 1)),
+    ], ids=["CRDI3WM-linear", "CRDI2WM-system2d"])
+    def test_matches_per_path_enumeration(self, name, problem, N, f, theta):
+        t = builtin_scheme(name)
+        grid = TimeGrid.uniform(problem.t0, problem.T, N)
+        got = exact_weak_expectation(t, problem, grid, f, theta_eval=theta)
+        want = per_path_expectation(t, problem, grid, f, theta)
+        assert got == pytest.approx(want, rel=1e-13)
+
     def test_one_step_euler_by_hand(self):
         # E[x0 (1 + a h + b dW)] = x0 (1 + a h)
         g = TimeGrid.uniform(0.0, 0.25, 1)
