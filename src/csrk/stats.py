@@ -102,6 +102,8 @@ def grid_for_step(problem: SdeProblem, h: float,
                   allow_shortened: bool = False) -> TimeGrid:
     """Uniform grid with step h; h must divide the horizon unless the caller
     explicitly allows a shortened final step."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be positive and finite, got {h}")
     span = problem.T - problem.t0
     n_exact = span / h
     n = round(n_exact)
@@ -218,6 +220,8 @@ def mc_expectations_at(
     """Estimates of E f(Y(t)) at several times, sharing one set of paths."""
     z = normal_quantile(confidence)
     eval_points = [grid.locate(t) for t in eval_times]
+    if not eval_points:
+        raise ValueError("need at least one evaluation time")
     n, mean, m2 = _mc_moments(
         scheme, problem, grid, eval_points, f, M, seed, chunk_size, threads
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -211,8 +212,20 @@ class TestUsageErrors:
         ("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
          "--N-list", "0"),
         ("simulate", "--problem", "linear", "--h", "0.5"),
+        ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0"),
+        ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--t-eval", "2.0", "--h-list", "0,0.5", "--M", "100"),
+        ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--t-eval", "2.0", "--h-list=-0.5", "--allow-shortened",
+         "--M", "100"),
+        ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--h", "nan"),
+        ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.5",
+         "--theta-list", ",", "--M", "100"),
     ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
-            "N-list-0", "no-scheme"])
+            "N-list-0", "no-scheme", "dense-h-0", "h-list-0",
+            "h-list-negative-shortened", "simulate-h-nan",
+            "theta-list-empty"])
     def test_one_line_exit_2(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -297,6 +310,26 @@ class TestTracingHooks:
         assert counts == {"drift": s * steps,
                           "diffusion": s * m * families * steps}
 
+    def test_dense_contract(self, capsys, monkeypatch, counting):
+        calls = self.install(monkeypatch, counting)
+        M, chunk, h, T = 1000, 256, 0.5, 2.0
+        thetas = 9  # the default --theta-list, 0.1 to 0.9
+        code, _, _ = run(
+            capsys, "dense", "--scheme", "CRDI3WM", "--problem", "linear",
+            "--h", str(h), "--T", str(T), "--M", str(M),
+            "--chunk-size", str(chunk), "--threads", "1",
+        )
+        assert code == 0
+        steps = -(-M // chunk) * round(T / h)
+        assert len(calls["step"]) == steps
+        assert all(len(a) == 7 for a in calls["step"])
+        # theta = 1 advances the state; each listed theta is one more call
+        assert len(calls["dense"]) == (1 + thetas) * steps
+        assert all(len(a) == 3 for a in calls["dense"])
+        s = builtin_scheme("CRDI3WM").stages
+        [counts] = calls["problem"]
+        assert counts == {"drift": s * steps, "diffusion": s * steps}
+
     def test_enumeration_contract(self, capsys, monkeypatch, counting):
         calls = self.install(monkeypatch, counting)
         n_list = (2, 3)
@@ -313,3 +346,46 @@ class TestTracingHooks:
         s = builtin_scheme("CRDI3WM").stages
         [counts] = calls["problem"]
         assert counts == {"drift": s * steps, "diffusion": s * steps}
+
+
+def rows_sha256(text):
+    """sha256 of the data rows: the body without its column line."""
+    rows = "\n".join(body_lines(text)[1:])
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
+class TestGoldenOutput:
+    """Data rows are pinned bit for bit; any change to the arithmetic of a
+    step or a dense evaluation, or to the draws, shows up here.  The steps
+    are not powers of two, so multiplying by h rounds."""
+
+    MC = ("--chunk-size", "1024")
+    SYSTEM2D = ("converge", "--scheme", "CRDI3WM", "--problem", "system2d",
+                "--f", "x2", "--reference", "derived", "--t-eval", "3.8",
+                "--h-list", "0.8,0.4", "--M", "3000", "--seed", "2") + MC
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("converge", "--scheme", "CRDI3WM", "--problem", "linear", "--f",
+          "x", "--T", "1.8", "--t-eval", "1.7", "--h-list", "0.3,0.2",
+          "--M", "3000", "--seed", "5") + MC,
+         "454c359dcbe5b1f71b67b209953941a80aeaedd2cca2f03eb8f4e058f87eecfc"),
+        (SYSTEM2D + ("--threads", "1"),
+         "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
+        (SYSTEM2D + ("--threads", "2"),
+         "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
+        (("dense", "--scheme", "CRDI3WM", "--problem", "linear", "--h", "0.3",
+          "--T", "1.5", "--M", "2000", "--seed", "1") + MC,
+         "80a54f8a3bea805aa2233d8d3f4ab6311bdbb30c2a8e276ff912f949e29650f7"),
+        (("exact-order", "--scheme", "CRDI2WM", "--problem", "system2d",
+          "--f", "x2", "--N-list", "2,3", "--theta-eval", "0.3"),
+         "0b35a592b6c99ea293ced894a4ece4afe37bd86bbed2bb2a25748eb777449582"),
+        (("simulate", "--scheme", "CRDI5WM", "--problem", "system2d", "--h",
+          "0.4", "--seed", "7", "--dense-per-step", "3"),
+         "da968e6c0a798b0524d0901e3ff45911fd36690a954475562cf8de1d2568ee09"),
+    ], ids=["converge-linear", "converge-system2d-threads-1",
+            "converge-system2d-threads-2", "dense", "exact-order-theta",
+            "simulate-dense-per-step"])
+    def test_data_rows(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert rows_sha256(out) == digest

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.increments import StepIncrements, enumerate_outcomes, sample
+from csrk.increments import (
+    StepIncrements,
+    enumerate_outcomes,
+    sample,
+    sample_batch,
+)
 from csrk.integrator import (
     BlowupError,
     TimeGrid,
     compute_step,
+    compute_step_arrays,
     evaluate_dense,
     query,
     simulate_path,
@@ -152,6 +158,72 @@ class TestDenseOutput:
                 cache = compute_step(t, LIN, 0.0, np.array([x0]), h, inc)
                 mean += p * evaluate_dense(cache, t, th)[0]
             assert mean == pytest.approx(x0 * (1 + a * th * h), rel=1e-14)
+
+
+def dense_reference(cache, scheme, theta):
+    """evaluate_dense with the weights and I2 rebuilt on every call."""
+    if theta == 0.0:
+        return cache.y_n.copy()
+    s = scheme.stages
+    m = cache.dW.shape[-1]
+    h, sqrt_h = cache.h, cache.sqrt_h
+    al = scheme.alpha_at(theta)
+    b1 = scheme.beta_at(1, theta)
+    b2 = scheme.beta_at(2, theta)
+    b3 = scheme.beta_at(3, theta)
+    b4 = scheme.beta_at(4, theta)
+    dW = cache.dW
+    I2 = 0.5 * (dW[..., :, None] * dW[..., None, :] + cache.V)
+
+    y = cache.y_n.copy()
+    for i in range(s):
+        if al[i] != 0.0:
+            y += (al[i] * h) * cache.a_vals[i]
+    for i in range(s):
+        if b1[i] == 0.0 and b2[i] == 0.0:
+            continue
+        for k in range(m):
+            coeff = b1[i] * dW[..., k] + (b2[i] / sqrt_h) * I2[..., k, k]
+            y += coeff[..., None] * cache.b_diag[i][k]
+    if cache.b_cross is not None:
+        for i in range(s):
+            if b3[i] == 0.0 and b4[i] == 0.0:
+                continue
+            for k in range(m):
+                for l in range(m):
+                    if k == l:
+                        continue
+                    coeff = b3[i] * dW[..., k] + (b4[i] / sqrt_h) * I2[..., k, l]
+                    y += coeff[..., None] * cache.b_cross[i][k][l]
+    return y
+
+
+class TestDensePlan:
+    """The plan changes where weights and I2 come from, not one bit of the
+    dense output."""
+
+    @pytest.mark.parametrize("name", scheme_names())
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("batched", (False, True), ids=("single", "batch"))
+    def test_matches_reference(self, name, m, batched):
+        problem = LIN if m == 1 else system2d_problem()
+        scheme, h = builtin_scheme(name), 0.3  # h * x rounds
+        if batched:
+            # on a signed-zero row, skipping a term that adds +0 or -0
+            # changes the sign of the result
+            scale = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])[:, None]
+            y = problem.x0 * scale
+            dW, V = sample_batch(m, h, 7, np.arange(5, dtype=np.uint64), 0)
+        else:
+            y = problem.x0
+            inc = sample(m, h, PathStream(7, 0))
+            dW, V = inc.dW, inc.V
+        cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
+        for theta in (0.0, 0.3, 1.0):
+            got = evaluate_dense(cache, scheme, theta)
+            want = dense_reference(cache, scheme, theta)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPaths:

@@ -64,6 +64,14 @@ class TestGridForStep:
         assert g.T == 2.0
         assert g.step(g.n_steps - 1)[1] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("allow_shortened", [False, True])
+    def test_bad_step_refused(self, h, allow_shortened):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before dividing
+            with pytest.raises(ValueError, match="positive and finite"):
+                grid_for_step(LIN, h, allow_shortened)
+
 
 class TestMonteCarlo:
     def test_bit_identical_across_thread_counts(self):
@@ -108,6 +116,12 @@ class TestMonteCarlo:
         grid = grid_for_step(LIN, 0.5)
         with pytest.raises(ValueError):
             mc_expectation(builtin_scheme("EULER_OPT"), LIN, grid, FX, 2.0, 1, 0)
+
+    def test_no_eval_times(self):
+        grid = grid_for_step(LIN, 0.5)
+        with pytest.raises(ValueError, match="at least one evaluation time"):
+            mc_expectations_at(builtin_scheme("EULER_OPT"), LIN, grid, FX, [],
+                               100, 0)
 
     def test_multiple_times_share_paths(self):
         grid = grid_for_step(LIN, 0.5)

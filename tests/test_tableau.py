@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from csrk.integrator import TimeGrid
 from csrk.tableau import (
+    _WEIGHT_MEMO_SIZE,
     ConditionId,
     CsrkTableau,
     SchemeMeta,
@@ -188,6 +191,60 @@ class TestConditionId:
     def test_parse_errors(self):
         with pytest.raises(TableauError):
             ConditionId.parse("no-colon")
+
+
+def dense_thetas():
+    """theta = 0 and 1, and the thetas ``dense`` evaluates on an h = 0.25
+    grid, as ``TimeGrid.locate`` returns them."""
+    grid = TimeGrid.uniform(0.0, 2.0, 8)
+    located = [
+        grid.locate(t_n + th * h_n)[1]
+        for t_n, h_n in map(grid.step, range(grid.n_steps))
+        for th in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    ]
+    return [0.0, 1.0] + located
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_weights_match_weight_functions(self, name):
+        t = builtin_scheme(name)
+        for th in dense_thetas():
+            al, *betas = t.plan.weights_at(th)
+            assert np.array(al).tobytes() == t.alpha_at(th).tobytes()
+            for r, b in enumerate(betas, 1):
+                assert np.array(b).tobytes() == t.beta_at(r, th).tobytes()
+
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_couplings_are_the_nonzero_entries(self, name):
+        t = builtin_scheme(name)
+        for (A, B), fam in zip(((t.A0, t.B0), (t.A1, t.B1), (t.A2, t.B2)),
+                               t.plan.couplings):
+            A2, B2 = np.zeros_like(A), np.zeros_like(B)
+            for i, row in enumerate(fam):
+                for j, a, b in row:
+                    assert j < i and (a != 0.0 or b != 0.0)
+                    assert type(a) is float and type(b) is float
+                    A2[i, j], B2[i, j] = a, b
+            assert np.array_equal(A, A2) and np.array_equal(B, B2)
+
+    def test_plan_built_once_per_tableau(self):
+        t = builtin_scheme("CRDI3WM")
+        assert t.plan is t.plan
+        parsed = parse_tableau(tableau_to_json(t))
+        assert parsed.plan is not t.plan
+        assert parsed.plan.weights_at(0.3) == t.plan.weights_at(0.3)
+        zero = (WeightPolynomial(),) * t.stages
+        replaced = dataclasses.replace(t, beta3=zero, beta4=zero)
+        assert replaced.plan is not t.plan
+        assert t.uses_cross_stages and not replaced.uses_cross_stages
+        assert replaced.plan.weights_at(0.3)[3] == (0.0,) * t.stages
+
+    def test_weight_memo_bounded(self):
+        plan = parse_tableau(tableau_to_json(builtin_scheme("EULER_OPT"))).plan
+        for k in range(10**5):
+            plan.weights_at(k / 10**5)
+        assert 0 < len(plan._memo) <= _WEIGHT_MEMO_SIZE
 
 
 class TestSerialization:
