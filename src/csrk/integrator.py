@@ -11,13 +11,12 @@ All state arithmetic broadcasts over leading batch axes, so the same code
 advances a single path (state shape ``(d,)``) or a whole chunk of paths
 (state shape ``(B, d)``, increments ``(B, m)``/``(B, m, m)``).
 
-What depends on the scheme alone comes from its step plan
-(``CsrkTableau.plan``), built on first use: the nodes, the nonzero stage
-couplings of each family, whether the cross family runs, and the dense
-weights of each theta, memoised.  A step still evaluates drift and diffusion
-at every stage and stores the iterated-integral matrix
-``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for every dense evaluation
-of that step to read.
+A step evaluates drift and diffusion at every stage and stores the
+iterated-integral matrix ``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for
+every dense evaluation of that step to read.  The dense weights depend only
+on the scheme and theta.  ``evaluate_dense`` builds them on each call, unless
+theta is a ``PlannedTheta`` that carries them: the Monte Carlo and
+enumeration engines plan each theta of a run once, before the first step.
 """
 
 from __future__ import annotations
@@ -152,40 +151,42 @@ def compute_step_arrays(
     if h <= 0:
         raise ValueError("need h > 0")
     s, m = scheme.stages, problem.dim_noise
-    plan = scheme.plan
-    c0, c1, c2 = plan.nodes
-    K0, K1, K2 = plan.couplings
+    A0, A1, A2 = scheme.A0, scheme.A1, scheme.A2
+    B0, B1, B2 = scheme.B0, scheme.B1, scheme.B2
     sqrt_h = math.sqrt(h)
     y_n = np.asarray(y_n, dtype=float)
     dW = np.asarray(dW, dtype=float)
     V = np.asarray(V, dtype=float)
     batched = y_n.ndim > 1
-    cross = plan.uses_cross_stages and m > 1
+    cross = scheme.uses_cross_stages and m > 1
     a_vals: list = [None] * s
     b_diag: list = [None] * s
     b_cross: list = [None] * s if cross else None
 
     for i in range(s):
         H0 = y_n
-        for j, a, b in K0[i]:
-            if a != 0.0:
-                H0 = H0 + (h * a) * a_vals[j]
-            if b != 0.0:
+        for j in range(i):
+            if A0[i, j] != 0.0:
+                H0 = H0 + (h * A0[i, j]) * a_vals[j]
+            if B0[i, j] != 0.0:
                 for r in range(m):
-                    H0 = H0 + b * dW[..., r, None] * b_diag[j][r]
-        a_vals[i] = np.asarray(problem.drift(t_n + c0[i] * h, H0), dtype=float)
+                    H0 = H0 + B0[i, j] * dW[..., r, None] * b_diag[j][r]
+        a_vals[i] = np.asarray(
+            problem.drift(t_n + scheme.c0[i] * h, H0), dtype=float
+        )
         _check_finite(a_vals[i], t_n, i, "drift", batched)
 
         diag_i = []
         for k in range(m):
             Hk = y_n
-            for j, a, b in K1[i]:
-                if a != 0.0:
-                    Hk = Hk + (h * a) * a_vals[j]
-                if b != 0.0:
-                    Hk = Hk + (sqrt_h * b) * b_diag[j][k]
-            bmat = np.asarray(problem.diffusion(t_n + c1[i] * h, Hk),
-                              dtype=float)
+            for j in range(i):
+                if A1[i, j] != 0.0:
+                    Hk = Hk + (h * A1[i, j]) * a_vals[j]
+                if B1[i, j] != 0.0:
+                    Hk = Hk + (sqrt_h * B1[i, j]) * b_diag[j][k]
+            bmat = np.asarray(
+                problem.diffusion(t_n + scheme.c1[i] * h, Hk), dtype=float
+            )
             _check_finite(bmat, t_n, i, "diffusion", batched)
             diag_i.append(bmat[..., :, k])
         b_diag[i] = tuple(diag_i)
@@ -194,13 +195,14 @@ def compute_step_arrays(
             cross_i = [[None] * m for _ in range(m)]
             for l in range(m):
                 Hl = y_n
-                for j, a, b in K2[i]:
-                    if a != 0.0:
-                        Hl = Hl + (h * a) * a_vals[j]
-                    if b != 0.0:
-                        Hl = Hl + (sqrt_h * b) * b_diag[j][l]
-                bmat = np.asarray(problem.diffusion(t_n + c2[i] * h, Hl),
-                                  dtype=float)
+                for j in range(i):
+                    if A2[i, j] != 0.0:
+                        Hl = Hl + (h * A2[i, j]) * a_vals[j]
+                    if B2[i, j] != 0.0:
+                        Hl = Hl + (sqrt_h * B2[i, j]) * b_diag[j][l]
+                bmat = np.asarray(
+                    problem.diffusion(t_n + scheme.c2[i] * h, Hl), dtype=float
+                )
                 _check_finite(bmat, t_n, i, "cross diffusion", batched)
                 for k in range(m):
                     if k != l:
@@ -228,6 +230,24 @@ def compute_step(
     return compute_step_arrays(scheme, problem, t_n, y_n, h, inc.dW, inc.V)
 
 
+class PlannedTheta(float):
+    """A theta together with its scheme's dense weights, built once.
+
+    It is the float theta in every respect; ``evaluate_dense`` reads its
+    weights instead of building them, if they belong to the scheme it is
+    given.  The engines plan the thetas of a run this way, since they
+    evaluate each one on every chunk and step.
+    """
+
+    __slots__ = ("scheme", "weights")
+
+    def __new__(cls, scheme: CsrkTableau, theta: float):
+        self = super().__new__(cls, theta)
+        self.scheme = scheme
+        self.weights = scheme.dense_weights(theta)
+        return self
+
+
 def evaluate_dense(cache: StageCache, scheme: CsrkTableau, theta: float):
     """Y(t_n + theta * h) from cached evaluations; pure in the cache."""
     if not 0.0 <= theta <= 1.0:
@@ -237,7 +257,10 @@ def evaluate_dense(cache: StageCache, scheme: CsrkTableau, theta: float):
     s = scheme.stages
     m = cache.dW.shape[-1]
     h, sqrt_h = cache.h, cache.sqrt_h
-    al, b1, b2, b3, b4 = scheme.plan.weights_at(theta)
+    if isinstance(theta, PlannedTheta) and theta.scheme is scheme:
+        al, b1, b2, b3, b4 = theta.weights
+    else:
+        al, b1, b2, b3, b4 = scheme.dense_weights(theta)
     dW, I2 = cache.dW, cache.I2
 
     y = cache.y_n.copy()

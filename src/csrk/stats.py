@@ -33,6 +33,7 @@ from .increments import (
 )
 from .integrator import (
     BlowupError,
+    PlannedTheta,
     TimeGrid,
     compute_step_arrays,
     evaluate_dense,
@@ -125,7 +126,7 @@ def grid_for_step(problem: SdeProblem, h: float,
 # batched step (shared by both engines) and chunked Monte Carlo core
 # ---------------------------------------------------------------------------
 
-def _advance(scheme, problem, grid, n, y, dW, V, theta=1.0):
+def _advance(scheme, problem, grid, n, y, dW, V, theta):
     """Step n of the grid from states y: (cache, Y(t_n + theta h_n)).
 
     A BlowupError leaves with its step index set.
@@ -139,8 +140,12 @@ def _advance(scheme, problem, grid, n, y, dW, V, theta=1.0):
     return cache, evaluate_dense(cache, scheme, theta)
 
 
-def _chunk_values(scheme, problem, grid, eval_points, f, seed, start, count):
-    """f-values at every eval point for paths [start, start+count)."""
+def _chunk_values(scheme, problem, grid, step_theta, eval_points, f, seed,
+                  start, count):
+    """f-values at every eval point for paths [start, start+count).
+
+    ``step_theta`` is theta = 1 planned for the scheme.
+    """
     m = problem.dim_noise
     paths = np.arange(start, start + count, dtype=np.uint64)
     by_step: dict[int, list[tuple[int, float]]] = {}
@@ -152,7 +157,8 @@ def _chunk_values(scheme, problem, grid, eval_points, f, seed, start, count):
     for n in range(last_step + 1):
         dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
         try:
-            cache, y = _advance(scheme, problem, grid, n, y, dW, V)
+            cache, y = _advance(scheme, problem, grid, n, y, dW, V,
+                                step_theta)
         except BlowupError as exc:
             exc.path += start
             raise
@@ -187,12 +193,18 @@ def _mc_moments(scheme, problem, grid, eval_points, f, M, seed,
     if chunk_size < 1:
         raise ValueError("need chunk_size >= 1")
     n_chunks = (M + chunk_size - 1) // chunk_size
+    # the dense weights of the step and of each eval theta are built here,
+    # not on every chunk and step
+    step_theta = PlannedTheta(scheme, 1.0)
+    eval_points = [(n, PlannedTheta(scheme, theta))
+                   for n, theta in eval_points]
 
     def one(c):
         start = c * chunk_size
         count = min(chunk_size, M - start)
         vals = _chunk_values(
-            scheme, problem, grid, eval_points, f, seed, start, count
+            scheme, problem, grid, step_theta, eval_points, f, seed, start,
+            count,
         )
         mean = vals.mean(axis=1)
         m2 = ((vals - mean[:, None]) ** 2).sum(axis=1)
@@ -282,10 +294,11 @@ def exact_weak_expectation(
         )
     states = problem.x0[None, :].copy()
     probs = np.array([1.0])
+    step_theta = PlannedTheta(scheme, 1.0)
     for n in range(N):
         outs = enumerate_outcomes(m, grid.step(n)[1])
         final = n == N - 1
-        theta = theta_eval if final else 1.0
+        theta = PlannedTheta(scheme, theta_eval) if final else step_theta
         new_states, new_probs, total = [], [], 0.0
         for inc, p in outs:
             for lo in range(0, states.shape[0], _ENUM_SLICE):

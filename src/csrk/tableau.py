@@ -22,7 +22,6 @@ __all__ = [
     "ConditionId",
     "SchemeMeta",
     "CsrkTableau",
-    "StepPlan",
     "TableauError",
     "evaluate_weight",
     "builtin_scheme",
@@ -175,63 +174,23 @@ class CsrkTableau:
         ws = (self.beta1, self.beta2, self.beta3, self.beta4)[r - 1]
         return np.array([w(theta) for w in ws])
 
-    @functools.cached_property
-    def plan(self) -> "StepPlan":
-        """The scheme's step plan, built on first use and kept with it."""
-        return StepPlan(self)
+    def dense_weights(self, theta: float) -> tuple[tuple[float, ...], ...]:
+        """(alpha, beta1, beta2, beta3, beta4) at theta, as Python floats.
 
-    @property
+        The same values as ``alpha_at``/``beta_at``; a caller that evaluates
+        one theta many times builds them once, as an
+        ``integrator.PlannedTheta``.
+        """
+        return tuple(
+            tuple(float(w(theta)) for w in ws)
+            for ws in (self.alpha, self.beta1, self.beta2, self.beta3,
+                       self.beta4)
+        )
+
+    @functools.cached_property
     def uses_cross_stages(self) -> bool:
         """Whether the beta^(3)/beta^(4) cross-noise family is active at all."""
-        return self.plan.uses_cross_stages
-
-
-# distinct thetas whose weights a plan keeps; a path queried at arbitrary
-# times would otherwise grow the memo without bound
-_WEIGHT_MEMO_SIZE = 256
-
-
-class StepPlan:
-    """What a step and a dense evaluation read of a scheme, fixed once.
-
-    ``nodes[q][i]`` is c^(q)_i.  ``couplings[q][i]`` lists the ``(j, A, B)``
-    with A^(q)_ij or B^(q)_ij nonzero, in ascending j, as Python floats;
-    q = 0 is the drift family, 1 the diagonal and 2 the cross diffusion
-    family.  ``weights_at(theta)`` returns the tuples (alpha, beta1, beta2,
-    beta3, beta4) of the weights at theta from a memo of at most
-    ``_WEIGHT_MEMO_SIZE`` thetas.
-    """
-
-    def __init__(self, scheme: CsrkTableau):
-        fams = ((scheme.A0, scheme.B0), (scheme.A1, scheme.B1),
-                (scheme.A2, scheme.B2))
-        # NumPy scalars, so the stage times passed to drift and diffusion
-        # keep the type they had when read from the arrays
-        self.nodes = (tuple(scheme.c0), tuple(scheme.c1), tuple(scheme.c2))
-        self.couplings = tuple(
-            tuple(
-                tuple((j, float(A[i, j]), float(B[i, j])) for j in range(i)
-                      if A[i, j] != 0.0 or B[i, j] != 0.0)
-                for i in range(scheme.stages)
-            )
-            for A, B in fams
-        )
-        self.uses_cross_stages = not all(
-            w.is_zero for w in scheme.beta3 + scheme.beta4
-        )
-        self._weights = (scheme.alpha, scheme.beta1, scheme.beta2,
-                         scheme.beta3, scheme.beta4)
-        self._memo: dict[float, tuple] = {}
-
-    def weights_at(self, theta: float) -> tuple[tuple[float, ...], ...]:
-        got = self._memo.get(theta)
-        if got is None:
-            got = tuple(tuple(float(w(theta)) for w in ws)
-                        for ws in self._weights)
-            if len(self._memo) >= _WEIGHT_MEMO_SIZE:
-                self._memo.clear()
-            self._memo[theta] = got
-        return got
+        return not all(w.is_zero for w in self.beta3 + self.beta4)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from csrk.increments import (
 )
 from csrk.integrator import (
     BlowupError,
+    PlannedTheta,
     TimeGrid,
     compute_step,
     compute_step_arrays,
@@ -198,9 +199,9 @@ def dense_reference(cache, scheme, theta):
     return y
 
 
-class TestDensePlan:
-    """The plan changes where weights and I2 come from, not one bit of the
-    dense output."""
+class TestDenseWeights:
+    """Planned weights and I2 read from the cache change where they come
+    from, not one bit of the dense output."""
 
     @pytest.mark.parametrize("name", scheme_names())
     @pytest.mark.parametrize("m", (1, 2))
@@ -220,10 +221,13 @@ class TestDensePlan:
             dW, V = inc.dW, inc.V
         cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
         for theta in (0.0, 0.3, 1.0):
-            got = evaluate_dense(cache, scheme, theta)
             want = dense_reference(cache, scheme, theta)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            # a theta planned for another scheme does not lend its weights
+            other = PlannedTheta(builtin_scheme("EULER_OPT"), theta)
+            for th in (theta, PlannedTheta(scheme, theta), other):
+                got = evaluate_dense(cache, scheme, th)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestPaths:

@@ -32,7 +32,7 @@ from csrk.stats import (
     mc_expectations_at,
     normal_quantile,
 )
-from csrk.tableau import builtin_scheme
+from csrk.tableau import CsrkTableau, builtin_scheme
 
 LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
 FX = Functional("identity", 0)
@@ -122,6 +122,28 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="at least one evaluation time"):
             mc_expectations_at(builtin_scheme("EULER_OPT"), LIN, grid, FX, [],
                                100, 0)
+
+    def test_dense_weights_built_once_per_run(self, monkeypatch):
+        # one build at theta = 1 and one per eval point, however many chunks
+        # and steps the run has
+        t = builtin_scheme("CRDI3WM")
+        built = []
+        build = CsrkTableau.dense_weights
+
+        def counting(self, theta):
+            built.append(theta)
+            return build(self, theta)
+
+        monkeypatch.setattr(CsrkTableau, "dense_weights", counting)
+        grid = grid_for_step(LIN, 0.25)
+        mc_expectations_at(t, LIN, grid, FX, [0.3, 1.0, 1.7, 2.0], 5000, 3,
+                           chunk_size=1000)
+        assert built == [1.0] + [grid.locate(x)[1]
+                                 for x in (0.3, 1.0, 1.7, 2.0)]
+        built.clear()
+        exact_weak_expectation(t, LIN, TimeGrid.uniform(0.0, 1.0, 3), FX,
+                               theta_eval=0.5)
+        assert built == [1.0, 0.5]
 
     def test_multiple_times_share_paths(self):
         grid = grid_for_step(LIN, 0.5)

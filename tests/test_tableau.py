@@ -6,7 +6,6 @@ import pytest
 
 from csrk.integrator import TimeGrid
 from csrk.tableau import (
-    _WEIGHT_MEMO_SIZE,
     ConditionId,
     CsrkTableau,
     SchemeMeta,
@@ -205,46 +204,27 @@ def dense_thetas():
     return [0.0, 1.0] + located
 
 
-class TestStepPlan:
+class TestDenseWeights:
     @pytest.mark.parametrize("name", ALL_SCHEMES)
-    def test_weights_match_weight_functions(self, name):
+    def test_match_weight_functions(self, name):
         t = builtin_scheme(name)
         for th in dense_thetas():
-            al, *betas = t.plan.weights_at(th)
+            al, *betas = t.dense_weights(th)
+            assert all(type(w) is float for w in al)
             assert np.array(al).tobytes() == t.alpha_at(th).tobytes()
             for r, b in enumerate(betas, 1):
                 assert np.array(b).tobytes() == t.beta_at(r, th).tobytes()
 
-    @pytest.mark.parametrize("name", ALL_SCHEMES)
-    def test_couplings_are_the_nonzero_entries(self, name):
-        t = builtin_scheme(name)
-        for (A, B), fam in zip(((t.A0, t.B0), (t.A1, t.B1), (t.A2, t.B2)),
-                               t.plan.couplings):
-            A2, B2 = np.zeros_like(A), np.zeros_like(B)
-            for i, row in enumerate(fam):
-                for j, a, b in row:
-                    assert j < i and (a != 0.0 or b != 0.0)
-                    assert type(a) is float and type(b) is float
-                    A2[i, j], B2[i, j] = a, b
-            assert np.array_equal(A, A2) and np.array_equal(B, B2)
-
-    def test_plan_built_once_per_tableau(self):
+    def test_cross_flag_kept_per_tableau(self):
         t = builtin_scheme("CRDI3WM")
-        assert t.plan is t.plan
+        assert t.uses_cross_stages
         parsed = parse_tableau(tableau_to_json(t))
-        assert parsed.plan is not t.plan
-        assert parsed.plan.weights_at(0.3) == t.plan.weights_at(0.3)
+        assert parsed.uses_cross_stages
+        assert parsed.dense_weights(0.3) == t.dense_weights(0.3)
         zero = (WeightPolynomial(),) * t.stages
         replaced = dataclasses.replace(t, beta3=zero, beta4=zero)
-        assert replaced.plan is not t.plan
-        assert t.uses_cross_stages and not replaced.uses_cross_stages
-        assert replaced.plan.weights_at(0.3)[3] == (0.0,) * t.stages
-
-    def test_weight_memo_bounded(self):
-        plan = parse_tableau(tableau_to_json(builtin_scheme("EULER_OPT"))).plan
-        for k in range(10**5):
-            plan.weights_at(k / 10**5)
-        assert 0 < len(plan._memo) <= _WEIGHT_MEMO_SIZE
+        assert not replaced.uses_cross_stages and t.uses_cross_stages
+        assert replaced.dense_weights(0.3)[3] == (0.0,) * t.stages
 
 
 class TestSerialization:
