@@ -25,11 +25,12 @@ from .integrator import BlowupError, TimeGrid, simulate_path
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
 from .stats import (
     DEFAULT_CHUNK_SIZE,
+    check_step,
     dense_error_profile,
     empirical_order,
     error_table,
+    exact_grid,
     exact_weak_expectation,
-    grid_for_step,
     mc_expectation,
 )
 from .streams import PathStream
@@ -161,15 +162,21 @@ def _ints(text):
     return [int(v) for v in text.split(",") if v]
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low, kind):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_scheme_args(p, file_ok=True):
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dense-per-step", type=int, default=0,
+    p.add_argument("--dense-per-step", type=_non_negative_int, default=0,
                    help="extra dense evaluations per step")
     _add_output_args(p)
 
@@ -324,7 +331,7 @@ def _cmd_check(args):
 def _cmd_simulate(args):
     scheme = _load_scheme(args)
     problem = _build_problem(args)
-    grid = grid_for_step(problem, args.h)
+    grid = exact_grid(problem, args.h)
     path = simulate_path(scheme, problem, grid, PathStream(args.seed, 0))
     em = Emitter(_config_from(args))
     em.set_columns("t", "theta",
@@ -385,6 +392,8 @@ def _cmd_exact(args):
     theta = getattr(args, "theta_eval", 1.0)
     if args.command == "local-order":
         lead = ("h",)
+        for h in args.h_list:
+            check_step(h)
         runs = [(TimeGrid.uniform(t0, t0 + h, 1), (h,)) for h in args.h_list]
     else:
         lead = ("N", "h")

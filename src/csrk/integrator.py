@@ -11,12 +11,14 @@ All state arithmetic broadcasts over leading batch axes, so the same code
 advances a single path (state shape ``(d,)``) or a whole chunk of paths
 (state shape ``(B, d)``, increments ``(B, m)``/``(B, m, m)``).
 
-A step evaluates drift and diffusion at every stage and stores the
-iterated-integral matrix ``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for
-every dense evaluation of that step to read.  The dense weights depend only
-on the scheme and theta.  ``evaluate_dense`` builds them on each call, unless
-theta is a ``PlannedTheta`` that carries them: the Monte Carlo and
-enumeration engines plan each theta of a run once, before the first step.
+A step reads the scheme's nodes and nonzero couplings as Python floats from
+``CsrkTableau.stage_plan``, built once per tableau.  It evaluates drift and
+diffusion at every stage and stores the iterated-integral matrix
+``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for every dense evaluation of
+that step to read.  The dense weights depend only on the scheme and theta.
+``evaluate_dense`` builds them on each call, unless theta is a
+``PlannedTheta`` that carries them: the Monte Carlo and enumeration engines
+plan each theta of a run once, before the first step.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class TimeGrid:
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("grid needs at least two nodes")
+        if not np.isfinite(times).all():
+            raise ValueError("grid nodes must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         times.setflags(write=False)
@@ -79,6 +83,8 @@ class TimeGrid:
     def uniform(cls, t0: float, T: float, n_steps: int) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError(f"need at least one step, got {n_steps}")
+        if not (math.isfinite(t0) and math.isfinite(T)):
+            raise ValueError(f"grid ends must be finite, got {t0} and {T}")
         # nodes by count so the last one lands on T exactly
         times = t0 + (T - t0) * np.arange(n_steps + 1) / n_steps
         times[-1] = T
@@ -151,8 +157,7 @@ def compute_step_arrays(
     if h <= 0:
         raise ValueError("need h > 0")
     s, m = scheme.stages, problem.dim_noise
-    A0, A1, A2 = scheme.A0, scheme.A1, scheme.A2
-    B0, B1, B2 = scheme.B0, scheme.B1, scheme.B2
+    (c0, K0), (c1, K1), (c2, K2) = scheme.stage_plan
     sqrt_h = math.sqrt(h)
     y_n = np.asarray(y_n, dtype=float)
     dW = np.asarray(dW, dtype=float)
@@ -165,27 +170,27 @@ def compute_step_arrays(
 
     for i in range(s):
         H0 = y_n
-        for j in range(i):
-            if A0[i, j] != 0.0:
-                H0 = H0 + (h * A0[i, j]) * a_vals[j]
-            if B0[i, j] != 0.0:
+        for j, a, b in K0[i]:
+            if a != 0.0:
+                H0 = H0 + (h * a) * a_vals[j]
+            if b != 0.0:
                 for r in range(m):
-                    H0 = H0 + B0[i, j] * dW[..., r, None] * b_diag[j][r]
+                    H0 = H0 + b * dW[..., r, None] * b_diag[j][r]
         a_vals[i] = np.asarray(
-            problem.drift(t_n + scheme.c0[i] * h, H0), dtype=float
+            problem.drift(t_n + c0[i] * h, H0), dtype=float
         )
         _check_finite(a_vals[i], t_n, i, "drift", batched)
 
         diag_i = []
         for k in range(m):
             Hk = y_n
-            for j in range(i):
-                if A1[i, j] != 0.0:
-                    Hk = Hk + (h * A1[i, j]) * a_vals[j]
-                if B1[i, j] != 0.0:
-                    Hk = Hk + (sqrt_h * B1[i, j]) * b_diag[j][k]
+            for j, a, b in K1[i]:
+                if a != 0.0:
+                    Hk = Hk + (h * a) * a_vals[j]
+                if b != 0.0:
+                    Hk = Hk + (sqrt_h * b) * b_diag[j][k]
             bmat = np.asarray(
-                problem.diffusion(t_n + scheme.c1[i] * h, Hk), dtype=float
+                problem.diffusion(t_n + c1[i] * h, Hk), dtype=float
             )
             _check_finite(bmat, t_n, i, "diffusion", batched)
             diag_i.append(bmat[..., :, k])
@@ -195,13 +200,13 @@ def compute_step_arrays(
             cross_i = [[None] * m for _ in range(m)]
             for l in range(m):
                 Hl = y_n
-                for j in range(i):
-                    if A2[i, j] != 0.0:
-                        Hl = Hl + (h * A2[i, j]) * a_vals[j]
-                    if B2[i, j] != 0.0:
-                        Hl = Hl + (sqrt_h * B2[i, j]) * b_diag[j][l]
+                for j, a, b in K2[i]:
+                    if a != 0.0:
+                        Hl = Hl + (h * a) * a_vals[j]
+                    if b != 0.0:
+                        Hl = Hl + (sqrt_h * b) * b_diag[j][l]
                 bmat = np.asarray(
-                    problem.diffusion(t_n + scheme.c2[i] * h, Hl), dtype=float
+                    problem.diffusion(t_n + c2[i] * h, Hl), dtype=float
                 )
                 _check_finite(bmat, t_n, i, "cross diffusion", batched)
                 for k in range(m):

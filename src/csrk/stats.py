@@ -39,6 +39,7 @@ from .integrator import (
     evaluate_dense,
 )
 from .sde import Functional, SdeProblem
+from .streams import KeyedPaths
 from .tableau import CsrkTableau
 
 __all__ = [
@@ -52,6 +53,8 @@ __all__ = [
     "empirical_order",
     "dense_error_profile",
     "grid_for_step",
+    "exact_grid",
+    "check_step",
     "DEFAULT_CHUNK_SIZE",
 ]
 
@@ -99,23 +102,45 @@ class OrderEstimate:
     intercept: float
 
 
+def check_step(h: float) -> None:
+    """Refuse a step size that is not positive and finite."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be positive and finite, got {h}")
+
+
+def _dividing_grid(problem: SdeProblem, h: float) -> TimeGrid | None:
+    """Uniform grid with step h, or None if h does not divide the horizon."""
+    check_step(h)
+    n_exact = (problem.T - problem.t0) / h
+    n = round(n_exact)
+    if n >= 1 and abs(n_exact - n) <= 1e-9 * max(1.0, n):
+        return TimeGrid.uniform(problem.t0, problem.T, n)
+    return None
+
+
+def exact_grid(problem: SdeProblem, h: float) -> TimeGrid:
+    """Uniform grid with step h, which must divide the horizon."""
+    grid = _dividing_grid(problem, h)
+    if grid is None:
+        raise ValueError(
+            f"step {h} does not divide the horizon {problem.T - problem.t0}")
+    return grid
+
+
 def grid_for_step(problem: SdeProblem, h: float,
                   allow_shortened: bool = False) -> TimeGrid:
     """Uniform grid with step h; h must divide the horizon unless the caller
     explicitly allows a shortened final step."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be positive and finite, got {h}")
+    grid = _dividing_grid(problem, h)
+    if grid is not None:
+        return grid
     span = problem.T - problem.t0
-    n_exact = span / h
-    n = round(n_exact)
-    if n >= 1 and abs(n_exact - n) <= 1e-9 * max(1.0, n):
-        return TimeGrid.uniform(problem.t0, problem.T, n)
     if not allow_shortened:
         raise ValueError(
             f"step {h} does not divide the horizon {span}; pass "
             "allow_shortened to accept a shortened final step"
         )
-    n = math.floor(n_exact)
+    n = math.floor(span / h)
     times = list(problem.t0 + h * np.arange(n + 1))
     if times[-1] < problem.T:
         times.append(problem.T)
@@ -147,7 +172,8 @@ def _chunk_values(scheme, problem, grid, step_theta, eval_points, f, seed,
     ``step_theta`` is theta = 1 planned for the scheme.
     """
     m = problem.dim_noise
-    paths = np.arange(start, start + count, dtype=np.uint64)
+    # the stream keys of the chunk's paths, computed once for all its steps
+    paths = KeyedPaths(seed, np.arange(start, start + count, dtype=np.uint64))
     by_step: dict[int, list[tuple[int, float]]] = {}
     for idx, (n, theta) in enumerate(eval_points):
         by_step.setdefault(n, []).append((idx, theta))
@@ -165,8 +191,8 @@ def _chunk_values(scheme, problem, grid, step_theta, eval_points, f, seed,
         for idx, theta in by_step.get(n, ()):
             v = y if theta == 1.0 else evaluate_dense(cache, scheme, theta)
             vals[idx] = f(v)
-        bad = ~np.isfinite(y).all(axis=-1)
-        if bad.any():
+        if not np.isfinite(y).all():
+            bad = ~np.isfinite(y).all(axis=-1)
             raise BlowupError(
                 f"path {start + int(np.argmax(bad))} blew up at step {n}",
                 step=n, path=start + int(np.argmax(bad)),
@@ -387,8 +413,10 @@ def dense_error_profile(
     for th in theta_list:
         if not 0.0 <= th < 1.0:
             raise ValueError("theta values must lie in [0, 1)")
+    if len(set(theta_list)) < len(theta_list):
+        raise ValueError(f"theta values must be distinct, got {theta_list}")
     ref = problem.reference_for(f, provenance)
-    grid = grid_for_step(problem, h)
+    grid = exact_grid(problem, h)
     times, thetas = [], []
     for n in range(grid.n_steps):
         t_n, h_n = grid.step(n)

@@ -12,6 +12,11 @@ Derivation of the draw with index ``i`` of path ``p`` under global seed ``s``::
     u     = (value >> 11) * 2**-53
 
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
+
+The key depends only on (seed, path), so a caller that draws from the same
+paths many times computes the keys once: Monte Carlo builds each chunk's path
+indices as ``KeyedPaths``, which carry their keys into every ``uniforms``
+call of the chunk.
 """
 
 from __future__ import annotations
@@ -47,12 +52,33 @@ def stream_keys(seed: int, path_indices) -> np.ndarray:
         return _mix64(s ^ (p + np.uint64(1)) * _GAMMA1)
 
 
+class KeyedPaths(np.ndarray):
+    """uint64 path indices together with their stream keys under one seed.
+
+    It is the index array in every respect; ``uniforms`` reads its keys
+    instead of computing them, if they were made under the seed it is given.
+    An array derived from it (a slice, a sum) carries no keys.
+    """
+
+    def __new__(cls, seed: int, path_indices):
+        self = np.asarray(path_indices, dtype=np.uint64).view(cls)
+        self.seed = seed
+        self.keys = stream_keys(seed, path_indices)
+        return self
+
+    def __array_finalize__(self, obj):
+        self.seed = self.keys = None
+
+
 def uniforms(seed: int, path_indices, start: int, count: int) -> np.ndarray:
     """Uniform(0,1) draws with indices start..start+count-1 for each path.
 
     Returns shape ``path_indices.shape + (count,)``.
     """
-    keys = stream_keys(seed, path_indices)
+    if isinstance(path_indices, KeyedPaths) and path_indices.seed == seed:
+        keys = path_indices.keys
+    else:
+        keys = stream_keys(seed, path_indices)
     ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         vals = _mix64(keys[..., None] + ctr * _GAMMA2)

@@ -192,6 +192,23 @@ class CsrkTableau:
         """Whether the beta^(3)/beta^(4) cross-noise family is active at all."""
         return not all(w.is_zero for w in self.beta3 + self.beta4)
 
+    @functools.cached_property
+    def stage_plan(self):
+        """Per family q = 0, 1, 2: the nodes c^(q) and, for each stage i, the
+        couplings ``(j, A^(q)[i, j], B^(q)[i, j])`` in which A or B is
+        nonzero, in j order; every coefficient is a Python float."""
+        def family(c, A, B):
+            couplings = tuple(
+                tuple((j, float(A[i, j]), float(B[i, j])) for j in range(i)
+                      if A[i, j] != 0.0 or B[i, j] != 0.0)
+                for i in range(self.stages)
+            )
+            return tuple(float(v) for v in c), couplings
+
+        return (family(self.c0, self.A0, self.B0),
+                family(self.c1, self.A1, self.B1),
+                family(self.c2, self.A2, self.B2))
+
 
 # ---------------------------------------------------------------------------
 # builtin registry

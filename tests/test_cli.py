@@ -5,9 +5,11 @@ import warnings
 import pytest
 
 import csrk.cli
+import csrk.increments
 import csrk.stats
 from csrk import __version__
 from csrk.cli import main
+from csrk.increments import uniforms_per_step
 from csrk.tableau import builtin_scheme, tableau_to_json
 
 
@@ -202,6 +204,7 @@ def usage_error(capsys, *argv):
 class TestUsageErrors:
     MC = ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
           "--t-eval", "2.0", "--h-list", "0.5", "--M", "100")
+    LOCAL = ("local-order", "--scheme", "CRDI2WM", "--problem", "linear")
 
     @pytest.mark.parametrize("argv", [
         MC + ("--chunk-size", "0"),
@@ -222,10 +225,19 @@ class TestUsageErrors:
          "--h", "nan"),
         ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.5",
          "--theta-list", ",", "--M", "100"),
+        LOCAL + ("--h-list", "nan,0.5"),
+        LOCAL + ("--h-list", "inf,0.5"),
+        LOCAL + ("--h-list=-0.5",),
+        ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--h", "0.5", "--dense-per-step", "-2"),
+        ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.5",
+         "--theta-list", "0.5,0.5", "--M", "100"),
     ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
             "N-list-0", "no-scheme", "dense-h-0", "h-list-0",
             "h-list-negative-shortened", "simulate-h-nan",
-            "theta-list-empty"])
+            "theta-list-empty", "local-h-nan", "local-h-inf",
+            "local-h-negative", "dense-per-step-negative",
+            "theta-list-duplicate"])
     def test_one_line_exit_2(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -233,6 +245,19 @@ class TestUsageErrors:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("csrk: error: "), err
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--h", "0.3"),
+        ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.3",
+         "--M", "100"),
+    ], ids=["simulate", "dense"])
+    def test_non_dividing_step_offers_no_missing_option(self, capsys, argv):
+        # neither command has --allow-shortened, so the message offers none
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == ["csrk: error: step 0.3 does not divide the horizon "
+                       "2.0"]
 
     def test_bad_threads_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CSRK_THREADS", "abc")
@@ -255,7 +280,8 @@ class TestTracingHooks:
     engines must keep calling them there, positionally, at these rates."""
 
     def install(self, monkeypatch, counting):
-        calls = {"step": [], "dense": [], "enum": [], "problem": []}
+        calls = {"step": [], "dense": [], "enum": [], "sample": [],
+                 "uniforms": [], "problem": []}
 
         def spy(key, fn):
             def wrapper(*args, **kwargs):
@@ -270,6 +296,10 @@ class TestTracingHooks:
                             spy("dense", csrk.stats.evaluate_dense))
         monkeypatch.setattr(csrk.stats, "enumerate_outcomes",
                             spy("enum", csrk.stats.enumerate_outcomes))
+        monkeypatch.setattr(csrk.stats, "sample_batch",
+                            spy("sample", csrk.stats.sample_batch))
+        monkeypatch.setattr(csrk.increments, "uniforms",
+                            spy("uniforms", csrk.increments.uniforms))
         for name in ("linear_problem", "system2d_problem"):
             factory = getattr(csrk.cli, name)
 
@@ -303,6 +333,16 @@ class TestTracingHooks:
         assert len(calls["dense"]) == steps
         assert all(len(a) == 3 for a in calls["dense"])
         assert calls["enum"] == []
+        # one positional draw per chunk and step, on paths of chunk size
+        rows = [len(a[3]) for a in calls["step"]]
+        assert len(calls["sample"]) == len(calls["uniforms"]) == steps
+        assert all(len(a) == 5 for a in calls["sample"])
+        assert [a[3].size for a in calls["sample"]] == rows
+        assert all(len(a) == 4 for a in calls["uniforms"])
+        assert [a[1].size for a in calls["uniforms"]] == rows
+        draws = [a[1].size * a[3] for a in calls["uniforms"]]
+        assert draws == [r * uniforms_per_step(m) for r in rows]
+        assert sum(rows) == M * steps // n_chunks
         scheme = builtin_scheme("CRDI3WM")
         s = scheme.stages
         families = 2 if scheme.uses_cross_stages and m > 1 else 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from csrk.increments import (
     CapacityError,
+    _from_uniforms,
     enumerate_outcomes,
     moments_exact,
     outcome_count,
@@ -100,6 +101,51 @@ class TestEnumeration:
             enumerate_outcomes(0, 0.5)
         with pytest.raises(ValueError):
             enumerate_outcomes(1, 0.0)
+
+
+def from_uniforms_reference(m, h, u):
+    """_from_uniforms with dW selected by a nested np.where."""
+    r3h = math.sqrt(3.0 * h)
+    uw = u[..., :m]
+    dW = np.where(uw < 1.0 / 6.0, -r3h, np.where(uw >= 5.0 / 6.0, r3h, 0.0))
+    V = np.empty(u.shape[:-1] + (m, m))
+    for k in range(m):
+        V[..., k, k] = -h
+    pos = m
+    for k in range(m):
+        for l in range(k):
+            v = np.where(u[..., pos] < 0.5, -h, h)
+            V[..., k, l] = v
+            V[..., l, k] = -v
+            pos += 1
+    return dW, V
+
+
+class TestFromUniforms:
+    """The sign-times-sqrt(3h) mapping gives the nested np.where's bits,
+    +0.0 included, on and next to both thresholds."""
+
+    EDGES = [0.0, 0.5, 1.0 - 2.0**-53]
+    for cut in (1.0 / 6.0, 5.0 / 6.0):
+        EDGES += [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("h", (0.3, 0.5, 1e-3, 2.0))
+    def test_matches_nested_where(self, m, h):
+        n = uniforms_per_step(m)
+        rng = np.random.default_rng(m)
+        edges = np.array(self.EDGES)
+        u = rng.random((64, n))
+        for k in range(n):  # every slot meets every edge value
+            u[: edges.size, k] = np.roll(edges, k)
+        for batch in (u, u[3]):
+            got = _from_uniforms(m, h, batch)
+            want = from_uniforms_reference(m, h, batch)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+        zero = _from_uniforms(m, h, np.full((1, n), 0.5))[0]
+        assert not np.signbit(zero).any()
 
 
 class TestSampling:

@@ -14,6 +14,7 @@ from csrk.increments import (
 )
 from csrk.integrator import (
     BlowupError,
+    _check_finite,
     PlannedTheta,
     TimeGrid,
     compute_step,
@@ -61,6 +62,15 @@ class TestTimeGrid:
             warnings.simplefilter("error")  # refused before dividing by 0
             with pytest.raises(ValueError, match="at least one step"):
                 TimeGrid.uniform(0.0, 1.0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before subtracting
+            for nodes in ([0.0, math.nan], [0.0, math.inf],
+                          [0.0, 1.0, math.inf, math.inf], [-math.inf, 0.0]):
+                with pytest.raises(ValueError, match="must be finite"):
+                    TimeGrid(nodes)
+            for t0, T in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    TimeGrid.uniform(t0, T, 2)
 
 
 class TestStages:
@@ -119,6 +129,144 @@ class TestStages:
         assert ei.value.family == "drift"
         assert ei.value.stage == 0
         assert ei.value.t_n == 0.0
+
+
+def step_reference(scheme, problem, t_n, y_n, h, dW, V):
+    """compute_step_arrays reading A, B and c from the tableau's matrices."""
+    s, m = scheme.stages, problem.dim_noise
+    A0, A1, A2 = scheme.A0, scheme.A1, scheme.A2
+    B0, B1, B2 = scheme.B0, scheme.B1, scheme.B2
+    sqrt_h = math.sqrt(h)
+    cross = scheme.uses_cross_stages and m > 1
+    a_vals, b_diag, b_cross = [None] * s, [None] * s, [None] * s
+    for i in range(s):
+        H0 = y_n
+        for j in range(i):
+            if A0[i, j] != 0.0:
+                H0 = H0 + (h * A0[i, j]) * a_vals[j]
+            if B0[i, j] != 0.0:
+                for r in range(m):
+                    H0 = H0 + B0[i, j] * dW[..., r, None] * b_diag[j][r]
+        a_vals[i] = np.asarray(
+            problem.drift(t_n + scheme.c0[i] * h, H0), dtype=float)
+        diag_i = []
+        for k in range(m):
+            Hk = y_n
+            for j in range(i):
+                if A1[i, j] != 0.0:
+                    Hk = Hk + (h * A1[i, j]) * a_vals[j]
+                if B1[i, j] != 0.0:
+                    Hk = Hk + (sqrt_h * B1[i, j]) * b_diag[j][k]
+            bmat = np.asarray(
+                problem.diffusion(t_n + scheme.c1[i] * h, Hk), dtype=float)
+            diag_i.append(bmat[..., :, k])
+        b_diag[i] = diag_i
+        if cross:
+            cross_i = [[None] * m for _ in range(m)]
+            for l in range(m):
+                Hl = y_n
+                for j in range(i):
+                    if A2[i, j] != 0.0:
+                        Hl = Hl + (h * A2[i, j]) * a_vals[j]
+                    if B2[i, j] != 0.0:
+                        Hl = Hl + (sqrt_h * B2[i, j]) * b_diag[j][l]
+                bmat = np.asarray(
+                    problem.diffusion(t_n + scheme.c2[i] * h, Hl),
+                    dtype=float)
+                for k in range(m):
+                    if k != l:
+                        cross_i[k][l] = bmat[..., :, k]
+            b_cross[i] = cross_i
+    return a_vals, b_diag, b_cross if cross else None
+
+
+def flat_arrays(tree):
+    """The arrays of a nested list/tuple structure, in order (None kept)."""
+    if isinstance(tree, (list, tuple)):
+        return [a for t in tree for a in flat_arrays(t)]
+    return [tree]
+
+
+class TestStagePlan:
+    """Couplings and nodes planned per scheme change where the coefficients
+    come from, not one bit of the stage values."""
+
+    @pytest.mark.parametrize("name", scheme_names())
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("batched", (False, True), ids=("single", "batch"))
+    def test_matches_matrix_loop(self, name, m, batched):
+        problem = LIN if m == 1 else system2d_problem()
+        scheme, h, t_n = builtin_scheme(name), 0.3, 0.7  # h * A rounds
+        if batched:
+            # signed zeros meet every increment; skipping a term that adds
+            # +0 or -0, or regrouping a product, shows in some row
+            rng = np.random.default_rng(3)
+            scale = np.concatenate([[-0.0, 0.0] * 16, rng.uniform(-2, 2, 96)])
+            y = problem.x0 * scale[:, None]
+            dW, V = sample_batch(m, h, 7, np.arange(128, dtype=np.uint64), 0)
+        else:
+            y = problem.x0
+            inc = sample(m, h, PathStream(7, 0))
+            dW, V = inc.dW, inc.V
+        cache = compute_step_arrays(scheme, problem, t_n, y, h, dW, V)
+        want = step_reference(scheme, problem, t_n, y, h, dW, V)
+        got = (cache.a_vals, cache.b_diag, cache.b_cross)
+        got, want = flat_arrays(got), flat_arrays(want)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_crdi3_plan(self):
+        scheme = builtin_scheme("CRDI3WM")
+        (c0, K0), (c1, K1), _ = scheme.stage_plan
+        assert c0 == tuple(scheme.c0) and c1 == tuple(scheme.c1)
+        assert K0 == ((), ((0, 0.5, scheme.B0[1, 0]),),
+                      ((0, 0.0, scheme.B0[2, 0]), (1, 0.75, 0.0)))
+        assert all(type(v) is float for _, a, b in K0[2] for v in (a, b))
+
+
+class TestCheckFinite:
+    def test_overflowing_sum_of_finite_values_passes(self):
+        for arr in (np.array([1e308, 1e308]), np.array([[1e308], [-1e308]]),
+                    np.full((4, 2, 2), 1e200)):
+            _check_finite(arr, 0.0, 0, "drift", arr.ndim > 1)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("row", (0, 3, 6))
+    def test_names_first_bad_row(self, bad, row):
+        arr = np.ones((7, 2, 2))
+        arr[row, 1, 0] = bad
+        arr[6, 0, 1] = bad  # a later row is not reported
+        with pytest.raises(BlowupError) as ei:
+            _check_finite(arr, 0.5, 2, "cross diffusion", True)
+        e = ei.value
+        assert (e.path, e.stage, e.family, e.t_n) == (
+            row, 2, "cross diffusion", 0.5)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_step_names_row_stage_and_family(self, bad):
+        row, b = 2, 0.1
+        rows = np.arange(5)[:, None]
+
+        def diffusion(t, x):
+            # non-finite in one row from the first stage with c1 > 0
+            out = np.where((rows == row) & (t > 0.0), bad, b * x)
+            return out[..., :, None]
+
+        problem = SdeProblem(
+            dim_state=1, dim_noise=1, drift=lambda t, x: 1.5 * x,
+            diffusion=diffusion, x0=[0.1], t0=0.0, T=1.0, label="bad",
+        )
+        dW, V = sample_batch(1, 0.25, 0, np.arange(5, dtype=np.uint64), 0)
+        y = np.full((5, 1), 0.1)
+        with pytest.raises(BlowupError) as ei:
+            compute_step_arrays(builtin_scheme("CRDI3WM"), problem, 0.0, y,
+                                0.25, dW, V)
+        e = ei.value
+        assert (e.path, e.stage, e.family) == (row, 1, "diffusion")
 
 
 class TestDenseOutput:

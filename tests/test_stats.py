@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from csrk.increments import CapacityError, enumerate_outcomes
+from csrk.increments import CapacityError, enumerate_outcomes, sample_batch
 from csrk.integrator import (
     BlowupError,
     TimeGrid,
@@ -185,6 +185,24 @@ class TestBlowup:
             mc_expectation(t, BLOWS_UP, grid, FX, 1.0, M, seed,
                            chunk_size=chunk, threads=threads)
         assert (ei.value.step, ei.value.path) == (step, path)
+
+    def test_overflowing_state_names_first_path(self):
+        # finite drift and diffusion whose weighted sum overflows where
+        # dW != 0: only the check of the chunk's new states sees it
+        huge = SdeProblem(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x: 0.0 * x,
+            diffusion=lambda t, x: np.full(x.shape + (1,), 1.5e308),
+            x0=[0.0], t0=0.0, T=1.0, label="overflow",
+        )
+        M, chunk, seed = 256, 64, 3
+        dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
+        first = int(np.argmax(dW[:, 0] != 0.0))
+        with np.errstate(over="ignore"), pytest.raises(BlowupError) as ei:
+            mc_expectation(builtin_scheme("EULER_OPT"), huge,
+                           TimeGrid.uniform(0.0, 1.0, 2), FX, 1.0, M, seed,
+                           chunk_size=chunk)
+        assert (ei.value.step, ei.value.path) == (0, first)
 
     def test_enumeration_carries_step(self):
         late = SdeProblem(

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.streams import PathStream, stream_keys, uniforms
+from csrk.streams import KeyedPaths, PathStream, stream_keys, uniforms
 
 
 class TestUniforms:
@@ -50,6 +51,37 @@ class TestPathStream:
     def test_keys_distinct(self):
         keys = stream_keys(0, np.arange(10**5))
         assert len(np.unique(keys)) == 10**5
+
+
+class TestKeyedPaths:
+    """Keys computed once per chunk change where they come from, not one
+    bit of the draws."""
+
+    PATHS = np.arange(4096, 4096 + 300, dtype=np.uint64)
+
+    @pytest.mark.parametrize("seed,start,count", [
+        (0, 0, 1), (3, 5, 2), (7, 2**20, 6), (2**64 - 1, 123, 3),
+    ])
+    def test_same_draws_as_plain_indices(self, seed, start, count):
+        keyed = KeyedPaths(seed, self.PATHS)
+        assert keyed.size == self.PATHS.size
+        assert np.array_equal(keyed, self.PATHS)
+        assert np.array_equal(keyed.keys, stream_keys(seed, self.PATHS))
+        want = uniforms(seed, self.PATHS, start, count)
+        assert uniforms(seed, keyed, start, count).tobytes() == want.tobytes()
+
+    def test_other_seed_computes_its_own_keys(self):
+        keyed = KeyedPaths(1, self.PATHS)
+        got = uniforms(2, keyed, 4, 3)
+        assert got.tobytes() == uniforms(2, self.PATHS, 4, 3).tobytes()
+        assert not np.array_equal(got, uniforms(1, self.PATHS, 4, 3))
+
+    def test_derived_arrays_carry_no_keys(self):
+        keyed = KeyedPaths(5, self.PATHS)
+        for derived in (keyed[10:], keyed + np.uint64(1)):
+            assert derived.keys is None
+            want = uniforms(5, np.asarray(derived), 0, 2)
+            assert uniforms(5, derived, 0, 2).tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
