@@ -16,12 +16,10 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .conditions import check_conditions, default_theta_grid
 from .increments import CapacityError
-from .integrator import BlowupError, TimeGrid, simulate_path
+from .integrator import BlowupError, TimeGrid
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
 from .stats import (
     DEFAULT_CHUNK_SIZE,
@@ -31,7 +29,7 @@ from .stats import (
     error_table,
     exact_grid,
     exact_weak_expectation,
-    mc_expectation,
+    simulate_path,
 )
 from .streams import PathStream
 from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrator import PlannedTheta
 from .tableau import ConditionId, CsrkTableau
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "ConditionRecord",
     "ConditionReport",
     "CATALOG",
-    "condition",
     "evaluate_condition",
     "check_conditions",
     "default_theta_grid",
@@ -40,12 +40,12 @@ __all__ = [
 @dataclass(frozen=True)
 class Condition:
     cid: ConditionId
-    lhs: callable  # (tableau, theta) -> float
+    lhs: callable  # (tableau, theta planned for it) -> float
     rhs: callable  # (theta) -> float
     continuous: bool  # checked over a theta grid rather than at theta = 1
 
     def residual(self, t: CsrkTableau, theta: float) -> float:
-        return abs(self.lhs(t, theta) - self.rhs(theta))
+        return abs(self.lhs(t, PlannedTheta(t, theta)) - self.rhs(theta))
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def record(self, cid: ConditionId) -> ConditionRecord:
-        for r in self.records:
-            if r.cid == cid:
-                return r
-        raise KeyError(str(cid))
-
 
 # -- expression helpers ------------------------------------------------------
 
@@ -78,15 +72,12 @@ def _e(t):
     return np.ones(t.stages)
 
 
-def _al(t, th):
-    return t.alpha_at(th)
+def _weights(r):
+    """Weight vector r of (alpha, beta1, ..., beta4) at a planned theta."""
+    return lambda t, th: np.array(th.weights[r])
 
 
-def _b(r):
-    return lambda t, th: t.beta_at(r, th)
-
-
-_b1, _b2, _b3, _b4 = _b(1), _b(2), _b(3), _b(4)
+_al, _b1, _b2, _b3, _b4 = map(_weights, range(5))
 
 
 # left-hand sides of conditions 1..50; vector products are componentwise
@@ -216,10 +207,6 @@ def _build_catalog() -> dict[ConditionId, Condition]:
 
 
 CATALOG: dict[ConditionId, Condition] = _build_catalog()
-
-
-def condition(family: str, index: int) -> Condition:
-    return CATALOG[ConditionId(family, index)]
 
 
 def evaluate_condition(t: CsrkTableau, cid: ConditionId, theta: float = 1.0) -> float:

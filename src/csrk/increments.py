@@ -8,22 +8,23 @@ stand-ins derive as I_(k) = dW[k] and I_(k,l) = (dW[k] dW[l] + V[k][l]) / 2.
 
 ``_from_uniforms`` is the one statement of this law: sampling maps counter
 uniforms through it, and exact enumeration maps one representative uniform
-per support point through it.  All laws have finite support, so moments and
-weak expectations can be computed exactly by enumeration.
+per support point through it.  Every function here hands increments over as
+arrays, ``dW (..., m)`` and ``V (..., m, m)``: one step of one path, a batch
+of paths, or the whole outcome table with its probabilities ``p (K,)``.  All
+laws have finite support, so moments and weak expectations can be computed
+exactly by enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .streams import PathStream, uniforms
 
 __all__ = [
-    "StepIncrements",
     "CapacityError",
     "sample",
     "sample_batch",
@@ -36,29 +37,6 @@ __all__ = [
 
 class CapacityError(RuntimeError):
     """Requested enumeration exceeds the configured outcome cap."""
-
-
-@dataclass(frozen=True)
-class StepIncrements:
-    h: float
-    dW: np.ndarray  # (m,)
-    V: np.ndarray  # (m, m)
-
-    def __post_init__(self):
-        dW = np.asarray(self.dW, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        object.__setattr__(self, "dW", dW)
-        object.__setattr__(self, "V", V)
-
-    @property
-    def m(self) -> int:
-        return self.dW.shape[-1]
-
-    def ihat2(self) -> np.ndarray:
-        """Matrix of I_(k,l); the diagonal is (dW[k]^2 - h) / 2."""
-        return 0.5 * (
-            self.dW[..., :, None] * self.dW[..., None, :] + self.V
-        )
 
 
 def uniforms_per_step(m: int) -> int:
@@ -92,15 +70,13 @@ def _from_uniforms(m: int, h: float, u: np.ndarray):
     return dW, V
 
 
-def sample(m: int, h: float, stream: PathStream) -> StepIncrements:
-    """Draw one step's increments from the given stream."""
+def sample(m: int, h: float, stream: PathStream):
+    """One step's increments from the given stream: dW (m,), V (m, m)."""
     if m < 1:
         raise ValueError("need m >= 1")
     if h <= 0:
         raise ValueError("need h > 0")
-    u = stream.uniforms(uniforms_per_step(m))
-    dW, V = _from_uniforms(m, h, u)
-    return StepIncrements(h, dW, V)
+    return _from_uniforms(m, h, stream.uniforms(uniforms_per_step(m)))
 
 
 def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
@@ -118,10 +94,9 @@ def outcome_count(m: int) -> int:
     return 3**m * 2 ** (m * (m - 1) // 2)
 
 
-def enumerate_outcomes(
-    m: int, h: float, cap: int = 10**6
-) -> tuple[tuple[StepIncrements, float], ...]:
-    """Full joint sample space as (increments, exact probability) pairs."""
+def enumerate_outcomes(m: int, h: float, cap: int = 10**6):
+    """Full joint sample space: dW (K, m), V (K, m, m) and the exact
+    probabilities p (K,) of its K outcomes."""
     if m < 1:
         raise ValueError("need m >= 1")
     if h <= 0:
@@ -135,11 +110,8 @@ def enumerate_outcomes(
     supports = [_W_SUPPORT] * m + [_V_SUPPORT] * (m * (m - 1) // 2)
     choices = list(itertools.product(*supports))
     u = np.array([[uv for uv, _ in choice] for choice in choices])
-    dW, V = _from_uniforms(m, h, u)
-    return tuple(
-        (StepIncrements(h, dw, v), math.prod(p for _, p in choice))
-        for choice, dw, v in zip(choices, dW, V)
-    )
+    p = np.array([math.prod(q for _, q in choice) for choice in choices])
+    return (*_from_uniforms(m, h, u), p)
 
 
 def moments_exact(m: int, h: float, factors, cap: int = 10**6) -> float:
@@ -152,11 +124,12 @@ def moments_exact(m: int, h: float, factors, cap: int = 10**6) -> float:
     for f in factors:
         if len(f) not in (1, 2) or any(not 0 <= i < m for i in f):
             raise ValueError(f"bad factor {f} for m={m}")
+    dW, V, p = enumerate_outcomes(m, h, cap=cap)
+    I2 = 0.5 * (dW[:, :, None] * dW[:, None, :] + V)
+    prod = np.ones_like(p)
+    for f in factors:
+        prod *= dW[:, f[0]] if len(f) == 1 else I2[:, f[0], f[1]]
     total = 0.0
-    for inc, p in enumerate_outcomes(m, h, cap=cap):
-        i2 = inc.ihat2()
-        prod = 1.0
-        for f in factors:
-            prod *= inc.dW[f[0]] if len(f) == 1 else i2[f[0], f[1]]
-        total += p * prod
+    for term in (p * prod).tolist():  # summed in outcome order
+        total += term
     return total

@@ -9,7 +9,10 @@ random draws.
 
 All state arithmetic broadcasts over leading batch axes, so the same code
 advances a single path (state shape ``(d,)``) or a whole chunk of paths
-(state shape ``(B, d)``, increments ``(B, m)``/``(B, m, m)``).
+(state shape ``(B, d)``, increments ``(B, m)``/``(B, m, m)``).  The one
+routine that takes a step, ``stats._advance``, calls ``compute_step_arrays``
+and ``evaluate_dense`` for its three callers: the path simulator, the Monte
+Carlo engine and the enumeration oracle.
 
 A step reads the scheme's nodes and nonzero couplings as Python floats from
 ``CsrkTableau.stage_plan``, built once per tableau.  It evaluates drift and
@@ -17,8 +20,8 @@ diffusion at every stage and stores the iterated-integral matrix
 ``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for every dense evaluation of
 that step to read.  The dense weights depend only on the scheme and theta.
 ``evaluate_dense`` builds them on each call, unless theta is a
-``PlannedTheta`` that carries them: the Monte Carlo and enumeration engines
-plan each theta of a run once, before the first step.
+``PlannedTheta`` that carries them: the engines plan each theta of a run
+once, before the first step.
 """
 
 from __future__ import annotations
@@ -29,21 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .increments import StepIncrements, sample
 from .sde import SdeProblem
-from .streams import PathStream
 from .tableau import CsrkTableau
 
 __all__ = [
     "TimeGrid",
     "StageCache",
-    "ContinuousPath",
     "BlowupError",
-    "compute_step",
     "compute_step_arrays",
     "evaluate_dense",
-    "simulate_path",
-    "query",
 ]
 
 
@@ -222,19 +219,6 @@ def compute_step_arrays(
     )
 
 
-def compute_step(
-    scheme: CsrkTableau,
-    problem: SdeProblem,
-    t_n: float,
-    y_n: np.ndarray,
-    h: float,
-    inc: StepIncrements,
-) -> StageCache:
-    if inc.h != h:
-        raise ValueError("increments were sampled for a different step size")
-    return compute_step_arrays(scheme, problem, t_n, y_n, h, inc.dW, inc.V)
-
-
 class PlannedTheta(float):
     """A theta together with its scheme's dense weights, built once.
 
@@ -289,49 +273,3 @@ def evaluate_dense(cache: StageCache, scheme: CsrkTableau, theta: float):
                     coeff = b3[i] * dW[..., k] + (b4[i] / sqrt_h) * I2[..., k, l]
                     y += coeff[..., None] * cache.b_cross[i][k][l]
     return y
-
-
-@dataclass(frozen=True)
-class ContinuousPath:
-    grid: TimeGrid
-    scheme: CsrkTableau
-    caches: tuple[StageCache, ...]
-    nodes: tuple[np.ndarray, ...]  # nodes[n+1] is dense(theta=1) of step n
-
-    def value(self, t: float):
-        n, theta = self.grid.locate(t)
-        if theta == 0.0:
-            return self.nodes[n].copy()
-        if theta == 1.0:
-            return self.nodes[n + 1].copy()
-        return evaluate_dense(self.caches[n], self.scheme, theta)
-
-
-def simulate_path(
-    scheme: CsrkTableau,
-    problem: SdeProblem,
-    grid: TimeGrid,
-    stream: PathStream,
-) -> ContinuousPath:
-    """Whole-path simulation with fresh, independent increments per step."""
-    if grid.t0 < problem.t0 or grid.T > problem.T:
-        raise ValueError("grid exceeds the problem's time interval")
-    m = problem.dim_noise
-    y = problem.x0.copy()
-    caches, nodes = [], [y]
-    for n in range(grid.n_steps):
-        t_n, h_n = grid.step(n)
-        inc = sample(m, h_n, stream)
-        try:
-            cache = compute_step(scheme, problem, t_n, y, h_n, inc)
-        except BlowupError as exc:
-            exc.step = n
-            raise
-        y = evaluate_dense(cache, scheme, 1.0)
-        caches.append(cache)
-        nodes.append(y)
-    return ContinuousPath(grid, scheme, tuple(caches), tuple(nodes))
-
-
-def query(path: ContinuousPath, t: float):
-    return path.value(t)

@@ -1,17 +1,19 @@
-"""Monte Carlo and exact-enumeration weak-error estimation.
+"""Path simulation, Monte Carlo and exact-enumeration weak-error estimation.
 
-Both engines advance batches of states with one step routine, ``_advance``.
+One routine, ``_advance``, takes every step, for three callers that differ
+only in the states they step and where the increments come from:
 
-The MC engine advances fixed-size chunks of paths through the grid with all
-arithmetic vectorized over the chunk.  Per-chunk mean/M2 statistics are
-folded in ascending chunk order, so the result is bit-identical for any
-thread count given (seed, M, chunk size).  Increments are counter-based
-functions of (seed, path index, step), see streams.py.
-
-The enumeration oracle expands the joint outcome tree of all steps level by
-level, outcome by outcome in slices of at most ``_ENUM_SLICE`` states, and is
-exact up to floating-point arithmetic; it is the noise-free reference the MC
-machinery is validated against.
+* ``simulate_path`` steps one path (state ``(d,)``) on draws from its
+  ``PathStream`` and keeps each step's cache for dense queries;
+* the MC engine steps fixed-size chunks of paths (states ``(B, d)``) on
+  counter-based draws, functions of (seed, path index, step), see
+  streams.py.  Per-chunk mean/M2 statistics are folded in ascending chunk
+  order, so the result is bit-identical for any thread count given (seed,
+  M, chunk size);
+* the enumeration oracle expands the joint outcome tree level by level, one
+  row of the ``enumerate_outcomes`` table at a time, in slices of at most
+  ``_ENUM_SLICE`` states.  It is exact up to floating-point arithmetic: the
+  noise-free reference the MC machinery is validated against.
 """
 
 from __future__ import annotations
@@ -29,20 +31,25 @@ from .increments import (
     CapacityError,
     enumerate_outcomes,
     outcome_count,
+    sample,
     sample_batch,
 )
 from .integrator import (
     BlowupError,
     PlannedTheta,
+    StageCache,
     TimeGrid,
     compute_step_arrays,
     evaluate_dense,
 )
 from .sde import Functional, SdeProblem
-from .streams import KeyedPaths
+from .streams import KeyedPaths, PathStream
 from .tableau import CsrkTableau
 
 __all__ = [
+    "ContinuousPath",
+    "simulate_path",
+    "query",
     "MonteCarloEstimate",
     "ErrorRecord",
     "OrderEstimate",
@@ -138,7 +145,8 @@ def grid_for_step(problem: SdeProblem, h: float,
     if not allow_shortened:
         raise ValueError(
             f"step {h} does not divide the horizon {span}; pass "
-            "allow_shortened to accept a shortened final step"
+            "allow_shortened (--allow-shortened on the command line) to "
+            "accept a shortened final step"
         )
     n = math.floor(span / h)
     times = list(problem.t0 + h * np.arange(n + 1))
@@ -148,7 +156,7 @@ def grid_for_step(problem: SdeProblem, h: float,
 
 
 # ---------------------------------------------------------------------------
-# batched step (shared by both engines) and chunked Monte Carlo core
+# the step, and whole-path simulation with dense output
 # ---------------------------------------------------------------------------
 
 def _advance(scheme, problem, grid, n, y, dW, V, theta):
@@ -164,6 +172,47 @@ def _advance(scheme, problem, grid, n, y, dW, V, theta):
         raise
     return cache, evaluate_dense(cache, scheme, theta)
 
+
+@dataclass(frozen=True)
+class ContinuousPath:
+    grid: TimeGrid
+    scheme: CsrkTableau
+    caches: tuple[StageCache, ...]
+    nodes: tuple[np.ndarray, ...]  # nodes[n+1] is dense(theta=1) of step n
+
+    def value(self, t: float):
+        """Y(t); at a node, the same bits as ``nodes``."""
+        n, theta = self.grid.locate(t)
+        return evaluate_dense(self.caches[n], self.scheme, theta)
+
+
+def simulate_path(
+    scheme: CsrkTableau,
+    problem: SdeProblem,
+    grid: TimeGrid,
+    stream: PathStream,
+) -> ContinuousPath:
+    """Whole-path simulation with fresh, independent increments per step."""
+    if grid.t0 < problem.t0 or grid.T > problem.T:
+        raise ValueError("grid exceeds the problem's time interval")
+    step_theta = PlannedTheta(scheme, 1.0)
+    y = problem.x0.copy()
+    caches, nodes = [], [y]
+    for n in range(grid.n_steps):
+        dW, V = sample(problem.dim_noise, grid.step(n)[1], stream)
+        cache, y = _advance(scheme, problem, grid, n, y, dW, V, step_theta)
+        caches.append(cache)
+        nodes.append(y)
+    return ContinuousPath(grid, scheme, tuple(caches), tuple(nodes))
+
+
+def query(path: ContinuousPath, t: float):
+    return path.value(t)
+
+
+# ---------------------------------------------------------------------------
+# chunked Monte Carlo core
+# ---------------------------------------------------------------------------
 
 def _chunk_values(scheme, problem, grid, step_theta, eval_points, f, seed,
                   start, count):
@@ -326,19 +375,19 @@ def exact_weak_expectation(
         final = n == N - 1
         theta = PlannedTheta(scheme, theta_eval) if final else step_theta
         new_states, new_probs, total = [], [], 0.0
-        for inc, p in outs:
+        for dW, V, p in zip(*outs):
             for lo in range(0, states.shape[0], _ENUM_SLICE):
                 sl = slice(lo, lo + _ENUM_SLICE)
                 # keep no cache alive into the next slice's step
-                y = _advance(scheme, problem, grid, n, states[sl],
-                             inc.dW, inc.V, theta)[1]
+                y = _advance(scheme, problem, grid, n, states[sl], dW, V,
+                             theta)[1]
                 if final:
                     total += p * float(probs[sl] @ f(y))
                 else:
                     new_states.append(y)
                     new_probs.append(p * probs[sl])
         if final:
-            return total
+            return float(total)
         states = np.concatenate(new_states)
         probs = np.concatenate(new_probs)
     raise AssertionError("unreachable")
@@ -359,9 +408,10 @@ def error_table(
     """One MC estimate per step size against the problem's reference."""
     ref = problem.reference_for(f, provenance)
     exact = ref.value(t_eval)
+    # every step size is checked before the first estimate is run
+    grids = [grid_for_step(problem, h, allow_shortened) for h in h_list]
     records = []
-    for h in h_list:
-        grid = grid_for_step(problem, h, allow_shortened)
+    for h, grid in zip(h_list, grids):
         est = mc_expectation(
             scheme, problem, grid, f, t_eval, M, seed, confidence,
             chunk_size, threads,

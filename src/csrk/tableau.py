@@ -23,7 +23,6 @@ __all__ = [
     "SchemeMeta",
     "CsrkTableau",
     "TableauError",
-    "evaluate_weight",
     "builtin_scheme",
     "scheme_names",
     "parse_tableau",
@@ -70,10 +69,6 @@ class WeightPolynomial:
     @property
     def is_zero(self) -> bool:
         return all(c == 0.0 for _, c in self.terms)
-
-
-def evaluate_weight(w: WeightPolynomial, theta: float) -> float:
-    return w(theta)
 
 
 @dataclass(frozen=True, order=True)
@@ -167,18 +162,10 @@ class CsrkTableau:
                 raise TableauError(f"{name} must have {s} weight functions")
             object.__setattr__(self, name, ws)
 
-    def alpha_at(self, theta: float) -> np.ndarray:
-        return np.array([w(theta) for w in self.alpha])
-
-    def beta_at(self, r: int, theta: float) -> np.ndarray:
-        ws = (self.beta1, self.beta2, self.beta3, self.beta4)[r - 1]
-        return np.array([w(theta) for w in ws])
-
     def dense_weights(self, theta: float) -> tuple[tuple[float, ...], ...]:
         """(alpha, beta1, beta2, beta3, beta4) at theta, as Python floats.
 
-        The same values as ``alpha_at``/``beta_at``; a caller that evaluates
-        one theta many times builds them once, as an
+        A caller that evaluates one theta many times builds them once, as an
         ``integrator.PlannedTheta``.
         """
         return tuple(

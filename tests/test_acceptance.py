@@ -17,7 +17,7 @@ from csrk import (
     TimeGrid,
     builtin_scheme,
     check_conditions,
-    compute_step,
+    compute_step_arrays,
     empirical_order,
     evaluate_dense,
     exact_weak_expectation,
@@ -328,9 +328,9 @@ def test_criterion_10_dense_consistency(capsys, counting):
         scheme = builtin_scheme(name)
         h = float(rng.uniform(0.05, 1.0))
         y = problem.x0 * (1 + 0.1 * rng.standard_normal(problem.dim_state))
-        inc = sample(problem.dim_noise, h, PathStream(int(rng.integers(2**32)),
-                                                      0))
-        cache = compute_step(scheme, problem, problem.t0, y, h, inc)
+        dW, V = sample(problem.dim_noise, h,
+                       PathStream(int(rng.integers(2**32)), 0))
+        cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, V)
         y1 = evaluate_dense(cache, scheme, 1.0)
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
             out = evaluate_dense(cache, scheme, theta)

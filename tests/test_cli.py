@@ -127,6 +127,7 @@ class TestErrorTableAndConverge:
         )
         assert code == 2
         assert "allow_shortened" in err
+        assert "--allow-shortened" in err  # the option that accepts it
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "error-table", *self.ARGS,
@@ -259,6 +260,24 @@ class TestUsageErrors:
         assert err == ["csrk: error: step 0.3 does not divide the horizon "
                        "2.0"]
 
+    def test_every_step_checked_before_the_first_estimate(
+            self, capsys, monkeypatch):
+        steps = []
+        step_arrays = csrk.stats.compute_step_arrays
+
+        def step(*args):
+            steps.append(args)
+            return step_arrays(*args)
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays", step)
+        code, err = usage_error(
+            capsys, "converge", "--scheme", "CRDI2WM", "--problem", "linear",
+            "--t-eval", "2.0", "--h-list", "0.0625,0.3", "--M", "100",
+        )
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("csrk: error: step 0.3")
+        assert steps == []
+
     def test_bad_threads_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CSRK_THREADS", "abc")
         code, _, _ = run(capsys, "schemes")
@@ -369,6 +388,31 @@ class TestTracingHooks:
         s = builtin_scheme("CRDI3WM").stages
         [counts] = calls["problem"]
         assert counts == {"drift": s * steps, "diffusion": s * steps}
+
+    @pytest.mark.parametrize("problem,m,T", [
+        ("linear", 1, 2.0), ("system2d", 2, 4.0),
+    ], ids=["linear", "system2d"])
+    def test_simulate_contract(self, capsys, monkeypatch, counting, problem,
+                               m, T):
+        calls = self.install(monkeypatch, counting)
+        h, sub = 0.5, 2
+        code, _, _ = run(
+            capsys, "simulate", "--scheme", "CRDI3WM", "--problem", problem,
+            "--h", str(h), "--dense-per-step", str(sub),
+        )
+        assert code == 0
+        [counts] = calls["problem"]
+        steps = round(T / h)
+        # one unbatched step call per grid step, each advanced at theta = 1
+        assert len(calls["step"]) == steps
+        assert all(len(a) == 7 and a[3].shape == (m,) for a in calls["step"])
+        assert len(calls["dense"]) == (1 + sub) * steps
+        assert calls["sample"] == calls["enum"] == []
+        scheme = builtin_scheme("CRDI3WM")
+        s = scheme.stages
+        families = 2 if scheme.uses_cross_stages and m > 1 else 1
+        assert counts == {"drift": s * steps,
+                          "diffusion": s * m * families * steps}
 
     def test_enumeration_contract(self, capsys, monkeypatch, counting):
         calls = self.install(monkeypatch, counting)

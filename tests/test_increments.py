@@ -55,27 +55,24 @@ class TestExactMoments:
 
 class TestEnumeration:
     def test_m1_support(self):
-        outs = enumerate_outcomes(1, 0.25)
-        assert len(outs) == 3
-        probs = sorted(p for _, p in outs)
-        assert probs == pytest.approx([1 / 6, 1 / 6, 2 / 3])
-        values = sorted(inc.dW[0] for inc, _ in outs)
+        dW, V, p = enumerate_outcomes(1, 0.25)
+        assert dW.shape == (3, 1) and V.shape == (3, 1, 1) and p.shape == (3,)
+        assert sorted(p) == pytest.approx([1 / 6, 1 / 6, 2 / 3])
         r = math.sqrt(3 * 0.25)
-        assert values == pytest.approx([-r, 0.0, r])
-        for inc, _ in outs:
-            assert inc.V[0, 0] == -0.25
+        assert sorted(dW[:, 0]) == pytest.approx([-r, 0.0, r])
+        assert np.all(V[:, 0, 0] == -0.25)
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_cardinality_and_total_probability(self, m):
-        outs = enumerate_outcomes(m, 0.5)
-        assert len(outs) == outcome_count(m) == 3**m * 2 ** (m * (m - 1) // 2)
-        assert sum(p for _, p in outs) == pytest.approx(1.0, abs=1e-14)
+        dW, V, p = enumerate_outcomes(m, 0.5)
+        assert len(dW) == len(V) == len(p) == outcome_count(m) == \
+            3**m * 2 ** (m * (m - 1) // 2)
+        assert p.sum() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("m", (2, 3))
     def test_v_structure(self, m):
         h = 0.8
-        for inc, _ in enumerate_outcomes(m, h):
-            V = inc.V
+        for V in enumerate_outcomes(m, h)[1]:
             assert np.all(np.diag(V) == -h)
             for k in range(m):
                 for l in range(k):
@@ -86,11 +83,12 @@ class TestEnumeration:
         # I_(k,k) = (dW_k^2 - h)/2, and its mean is 0
         h = 0.3
         total = 0.0
-        for inc, p in enumerate_outcomes(1, h):
-            i2 = inc.ihat2()
-            assert i2[0, 0] == pytest.approx((inc.dW[0] ** 2 - h) / 2)
+        for dW, V, p in zip(*enumerate_outcomes(1, h)):
+            i2 = 0.5 * (np.outer(dW, dW) + V)
+            assert i2[0, 0] == pytest.approx((dW[0] ** 2 - h) / 2)
             total += p * i2[0, 0]
         assert abs(total) <= 1e-15
+        assert moments_exact(1, h, [(0, 0)]) == total
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -152,11 +150,11 @@ class TestSampling:
     def test_reproducibility(self):
         a = sample(2, 0.5, PathStream(42, 7))
         b = sample(2, 0.5, PathStream(42, 7))
-        assert np.array_equal(a.dW, b.dW)
-        assert np.array_equal(a.V, b.V)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
         c = sample(2, 0.5, PathStream(43, 7))
         assert not (
-            np.array_equal(a.dW, c.dW) and np.array_equal(a.V, c.V)
+            np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1])
         )
 
     def test_support(self):
@@ -164,10 +162,10 @@ class TestSampling:
         stream = PathStream(0, 0)
         r = math.sqrt(3 * h)
         for _ in range(200):
-            inc = sample(3, h, stream)
-            assert all(v in (-r, 0.0, r) for v in inc.dW)
-            assert np.all(np.diag(inc.V) == -h)
-            assert np.array_equal(inc.V, -inc.V.T + np.diag(2 * np.diag(inc.V)))
+            dW, V = sample(3, h, stream)
+            assert all(v in (-r, 0.0, r) for v in dW)
+            assert np.all(np.diag(V) == -h)
+            assert np.array_equal(V, -V.T + np.diag(2 * np.diag(V)))
 
     def test_batch_matches_sequential_streams(self):
         # sample_batch(seed, paths, step) must replicate per-path PathStreams
@@ -181,21 +179,20 @@ class TestSampling:
         for p in range(n_paths):
             stream = PathStream(seed, p)
             for step in range(n_steps):
-                inc = sample(m, h, stream)
-                assert np.array_equal(inc.dW, dW[step][p])
-                assert np.array_equal(inc.V, V[step][p])
+                d, v = sample(m, h, stream)
+                assert np.array_equal(d, dW[step][p])
+                assert np.array_equal(v, V[step][p])
 
     @pytest.mark.parametrize("m", (1, 2))
     def test_frequencies_match_enumeration(self, m):
         """Empirical outcome frequencies within 5 standard errors."""
         h, n = 1.0, 10**6
         dW, V = sample_batch(m, h, 2024, np.arange(n), 0)
-        outs = enumerate_outcomes(m, h)
-        for inc, p in outs:
-            hits = np.all(np.abs(dW - inc.dW) < 1e-12, axis=1)
+        for dw, v, p in zip(*enumerate_outcomes(m, h)):
+            hits = np.all(np.abs(dW - dw) < 1e-12, axis=1)
             if m > 1:
                 hits &= np.all(
-                    np.abs(V - inc.V) < 1e-12, axis=(1, 2)
+                    np.abs(V - v) < 1e-12, axis=(1, 2)
                 )
             freq = hits.mean()
             se = math.sqrt(p * (1 - p) / n)
@@ -218,11 +215,8 @@ class TestSampling:
     path=st.integers(0, 2**20),
 )
 def test_sampled_invariants(m, h, seed, path):
-    inc = sample(m, h, PathStream(seed, path))
-    assert inc.m == m
-    assert np.all(np.diag(inc.V) == -h)
-    assert np.all(inc.V + inc.V.T == np.diag(np.full(m, -2 * h)))
-    i2 = inc.ihat2()
-    expect = 0.5 * (np.outer(inc.dW, inc.dW) + inc.V)
-    assert np.allclose(i2, expect, atol=0.0)
+    dW, V = sample(m, h, PathStream(seed, path))
+    assert dW.shape == (m,) and V.shape == (m, m)
+    assert np.all(np.diag(V) == -h)
+    assert np.all(V + V.T == np.diag(np.full(m, -2 * h)))
     assert uniforms_per_step(m) == m + m * (m - 1) // 2

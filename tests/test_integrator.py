@@ -6,25 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.increments import (
-    StepIncrements,
-    enumerate_outcomes,
-    sample,
-    sample_batch,
-)
+from csrk.increments import enumerate_outcomes, sample, sample_batch
 from csrk.integrator import (
     BlowupError,
     _check_finite,
     PlannedTheta,
     TimeGrid,
-    compute_step,
     compute_step_arrays,
     evaluate_dense,
-    query,
-    simulate_path,
 )
 from csrk.sde import SdeProblem, linear_problem, ode_problem, system2d_problem
-from csrk.stats import empirical_order
+from csrk.stats import empirical_order, query, simulate_path
 from csrk.streams import PathStream
 from csrk.tableau import builtin_scheme, scheme_names
 
@@ -76,9 +68,9 @@ class TestTimeGrid:
 class TestStages:
     def test_single_stage_collapses_to_left_node(self):
         y = np.array([0.1])
-        inc = sample(1, 0.5, PathStream(0, 0))
-        cache = compute_step(
-            builtin_scheme("EULER_OPT"), LIN, 0.0, y, 0.5, inc
+        dW, V = sample(1, 0.5, PathStream(0, 0))
+        cache = compute_step_arrays(
+            builtin_scheme("EULER_OPT"), LIN, 0.0, y, 0.5, dW, V
         )
         # H_1^(0) = H_1^(k) = y_n, so the cached values are a(y_n), b(y_n)
         assert cache.a_vals[0][0] == pytest.approx(1.5 * 0.1)
@@ -87,17 +79,18 @@ class TestStages:
     def test_crdi2_stage2_diffusion_argument(self):
         a, b, h = 1.5, 0.1, 0.25
         y = np.array([0.1])
-        inc = sample(1, h, PathStream(3, 0))
-        cache = compute_step(builtin_scheme("CRDI2WM"), LIN, 0.0, y, h, inc)
+        dW, V = sample(1, h, PathStream(3, 0))
+        cache = compute_step_arrays(builtin_scheme("CRDI2WM"), LIN, 0.0, y, h,
+                                    dW, V)
         # H_2^(1) = y (1 + (2/3) a h + sqrt(2/3) b sqrt(h))
         H2 = 0.1 * (1 + 2 / 3 * a * h + math.sqrt(2 / 3) * b * math.sqrt(h))
         assert cache.b_diag[1][0][0] == pytest.approx(b * H2, rel=1e-14)
 
     def test_zero_diffusion_classical_stages(self):
         ode = ode_problem(1.0, 1.0, 1.0)
-        inc = sample(1, 0.5, PathStream(0, 0))
-        cache = compute_step(
-            builtin_scheme("CRDI3WM"), ode, 0.0, np.array([1.0]), 0.5, inc
+        dW, V = sample(1, 0.5, PathStream(0, 0))
+        cache = compute_step_arrays(
+            builtin_scheme("CRDI3WM"), ode, 0.0, np.array([1.0]), 0.5, dW, V
         )
         # H_2^(0) = 1 + 0.5 h a(H_1), H_3^(0) = 1 + 0.75 h a(H_2)
         h = 0.5
@@ -106,14 +99,6 @@ class TestStages:
         assert cache.a_vals[1][0] == pytest.approx(H2)
         assert cache.a_vals[2][0] == pytest.approx(H3)
 
-    def test_mismatched_increment_step(self):
-        inc = sample(1, 0.5, PathStream(0, 0))
-        with pytest.raises(ValueError):
-            compute_step(
-                builtin_scheme("EULER_OPT"), LIN, 0.0, np.array([0.1]),
-                0.25, inc,
-            )
-
     def test_blowup_error_carries_context(self):
         bad = SdeProblem(
             dim_state=1, dim_noise=1,
@@ -121,10 +106,11 @@ class TestStages:
             diffusion=lambda t, x: x[..., :, None],
             x0=[1.0], t0=0.0, T=1.0, label="bad",
         )
-        inc = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample(1, 0.5, PathStream(0, 0))
         with pytest.raises(BlowupError) as ei:
-            compute_step(
-                builtin_scheme("CRDI2WM"), bad, 0.0, np.array([1.0]), 0.5, inc
+            compute_step_arrays(
+                builtin_scheme("CRDI2WM"), bad, 0.0, np.array([1.0]), 0.5,
+                dW, V,
             )
         assert ei.value.family == "drift"
         assert ei.value.stage == 0
@@ -206,8 +192,7 @@ class TestStagePlan:
             dW, V = sample_batch(m, h, 7, np.arange(128, dtype=np.uint64), 0)
         else:
             y = problem.x0
-            inc = sample(m, h, PathStream(7, 0))
-            dW, V = inc.dW, inc.V
+            dW, V = sample(m, h, PathStream(7, 0))
         cache = compute_step_arrays(scheme, problem, t_n, y, h, dW, V)
         want = step_reference(scheme, problem, t_n, y, h, dW, V)
         got = (cache.a_vals, cache.b_diag, cache.b_cross)
@@ -273,27 +258,27 @@ class TestDenseOutput:
     def test_euler_linear_dense_formula(self):
         a, b, h, th = 1.5, 0.1, 0.5, 0.37
         y = np.array([0.1])
-        inc = sample(1, h, PathStream(5, 0))
-        cache = compute_step(
-            builtin_scheme("EULER_LINEAR"), LIN, 0.0, y, h, inc
+        dW, V = sample(1, h, PathStream(5, 0))
+        cache = compute_step_arrays(
+            builtin_scheme("EULER_LINEAR"), LIN, 0.0, y, h, dW, V
         )
         got = evaluate_dense(cache, builtin_scheme("EULER_LINEAR"), th)
-        expect = 0.1 * (1 + a * th * h + b * th * inc.dW[0])
+        expect = 0.1 * (1 + a * th * h + b * th * dW[0])
         assert got[0] == pytest.approx(expect, rel=1e-14)
 
     def test_theta_zero_bit_exact(self):
         y = np.array([0.1])
-        inc = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample(1, 0.5, PathStream(0, 0))
         for name in scheme_names():
             t = builtin_scheme(name)
-            cache = compute_step(t, LIN, 0.0, y, 0.5, inc)
+            cache = compute_step_arrays(t, LIN, 0.0, y, 0.5, dW, V)
             out = evaluate_dense(cache, t, 0.0)
             assert np.array_equal(out, y)
 
     def test_theta_domain(self):
-        inc = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample(1, 0.5, PathStream(0, 0))
         t = builtin_scheme("EULER_OPT")
-        cache = compute_step(t, LIN, 0.0, np.array([0.1]), 0.5, inc)
+        cache = compute_step_arrays(t, LIN, 0.0, np.array([0.1]), 0.5, dW, V)
         with pytest.raises(ValueError):
             evaluate_dense(cache, t, 1.5)
 
@@ -303,8 +288,9 @@ class TestDenseOutput:
         t = builtin_scheme("EULER_OPT")
         for th in (0.2, 0.5, 0.8, 1.0):
             mean = 0.0
-            for inc, p in enumerate_outcomes(1, h):
-                cache = compute_step(t, LIN, 0.0, np.array([x0]), h, inc)
+            for dW, V, p in zip(*enumerate_outcomes(1, h)):
+                cache = compute_step_arrays(t, LIN, 0.0, np.array([x0]), h,
+                                            dW, V)
                 mean += p * evaluate_dense(cache, t, th)[0]
             assert mean == pytest.approx(x0 * (1 + a * th * h), rel=1e-14)
 
@@ -316,11 +302,10 @@ def dense_reference(cache, scheme, theta):
     s = scheme.stages
     m = cache.dW.shape[-1]
     h, sqrt_h = cache.h, cache.sqrt_h
-    al = scheme.alpha_at(theta)
-    b1 = scheme.beta_at(1, theta)
-    b2 = scheme.beta_at(2, theta)
-    b3 = scheme.beta_at(3, theta)
-    b4 = scheme.beta_at(4, theta)
+    al, b1, b2, b3, b4 = (
+        np.array([w(theta) for w in ws])
+        for ws in (scheme.alpha, scheme.beta1, scheme.beta2, scheme.beta3,
+                   scheme.beta4))
     dW = cache.dW
     I2 = 0.5 * (dW[..., :, None] * dW[..., None, :] + cache.V)
 
@@ -365,8 +350,7 @@ class TestDenseWeights:
             dW, V = sample_batch(m, h, 7, np.arange(5, dtype=np.uint64), 0)
         else:
             y = problem.x0
-            inc = sample(m, h, PathStream(7, 0))
-            dW, V = inc.dW, inc.V
+            dW, V = sample(m, h, PathStream(7, 0))
         cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
         for theta in (0.0, 0.3, 1.0):
             want = dense_reference(cache, scheme, theta)
@@ -505,8 +489,8 @@ def test_dense_consistency_property(name, problem_name, h, seed, theta):
     problem = LIN if problem_name == "linear" else system2d_problem()
     scheme = builtin_scheme(name)
     y = problem.x0
-    inc = sample(problem.dim_noise, h, PathStream(seed, 0))
-    cache = compute_step(scheme, problem, problem.t0, y, h, inc)
+    dW, V = sample(problem.dim_noise, h, PathStream(seed, 0))
+    cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, V)
     y_next = evaluate_dense(cache, scheme, 1.0)
     out = evaluate_dense(cache, scheme, theta)
     if theta == 0.0:

@@ -9,9 +9,8 @@ from csrk.increments import CapacityError, enumerate_outcomes, sample_batch
 from csrk.integrator import (
     BlowupError,
     TimeGrid,
-    compute_step,
+    compute_step_arrays,
     evaluate_dense,
-    simulate_path,
 )
 from csrk.sde import (
     Functional,
@@ -31,6 +30,7 @@ from csrk.stats import (
     mc_expectation,
     mc_expectations_at,
     normal_quantile,
+    simulate_path,
 )
 from csrk.tableau import CsrkTableau, builtin_scheme
 
@@ -220,13 +220,14 @@ class TestBlowup:
 def per_path_expectation(scheme, problem, grid, f, theta_eval):
     """E f(Y) summed over every outcome sequence, one path at a time."""
     m, N = problem.dim_noise, grid.n_steps
-    laws = [enumerate_outcomes(m, grid.step(n)[1]) for n in range(N)]
+    laws = [list(zip(*enumerate_outcomes(m, grid.step(n)[1])))
+            for n in range(N)]
     total = 0.0
     for seq in itertools.product(*laws):
         y, prob = problem.x0, 1.0
-        for n, (inc, p) in enumerate(seq):
+        for n, (dW, V, p) in enumerate(seq):
             t_n, h_n = grid.step(n)
-            cache = compute_step(scheme, problem, t_n, y, h_n, inc)
+            cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, V)
             y = evaluate_dense(cache, scheme,
                                theta_eval if n == N - 1 else 1.0)
             prob *= p

@@ -12,7 +12,6 @@ from csrk.tableau import (
     TableauError,
     WeightPolynomial,
     builtin_scheme,
-    evaluate_weight,
     parse_tableau,
     scheme_names,
     tableau_to_json,
@@ -37,10 +36,6 @@ class TestWeightPolynomial:
         for fam in (t.alpha, t.beta1, t.beta2, t.beta3, t.beta4):
             for w in fam:
                 assert w(0.0) == 0.0
-
-    def test_evaluate_weight_helper(self):
-        w = WeightPolynomial(((2, 2.0), (4, -1.0)))
-        assert evaluate_weight(w, 0.5) == pytest.approx(2 * 0.5 - 0.25)
 
     def test_constant_term_rejected(self):
         with pytest.raises(TableauError, match="positive integer"):
@@ -96,7 +91,7 @@ class TestBuiltinRegistry:
         t = builtin_scheme("CRDI3WM")
         th = 0.6
         expect = (th - 7 / 9 * th**2, th**2 / 3, 4 / 9 * th**2)
-        got = t.alpha_at(th)
+        got = t.dense_weights(th)[0]
         assert np.allclose(got, expect, atol=1e-15)
 
     def test_crdi1_coefficients(self):
@@ -114,7 +109,7 @@ class TestBuiltinRegistry:
             2 * th**2 - 4 / 3 * th**3,
             2 / 3 * th**3 - 0.5 * th**2,
         )
-        assert np.allclose(t.alpha_at(th), expect, atol=1e-15)
+        assert np.allclose(t.dense_weights(th)[0], expect, atol=1e-15)
 
     def test_crdi4_irrational_entries(self):
         t = builtin_scheme("CRDI4WM")
@@ -209,11 +204,12 @@ class TestDenseWeights:
     def test_match_weight_functions(self, name):
         t = builtin_scheme(name)
         for th in dense_thetas():
-            al, *betas = t.dense_weights(th)
-            assert all(type(w) is float for w in al)
-            assert np.array(al).tobytes() == t.alpha_at(th).tobytes()
-            for r, b in enumerate(betas, 1):
-                assert np.array(b).tobytes() == t.beta_at(r, th).tobytes()
+            weights = t.dense_weights(th)
+            families = (t.alpha, t.beta1, t.beta2, t.beta3, t.beta4)
+            for got, ws in zip(weights, families, strict=True):
+                assert all(type(w) is float for w in got)
+                want = np.array([w(th) for w in ws], dtype=float)
+                assert np.array(got).tobytes() == want.tobytes()
 
     def test_cross_flag_kept_per_tableau(self):
         t = builtin_scheme("CRDI3WM")
