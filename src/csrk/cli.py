@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -434,7 +435,11 @@ def main(argv=None) -> int:
             args.command != "schemes":
         ap.error("one of --scheme or --scheme-file is required")
     try:
-        return _COMMANDS[args.command](args)
+        # a numerical failure is reported by the one-line error below, so
+        # NumPy's overflow warnings on the way to it would only repeat it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _COMMANDS[args.command](args)
     except (TableauError, CapacityError, BlowupError, KeyError, ValueError,
             OSError) as exc:
         print(f"csrk: error: {exc}", file=sys.stderr)

@@ -19,11 +19,11 @@ Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import PlannedTheta
 from .tableau import ConditionId, CsrkTableau
 
 __all__ = [
@@ -40,12 +40,12 @@ __all__ = [
 @dataclass(frozen=True)
 class Condition:
     cid: ConditionId
-    lhs: callable  # (tableau, theta planned for it) -> float
+    lhs: callable  # (tableau, its dense weights at theta) -> float
     rhs: callable  # (theta) -> float
     continuous: bool  # checked over a theta grid rather than at theta = 1
 
     def residual(self, t: CsrkTableau, theta: float) -> float:
-        return abs(self.lhs(t, PlannedTheta(t, theta)) - self.rhs(theta))
+        return abs(self.lhs(t, t.dense_weights(theta)) - self.rhs(theta))
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ def _e(t):
 
 
 def _weights(r):
-    """Weight vector r of (alpha, beta1, ..., beta4) at a planned theta."""
-    return lambda t, th: np.array(th.weights[r])
+    """Weight vector r of the dense weights (alpha, beta1, ..., beta4)."""
+    return lambda t, w: np.array(w[r])
 
 
 _al, _b1, _b2, _b3, _b4 = map(_weights, range(5))
@@ -82,56 +82,56 @@ _al, _b1, _b2, _b3, _b4 = map(_weights, range(5))
 
 # left-hand sides of conditions 1..50; vector products are componentwise
 _LHS = {
-    1: lambda t, th: _al(t, th) @ _e(t),
-    2: lambda t, th: _b4(t, th) @ _e(t),
-    3: lambda t, th: _b3(t, th) @ _e(t),
-    4: lambda t, th: (_b1(t, th) @ _e(t)) ** 2,
-    5: lambda t, th: _b2(t, th) @ _e(t),
-    6: lambda t, th: _b1(t, th) @ (t.B1 @ _e(t)),
-    7: lambda t, th: _b3(t, th) @ (t.B2 @ _e(t)),
-    8: lambda t, th: _al(t, th) @ (t.A0 @ _e(t)),
-    9: lambda t, th: _al(t, th) @ (t.B0 @ _e(t)) ** 2,
-    10: lambda t, th: (_b1(t, th) @ _e(t)) * (_al(t, th) @ (t.B0 @ _e(t))),
-    11: lambda t, th: (_b1(t, th) @ _e(t)) * (_b1(t, th) @ (t.A1 @ _e(t))),
-    12: lambda t, th: _b3(t, th) @ (t.A2 @ _e(t)),
-    13: lambda t, th: _b2(t, th) @ (t.B1 @ _e(t)),
-    14: lambda t, th: _b4(t, th) @ (t.B2 @ _e(t)),
-    15: lambda t, th: (_b1(t, th) @ _e(t)) * (_b1(t, th) @ (t.B1 @ _e(t)) ** 2),
-    16: lambda t, th: (_b1(t, th) @ _e(t)) * (_b3(t, th) @ (t.B2 @ _e(t)) ** 2),
-    17: lambda t, th: _b1(t, th) @ (t.B1 @ (t.B1 @ _e(t))),
-    18: lambda t, th: _b3(t, th) @ (t.B2 @ (t.B1 @ _e(t))),
-    19: lambda t, th: _b3(t, th) @ (t.A2 @ (t.B0 @ _e(t))),
-    20: lambda t, th: _b1(t, th) @ (t.A1 @ (t.B0 @ _e(t))),
-    21: lambda t, th: _al(t, th) @ (t.B0 @ (t.B1 @ _e(t))),
-    22: lambda t, th: _b2(t, th) @ (t.A1 @ _e(t)),
-    23: lambda t, th: _b4(t, th) @ (t.A2 @ _e(t)),
-    24: lambda t, th: _b1(t, th) @ ((t.A1 @ _e(t)) * (t.B1 @ _e(t))),
-    25: lambda t, th: _b3(t, th) @ ((t.A2 @ _e(t)) * (t.B2 @ _e(t))),
-    26: lambda t, th: _b4(t, th) @ (t.A2 @ (t.B0 @ _e(t))),
-    27: lambda t, th: _b2(t, th) @ (t.A1 @ (t.B0 @ _e(t))),
-    28: lambda t, th: _b2(t, th) @ (t.A1 @ (t.B0 @ _e(t)) ** 2),
-    29: lambda t, th: _b4(t, th) @ (t.A2 @ (t.B0 @ _e(t)) ** 2),
-    30: lambda t, th: _b3(t, th) @ (t.B2 @ (t.A1 @ _e(t))),
-    31: lambda t, th: _b1(t, th) @ (t.B1 @ (t.A1 @ _e(t))),
-    32: lambda t, th: _b2(t, th) @ (t.B1 @ _e(t)) ** 2,
-    33: lambda t, th: _b4(t, th) @ (t.B2 @ _e(t)) ** 2,
-    34: lambda t, th: _b4(t, th) @ (t.B2 @ (t.B1 @ _e(t))),
-    35: lambda t, th: _b2(t, th) @ (t.B1 @ (t.B1 @ _e(t))),
-    36: lambda t, th: _b1(t, th) @ (t.B1 @ _e(t)) ** 3,
-    37: lambda t, th: _b3(t, th) @ (t.B2 @ _e(t)) ** 3,
-    38: lambda t, th: _b1(t, th) @ (t.B1 @ (t.B1 @ _e(t)) ** 2),
-    39: lambda t, th: _b3(t, th) @ (t.B2 @ (t.B1 @ _e(t)) ** 2),
-    40: lambda t, th: _al(t, th) @ ((t.B0 @ _e(t)) * (t.B0 @ (t.B1 @ _e(t)))),
-    41: lambda t, th: _b1(t, th) @ ((t.A1 @ (t.B0 @ _e(t))) * (t.B1 @ _e(t))),
-    42: lambda t, th: _b3(t, th) @ ((t.A2 @ (t.B0 @ _e(t))) * (t.B2 @ _e(t))),
-    43: lambda t, th: _b1(t, th) @ (t.A1 @ (t.B0 @ (t.B1 @ _e(t)))),
-    44: lambda t, th: _b3(t, th) @ (t.A2 @ (t.B0 @ (t.B1 @ _e(t)))),
-    45: lambda t, th: _b1(t, th) @ (t.B1 @ (t.A1 @ (t.B0 @ _e(t)))),
-    46: lambda t, th: _b3(t, th) @ (t.B2 @ (t.A1 @ (t.B0 @ _e(t)))),
-    47: lambda t, th: _b1(t, th) @ ((t.B1 @ _e(t)) * (t.B1 @ (t.B1 @ _e(t)))),
-    48: lambda t, th: _b3(t, th) @ ((t.B2 @ _e(t)) * (t.B2 @ (t.B1 @ _e(t)))),
-    49: lambda t, th: _b1(t, th) @ (t.B1 @ (t.B1 @ (t.B1 @ _e(t)))),
-    50: lambda t, th: _b3(t, th) @ (t.B2 @ (t.B1 @ (t.B1 @ _e(t)))),
+    1: lambda t, w: _al(t, w) @ _e(t),
+    2: lambda t, w: _b4(t, w) @ _e(t),
+    3: lambda t, w: _b3(t, w) @ _e(t),
+    4: lambda t, w: (_b1(t, w) @ _e(t)) ** 2,
+    5: lambda t, w: _b2(t, w) @ _e(t),
+    6: lambda t, w: _b1(t, w) @ (t.B1 @ _e(t)),
+    7: lambda t, w: _b3(t, w) @ (t.B2 @ _e(t)),
+    8: lambda t, w: _al(t, w) @ (t.A0 @ _e(t)),
+    9: lambda t, w: _al(t, w) @ (t.B0 @ _e(t)) ** 2,
+    10: lambda t, w: (_b1(t, w) @ _e(t)) * (_al(t, w) @ (t.B0 @ _e(t))),
+    11: lambda t, w: (_b1(t, w) @ _e(t)) * (_b1(t, w) @ (t.A1 @ _e(t))),
+    12: lambda t, w: _b3(t, w) @ (t.A2 @ _e(t)),
+    13: lambda t, w: _b2(t, w) @ (t.B1 @ _e(t)),
+    14: lambda t, w: _b4(t, w) @ (t.B2 @ _e(t)),
+    15: lambda t, w: (_b1(t, w) @ _e(t)) * (_b1(t, w) @ (t.B1 @ _e(t)) ** 2),
+    16: lambda t, w: (_b1(t, w) @ _e(t)) * (_b3(t, w) @ (t.B2 @ _e(t)) ** 2),
+    17: lambda t, w: _b1(t, w) @ (t.B1 @ (t.B1 @ _e(t))),
+    18: lambda t, w: _b3(t, w) @ (t.B2 @ (t.B1 @ _e(t))),
+    19: lambda t, w: _b3(t, w) @ (t.A2 @ (t.B0 @ _e(t))),
+    20: lambda t, w: _b1(t, w) @ (t.A1 @ (t.B0 @ _e(t))),
+    21: lambda t, w: _al(t, w) @ (t.B0 @ (t.B1 @ _e(t))),
+    22: lambda t, w: _b2(t, w) @ (t.A1 @ _e(t)),
+    23: lambda t, w: _b4(t, w) @ (t.A2 @ _e(t)),
+    24: lambda t, w: _b1(t, w) @ ((t.A1 @ _e(t)) * (t.B1 @ _e(t))),
+    25: lambda t, w: _b3(t, w) @ ((t.A2 @ _e(t)) * (t.B2 @ _e(t))),
+    26: lambda t, w: _b4(t, w) @ (t.A2 @ (t.B0 @ _e(t))),
+    27: lambda t, w: _b2(t, w) @ (t.A1 @ (t.B0 @ _e(t))),
+    28: lambda t, w: _b2(t, w) @ (t.A1 @ (t.B0 @ _e(t)) ** 2),
+    29: lambda t, w: _b4(t, w) @ (t.A2 @ (t.B0 @ _e(t)) ** 2),
+    30: lambda t, w: _b3(t, w) @ (t.B2 @ (t.A1 @ _e(t))),
+    31: lambda t, w: _b1(t, w) @ (t.B1 @ (t.A1 @ _e(t))),
+    32: lambda t, w: _b2(t, w) @ (t.B1 @ _e(t)) ** 2,
+    33: lambda t, w: _b4(t, w) @ (t.B2 @ _e(t)) ** 2,
+    34: lambda t, w: _b4(t, w) @ (t.B2 @ (t.B1 @ _e(t))),
+    35: lambda t, w: _b2(t, w) @ (t.B1 @ (t.B1 @ _e(t))),
+    36: lambda t, w: _b1(t, w) @ (t.B1 @ _e(t)) ** 3,
+    37: lambda t, w: _b3(t, w) @ (t.B2 @ _e(t)) ** 3,
+    38: lambda t, w: _b1(t, w) @ (t.B1 @ (t.B1 @ _e(t)) ** 2),
+    39: lambda t, w: _b3(t, w) @ (t.B2 @ (t.B1 @ _e(t)) ** 2),
+    40: lambda t, w: _al(t, w) @ ((t.B0 @ _e(t)) * (t.B0 @ (t.B1 @ _e(t)))),
+    41: lambda t, w: _b1(t, w) @ ((t.A1 @ (t.B0 @ _e(t))) * (t.B1 @ _e(t))),
+    42: lambda t, w: _b3(t, w) @ ((t.A2 @ (t.B0 @ _e(t))) * (t.B2 @ _e(t))),
+    43: lambda t, w: _b1(t, w) @ (t.A1 @ (t.B0 @ (t.B1 @ _e(t)))),
+    44: lambda t, w: _b3(t, w) @ (t.A2 @ (t.B0 @ (t.B1 @ _e(t)))),
+    45: lambda t, w: _b1(t, w) @ (t.B1 @ (t.A1 @ (t.B0 @ _e(t)))),
+    46: lambda t, w: _b3(t, w) @ (t.B2 @ (t.A1 @ (t.B0 @ _e(t)))),
+    47: lambda t, w: _b1(t, w) @ ((t.B1 @ _e(t)) * (t.B1 @ (t.B1 @ _e(t)))),
+    48: lambda t, w: _b3(t, w) @ ((t.B2 @ _e(t)) * (t.B2 @ (t.B1 @ _e(t)))),
+    49: lambda t, w: _b1(t, w) @ (t.B1 @ (t.B1 @ (t.B1 @ _e(t)))),
+    50: lambda t, w: _b3(t, w) @ (t.B2 @ (t.B1 @ (t.B1 @ _e(t)))),
 }
 
 # right-hand sides at theta = 1 for conditions 8..50
@@ -156,12 +156,12 @@ _CONT_EXT = {
     8: (_LHS[8], lambda th: 0.5 * th**2),
     9: (_LHS[9], lambda th: 0.5 * th**2),
     10: (_LHS[10], lambda th: 0.5 * th**2),
-    11: (lambda t, th: _b1(t, th) @ (t.A1 @ _e(t)), lambda th: 0.5 * th**1.5),
+    11: (lambda t, w: _b1(t, w) @ (t.A1 @ _e(t)), lambda th: 0.5 * th**1.5),
     13: (_LHS[13], lambda th: th),
     14: (_LHS[14], lambda th: th),
-    15: (lambda t, th: _b1(t, th) @ (t.B1 @ _e(t)) ** 2,
+    15: (lambda t, w: _b1(t, w) @ (t.B1 @ _e(t)) ** 2,
          lambda th: 0.5 * th**1.5),
-    16: (lambda t, th: _b3(t, th) @ (t.B2 @ _e(t)) ** 2,
+    16: (lambda t, w: _b3(t, w) @ (t.B2 @ _e(t)) ** 2,
          lambda th: 0.5 * th**1.5),
     22: (_LHS[22], lambda th: 0.0),
     32: (_LHS[32], lambda th: 0.0),
@@ -169,9 +169,9 @@ _CONT_EXT = {
 }
 
 _DET3 = {
-    1: (lambda t, th: _al(t, th) @ (t.A0 @ _e(t)) ** 2, 1.0 / 3.0,
+    1: (lambda t, w: _al(t, w) @ (t.A0 @ _e(t)) ** 2, 1.0 / 3.0,
         lambda th: th**3 / 3.0),
-    2: (lambda t, th: _al(t, th) @ (t.A0 @ (t.A0 @ _e(t))), 1.0 / 6.0,
+    2: (lambda t, w: _al(t, w) @ (t.A0 @ (t.A0 @ _e(t))), 1.0 / 6.0,
         lambda th: th**3 / 6.0),
 }
 
@@ -240,8 +240,8 @@ def check_conditions(
         raise ValueError("theta grid must lie within [0, 1]")
     if 0.0 not in grid or 1.0 not in grid:
         raise ValueError("theta grid must contain both endpoints 0 and 1")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if conditions is None:
         conditions = t.meta.declared_conditions
     records = []

@@ -18,10 +18,9 @@ A step reads the scheme's nodes and nonzero couplings as Python floats from
 ``CsrkTableau.stage_plan``, built once per tableau.  It evaluates drift and
 diffusion at every stage and stores the iterated-integral matrix
 ``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for every dense evaluation of
-that step to read.  The dense weights depend only on the scheme and theta.
-``evaluate_dense`` builds them on each call, unless theta is a
-``PlannedTheta`` that carries them: the engines plan each theta of a run
-once, before the first step.
+that step to read.  ``evaluate_dense`` takes the scheme's dense weights at
+theta, ``CsrkTableau.dense_weights(theta)``, which depend only on the scheme
+and theta: the engines build them once per run and theta.
 """
 
 from __future__ import annotations
@@ -219,37 +218,15 @@ def compute_step_arrays(
     )
 
 
-class PlannedTheta(float):
-    """A theta together with its scheme's dense weights, built once.
+def evaluate_dense(cache: StageCache, weights):
+    """Y(t_n + theta * h) from cached evaluations; pure in the cache.
 
-    It is the float theta in every respect; ``evaluate_dense`` reads its
-    weights instead of building them, if they belong to the scheme it is
-    given.  The engines plan the thetas of a run this way, since they
-    evaluate each one on every chunk and step.
+    ``weights`` is ``scheme.dense_weights(theta)`` of the step's scheme.
     """
-
-    __slots__ = ("scheme", "weights")
-
-    def __new__(cls, scheme: CsrkTableau, theta: float):
-        self = super().__new__(cls, theta)
-        self.scheme = scheme
-        self.weights = scheme.dense_weights(theta)
-        return self
-
-
-def evaluate_dense(cache: StageCache, scheme: CsrkTableau, theta: float):
-    """Y(t_n + theta * h) from cached evaluations; pure in the cache."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if theta == 0.0:
-        return cache.y_n.copy()
-    s = scheme.stages
+    al, b1, b2, b3, b4 = weights
+    s = len(al)
     m = cache.dW.shape[-1]
     h, sqrt_h = cache.h, cache.sqrt_h
-    if isinstance(theta, PlannedTheta) and theta.scheme is scheme:
-        al, b1, b2, b3, b4 = theta.weights
-    else:
-        al, b1, b2, b3, b4 = scheme.dense_weights(theta)
     dW, I2 = cache.dW, cache.I2
 
     y = cache.y_n.copy()

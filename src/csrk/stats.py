@@ -36,7 +36,6 @@ from .increments import (
 )
 from .integrator import (
     BlowupError,
-    PlannedTheta,
     StageCache,
     TimeGrid,
     compute_step_arrays,
@@ -159,8 +158,9 @@ def grid_for_step(problem: SdeProblem, h: float,
 # the step, and whole-path simulation with dense output
 # ---------------------------------------------------------------------------
 
-def _advance(scheme, problem, grid, n, y, dW, V, theta):
-    """Step n of the grid from states y: (cache, Y(t_n + theta h_n)).
+def _advance(scheme, problem, grid, n, y, dW, V, weights):
+    """Step n of the grid from states y: (cache, Y(t_n + theta h_n)), where
+    ``weights`` is ``scheme.dense_weights(theta)``.
 
     A BlowupError leaves with its step index set.
     """
@@ -170,7 +170,7 @@ def _advance(scheme, problem, grid, n, y, dW, V, theta):
     except BlowupError as exc:
         exc.step = n
         raise
-    return cache, evaluate_dense(cache, scheme, theta)
+    return cache, evaluate_dense(cache, weights)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ class ContinuousPath:
     def value(self, t: float):
         """Y(t); at a node, the same bits as ``nodes``."""
         n, theta = self.grid.locate(t)
-        return evaluate_dense(self.caches[n], self.scheme, theta)
+        return evaluate_dense(self.caches[n], self.scheme.dense_weights(theta))
 
 
 def simulate_path(
@@ -195,12 +195,12 @@ def simulate_path(
     """Whole-path simulation with fresh, independent increments per step."""
     if grid.t0 < problem.t0 or grid.T > problem.T:
         raise ValueError("grid exceeds the problem's time interval")
-    step_theta = PlannedTheta(scheme, 1.0)
+    step_weights = scheme.dense_weights(1.0)
     y = problem.x0.copy()
     caches, nodes = [], [y]
     for n in range(grid.n_steps):
         dW, V = sample(problem.dim_noise, grid.step(n)[1], stream)
-        cache, y = _advance(scheme, problem, grid, n, y, dW, V, step_theta)
+        cache, y = _advance(scheme, problem, grid, n, y, dW, V, step_weights)
         caches.append(cache)
         nodes.append(y)
     return ContinuousPath(grid, scheme, tuple(caches), tuple(nodes))
@@ -214,18 +214,19 @@ def query(path: ContinuousPath, t: float):
 # chunked Monte Carlo core
 # ---------------------------------------------------------------------------
 
-def _chunk_values(scheme, problem, grid, step_theta, eval_points, f, seed,
+def _chunk_values(scheme, problem, grid, step_weights, eval_points, f, seed,
                   start, count):
     """f-values at every eval point for paths [start, start+count).
 
-    ``step_theta`` is theta = 1 planned for the scheme.
+    ``step_weights`` are the dense weights at theta = 1; each eval point is
+    ``(n, theta, dense weights at theta)``.
     """
     m = problem.dim_noise
     # the stream keys of the chunk's paths, computed once for all its steps
     paths = KeyedPaths(seed, np.arange(start, start + count, dtype=np.uint64))
-    by_step: dict[int, list[tuple[int, float]]] = {}
-    for idx, (n, theta) in enumerate(eval_points):
-        by_step.setdefault(n, []).append((idx, theta))
+    by_step: dict[int, list] = {}
+    for idx, (n, theta, weights) in enumerate(eval_points):
+        by_step.setdefault(n, []).append((idx, theta, weights))
     last_step = max(by_step)
     y = np.broadcast_to(problem.x0, (count, problem.dim_state)).copy()
     vals = np.empty((len(eval_points), count))
@@ -233,12 +234,12 @@ def _chunk_values(scheme, problem, grid, step_theta, eval_points, f, seed,
         dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
         try:
             cache, y = _advance(scheme, problem, grid, n, y, dW, V,
-                                step_theta)
+                                step_weights)
         except BlowupError as exc:
             exc.path += start
             raise
-        for idx, theta in by_step.get(n, ()):
-            v = y if theta == 1.0 else evaluate_dense(cache, scheme, theta)
+        for idx, theta, weights in by_step.get(n, ()):
+            v = y if theta == 1.0 else evaluate_dense(cache, weights)
             vals[idx] = f(v)
         if not np.isfinite(y).all():
             bad = ~np.isfinite(y).all(axis=-1)
@@ -270,15 +271,15 @@ def _mc_moments(scheme, problem, grid, eval_points, f, M, seed,
     n_chunks = (M + chunk_size - 1) // chunk_size
     # the dense weights of the step and of each eval theta are built here,
     # not on every chunk and step
-    step_theta = PlannedTheta(scheme, 1.0)
-    eval_points = [(n, PlannedTheta(scheme, theta))
+    step_weights = scheme.dense_weights(1.0)
+    eval_points = [(n, theta, scheme.dense_weights(theta))
                    for n, theta in eval_points]
 
     def one(c):
         start = c * chunk_size
         count = min(chunk_size, M - start)
         vals = _chunk_values(
-            scheme, problem, grid, step_theta, eval_points, f, seed, start,
+            scheme, problem, grid, step_weights, eval_points, f, seed, start,
             count,
         )
         mean = vals.mean(axis=1)
@@ -369,18 +370,18 @@ def exact_weak_expectation(
         )
     states = problem.x0[None, :].copy()
     probs = np.array([1.0])
-    step_theta = PlannedTheta(scheme, 1.0)
+    step_weights = scheme.dense_weights(1.0)
     for n in range(N):
         outs = enumerate_outcomes(m, grid.step(n)[1])
         final = n == N - 1
-        theta = PlannedTheta(scheme, theta_eval) if final else step_theta
+        weights = scheme.dense_weights(theta_eval) if final else step_weights
         new_states, new_probs, total = [], [], 0.0
         for dW, V, p in zip(*outs):
             for lo in range(0, states.shape[0], _ENUM_SLICE):
                 sl = slice(lo, lo + _ENUM_SLICE)
                 # keep no cache alive into the next slice's step
                 y = _advance(scheme, problem, grid, n, states[sl], dW, V,
-                             theta)[1]
+                             weights)[1]
                 if final:
                     total += p * float(probs[sl] @ f(y))
                 else:
@@ -406,6 +407,8 @@ def error_table(
     threads: int = 1,
 ) -> list[ErrorRecord]:
     """One MC estimate per step size against the problem's reference."""
+    if len(h_list) == 0:
+        raise ValueError("need at least one step size")
     ref = problem.reference_for(f, provenance)
     exact = ref.value(t_eval)
     # every step size is checked before the first estimate is run

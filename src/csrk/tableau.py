@@ -1,10 +1,10 @@
 """Coefficient tables for continuous stochastic Runge-Kutta (CSRK) schemes.
 
-A scheme is defined by three node vectors c^(0..2), six strictly lower
-triangular matrices A^(0..2), B^(0..2) and five families of weight functions
-alpha, beta^(1..4) of the dense-output parameter theta.  Every weight is a
-polynomial in sqrt(theta) with no constant term, so the dense output collapses
-onto the left node at theta = 0.
+A scheme is defined by six strictly lower triangular matrices A^(0..2),
+B^(0..2) and five families of weight functions alpha, beta^(1..4) of the
+dense-output parameter theta.  The stage nodes are the row sums
+c^(q) = A^(q) e.  Every weight is a polynomial in sqrt(theta) with no constant
+term, so the dense output collapses onto the left node at theta = 0.
 """
 
 from __future__ import annotations
@@ -113,9 +113,6 @@ def _ro(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CsrkTableau:
     stages: int
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
     A0: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
@@ -131,11 +128,6 @@ class CsrkTableau:
 
     def __post_init__(self):
         s = self.stages
-        for name in ("c0", "c1", "c2"):
-            v = _ro(getattr(self, name))
-            if v.shape != (s,):
-                raise TableauError(f"{name} must have length {s}")
-            object.__setattr__(self, name, v)
         for name in ("A0", "A1", "A2", "B0", "B1", "B2"):
             mat = _ro(getattr(self, name))
             if mat.shape != (s, s):
@@ -148,14 +140,6 @@ class CsrkTableau:
                             "lower triangularity"
                         )
             object.__setattr__(self, name, mat)
-        for q, (cv, am) in enumerate(
-            [(self.c0, self.A0), (self.c1, self.A1), (self.c2, self.A2)]
-        ):
-            resid = np.abs(cv - am.sum(axis=1)).max()
-            if resid > 1e-14:
-                raise TableauError(
-                    f"c{q} differs from row sums of A{q} by {resid:.3e}"
-                )
         for name in ("alpha", "beta1", "beta2", "beta3", "beta4"):
             ws = tuple(getattr(self, name))
             if len(ws) != s:
@@ -165,8 +149,8 @@ class CsrkTableau:
     def dense_weights(self, theta: float) -> tuple[tuple[float, ...], ...]:
         """(alpha, beta1, beta2, beta3, beta4) at theta, as Python floats.
 
-        A caller that evaluates one theta many times builds them once, as an
-        ``integrator.PlannedTheta``.
+        ``evaluate_dense`` takes this tuple; a caller that evaluates one theta
+        many times builds it once.
         """
         return tuple(
             tuple(float(w(theta)) for w in ws)
@@ -181,20 +165,20 @@ class CsrkTableau:
 
     @functools.cached_property
     def stage_plan(self):
-        """Per family q = 0, 1, 2: the nodes c^(q) and, for each stage i, the
-        couplings ``(j, A^(q)[i, j], B^(q)[i, j])`` in which A or B is
-        nonzero, in j order; every coefficient is a Python float."""
-        def family(c, A, B):
+        """Per family q = 0, 1, 2: the nodes c^(q) = A^(q) e and, for each
+        stage i, the couplings ``(j, A^(q)[i, j], B^(q)[i, j])`` in which A or
+        B is nonzero, in j order; every coefficient is a Python float."""
+        def family(A, B):
             couplings = tuple(
                 tuple((j, float(A[i, j]), float(B[i, j])) for j in range(i)
                       if A[i, j] != 0.0 or B[i, j] != 0.0)
                 for i in range(self.stages)
             )
-            return tuple(float(v) for v in c), couplings
+            return tuple(float(v) for v in A.sum(axis=1)), couplings
 
-        return (family(self.c0, self.A0, self.B0),
-                family(self.c1, self.A1, self.B1),
-                family(self.c2, self.A2, self.B2))
+        return (family(self.A0, self.B0),
+                family(self.A1, self.B1),
+                family(self.A2, self.B2))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +215,6 @@ def _euler(name: str, beta1_terms: dict[int, float],
     z = np.zeros((1, 1))
     return CsrkTableau(
         stages=1,
-        c0=[0.0], c1=[0.0], c2=[0.0],
         A0=z, A1=z, A2=z, B0=z, B1=z, B2=z,
         alpha=(_w({2: 1.0}),),
         beta1=(_w(beta1_terms),),
@@ -246,7 +229,6 @@ def _crdi1() -> CsrkTableau:
     declared = _cid_set(_ORDER1_ALL, ("continuous_order2_extended", (8,)))
     return CsrkTableau(
         stages=2,
-        c0=[0.0, 2.0 / 3.0], c1=[0.0, 0.0], c2=[0.0, 0.0],
         A0=lower, B0=lower, A1=z, B1=z, A2=z, B2=z,
         alpha=(_w({2: 1.0, 4: -0.75}), _w({4: 0.75})),
         beta1=(_w({1: 1.0}), _ZERO_W),
@@ -266,8 +248,6 @@ _A1_OPT = np.array([[0.0, 0.0, 0.0], [2.0 / 3.0, 0.0, 0.0], [2.0 / 3.0, 0.0, 0.0
 _B1_OPT = np.array([[0.0, 0.0, 0.0], [_SQ23, 0.0, 0.0], [-_SQ23, 0.0, 0.0]])
 _A2_OPT = np.zeros((3, 3))
 _B2_OPT = np.array([[0.0, 0.0, 0.0], [_SQ2, 0.0, 0.0], [-_SQ2, 0.0, 0.0]])
-_C1_OPT = [0.0, 2.0 / 3.0, 2.0 / 3.0]
-_C2_OPT = [0.0, 0.0, 0.0]
 
 
 def _order2_scheme(name, p_det, A0, B0, alpha, extra_declared=()):
@@ -278,10 +258,8 @@ def _order2_scheme(name, p_det, A0, B0, alpha, extra_declared=()):
          else tuple(i for i in _EXT_BETA if i != 9)),
         *extra_declared,
     ) | _cid_set(("continuous_order2_extended", (8,)))
-    A0 = np.array(A0, dtype=float)
     return CsrkTableau(
         stages=3,
-        c0=A0.sum(axis=1), c1=_C1_OPT, c2=_C2_OPT,
         A0=A0, B0=B0, A1=_A1_OPT, B1=_B1_OPT, A2=_A2_OPT, B2=_B2_OPT,
         alpha=alpha,
         beta1=_BETA1_OPT, beta2=_BETA2_OPT, beta3=_BETA3_OPT, beta4=_BETA4_OPT,
@@ -478,9 +456,6 @@ def parse_tableau(text: str) -> CsrkTableau:
     )
     return CsrkTableau(
         stages=s,
-        c0=mats["A0"].sum(axis=1),
-        c1=mats["A1"].sum(axis=1),
-        c2=mats["A2"].sum(axis=1),
         **mats,
         **weights,
         meta=meta,

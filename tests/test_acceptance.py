@@ -331,9 +331,9 @@ def test_criterion_10_dense_consistency(capsys, counting):
         dW, V = sample(problem.dim_noise, h,
                        PathStream(int(rng.integers(2**32)), 0))
         cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, V)
-        y1 = evaluate_dense(cache, scheme, 1.0)
+        y1 = evaluate_dense(cache, scheme.dense_weights(1.0))
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            out = evaluate_dense(cache, scheme, theta)
+            out = evaluate_dense(cache, scheme.dense_weights(theta))
             if theta == 0.0 and not np.array_equal(out, y):
                 failures.append(f"{name} theta=0 not bit-exact")
             if theta == 1.0 and not np.array_equal(out, y1):

@@ -233,12 +233,25 @@ class TestUsageErrors:
          "--h", "0.5", "--dense-per-step", "-2"),
         ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.5",
          "--theta-list", "0.5,0.5", "--M", "100"),
+        ("check", "--scheme", "CRDI3WM", "--tol", "nan"),
+        ("check", "--scheme", "CRDI3WM", "--tol", "inf"),
+        ("error-table", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--t-eval", "2.0", "--h-list", ",", "--M", "100"),
+        ("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
+         "--h", "0.5", "--a", "1e308"),
+        ("converge", "--scheme", "CRDI3WM", "--problem", "linear",
+         "--t-eval", "2.0", "--h-list", "0.5", "--M", "100", "--b", "1e308",
+         "--threads", "2"),
+        ("exact-order", "--scheme", "CRDI3WM", "--problem", "linear",
+         "--f", "x2", "--N-list", "2,4", "--x0", "1e200"),
     ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
             "N-list-0", "no-scheme", "dense-h-0", "h-list-0",
             "h-list-negative-shortened", "simulate-h-nan",
             "theta-list-empty", "local-h-nan", "local-h-inf",
             "local-h-negative", "dense-per-step-negative",
-            "theta-list-duplicate"])
+            "theta-list-duplicate", "tol-nan", "tol-inf", "h-list-empty",
+            "overflow-drift", "overflow-diffusion-threads",
+            "overflow-functional"])
     def test_one_line_exit_2(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -350,7 +363,7 @@ class TestTracingHooks:
         assert all(len(a) == 7 for a in calls["step"])
         # the eval time is a grid node, so no dense call beyond theta = 1
         assert len(calls["dense"]) == steps
-        assert all(len(a) == 3 for a in calls["dense"])
+        assert all(len(a) == 2 for a in calls["dense"])
         assert calls["enum"] == []
         # one positional draw per chunk and step, on paths of chunk size
         rows = [len(a[3]) for a in calls["step"]]
@@ -384,7 +397,7 @@ class TestTracingHooks:
         assert all(len(a) == 7 for a in calls["step"])
         # theta = 1 advances the state; each listed theta is one more call
         assert len(calls["dense"]) == (1 + thetas) * steps
-        assert all(len(a) == 3 for a in calls["dense"])
+        assert all(len(a) == 2 for a in calls["dense"])
         s = builtin_scheme("CRDI3WM").stages
         [counts] = calls["problem"]
         assert counts == {"drift": s * steps, "diffusion": s * steps}

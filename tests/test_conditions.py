@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,7 +122,6 @@ def _two_stage(b21, beta1_vals, beta2_vals):
 
     return CsrkTableau(
         stages=2,
-        c0=[0.0, 0.0], c1=[0.0, 0.0], c2=[0.0, 0.0],
         A0=zero, A1=zero, A2=zero, B0=zero, B1=b1m, B2=zero,
         alpha=(w(1.0), w(0.0)),
         beta1=tuple(w(v) for v in beta1_vals),
@@ -183,3 +184,9 @@ class TestCheckerInterface:
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):
             check_conditions(builtin_scheme("CRDI2WM"), tol=0.0)
+
+    @pytest.mark.parametrize("tol", (math.nan, math.inf))
+    def test_tolerance_finite(self, tol):
+        # nan would fail every condition and inf pass any tableau
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_conditions(builtin_scheme("CRDI2WM"), tol=tol)

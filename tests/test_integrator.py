@@ -10,7 +10,6 @@ from csrk.increments import enumerate_outcomes, sample, sample_batch
 from csrk.integrator import (
     BlowupError,
     _check_finite,
-    PlannedTheta,
     TimeGrid,
     compute_step_arrays,
     evaluate_dense,
@@ -118,9 +117,11 @@ class TestStages:
 
 
 def step_reference(scheme, problem, t_n, y_n, h, dW, V):
-    """compute_step_arrays reading A, B and c from the tableau's matrices."""
+    """compute_step_arrays reading A, B and c = A e from the tableau's
+    matrices."""
     s, m = scheme.stages, problem.dim_noise
     A0, A1, A2 = scheme.A0, scheme.A1, scheme.A2
+    c0, c1, c2 = A0.sum(axis=1), A1.sum(axis=1), A2.sum(axis=1)
     B0, B1, B2 = scheme.B0, scheme.B1, scheme.B2
     sqrt_h = math.sqrt(h)
     cross = scheme.uses_cross_stages and m > 1
@@ -134,7 +135,7 @@ def step_reference(scheme, problem, t_n, y_n, h, dW, V):
                 for r in range(m):
                     H0 = H0 + B0[i, j] * dW[..., r, None] * b_diag[j][r]
         a_vals[i] = np.asarray(
-            problem.drift(t_n + scheme.c0[i] * h, H0), dtype=float)
+            problem.drift(t_n + c0[i] * h, H0), dtype=float)
         diag_i = []
         for k in range(m):
             Hk = y_n
@@ -144,7 +145,7 @@ def step_reference(scheme, problem, t_n, y_n, h, dW, V):
                 if B1[i, j] != 0.0:
                     Hk = Hk + (sqrt_h * B1[i, j]) * b_diag[j][k]
             bmat = np.asarray(
-                problem.diffusion(t_n + scheme.c1[i] * h, Hk), dtype=float)
+                problem.diffusion(t_n + c1[i] * h, Hk), dtype=float)
             diag_i.append(bmat[..., :, k])
         b_diag[i] = diag_i
         if cross:
@@ -157,7 +158,7 @@ def step_reference(scheme, problem, t_n, y_n, h, dW, V):
                     if B2[i, j] != 0.0:
                         Hl = Hl + (sqrt_h * B2[i, j]) * b_diag[j][l]
                 bmat = np.asarray(
-                    problem.diffusion(t_n + scheme.c2[i] * h, Hl),
+                    problem.diffusion(t_n + c2[i] * h, Hl),
                     dtype=float)
                 for k in range(m):
                     if k != l:
@@ -206,8 +207,7 @@ class TestStagePlan:
 
     def test_crdi3_plan(self):
         scheme = builtin_scheme("CRDI3WM")
-        (c0, K0), (c1, K1), _ = scheme.stage_plan
-        assert c0 == tuple(scheme.c0) and c1 == tuple(scheme.c1)
+        (_, K0), _, _ = scheme.stage_plan
         assert K0 == ((), ((0, 0.5, scheme.B0[1, 0]),),
                       ((0, 0.0, scheme.B0[2, 0]), (1, 0.75, 0.0)))
         assert all(type(v) is float for _, a, b in K0[2] for v in (a, b))
@@ -262,7 +262,8 @@ class TestDenseOutput:
         cache = compute_step_arrays(
             builtin_scheme("EULER_LINEAR"), LIN, 0.0, y, h, dW, V
         )
-        got = evaluate_dense(cache, builtin_scheme("EULER_LINEAR"), th)
+        got = evaluate_dense(cache,
+                             builtin_scheme("EULER_LINEAR").dense_weights(th))
         expect = 0.1 * (1 + a * th * h + b * th * dW[0])
         assert got[0] == pytest.approx(expect, rel=1e-14)
 
@@ -272,7 +273,7 @@ class TestDenseOutput:
         for name in scheme_names():
             t = builtin_scheme(name)
             cache = compute_step_arrays(t, LIN, 0.0, y, 0.5, dW, V)
-            out = evaluate_dense(cache, t, 0.0)
+            out = evaluate_dense(cache, t.dense_weights(0.0))
             assert np.array_equal(out, y)
 
     def test_theta_domain(self):
@@ -280,7 +281,7 @@ class TestDenseOutput:
         t = builtin_scheme("EULER_OPT")
         cache = compute_step_arrays(t, LIN, 0.0, np.array([0.1]), 0.5, dW, V)
         with pytest.raises(ValueError):
-            evaluate_dense(cache, t, 1.5)
+            evaluate_dense(cache, t.dense_weights(1.5))
 
     def test_euler_opt_one_step_mean_theta_scaled(self):
         """Enumerated E[Y(t0 + theta h)] = x0 (1 + a theta h) exactly."""
@@ -291,7 +292,7 @@ class TestDenseOutput:
             for dW, V, p in zip(*enumerate_outcomes(1, h)):
                 cache = compute_step_arrays(t, LIN, 0.0, np.array([x0]), h,
                                             dW, V)
-                mean += p * evaluate_dense(cache, t, th)[0]
+                mean += p * evaluate_dense(cache, t.dense_weights(th))[0]
             assert mean == pytest.approx(x0 * (1 + a * th * h), rel=1e-14)
 
 
@@ -333,7 +334,7 @@ def dense_reference(cache, scheme, theta):
 
 
 class TestDenseWeights:
-    """Planned weights and I2 read from the cache change where they come
+    """Weights built once and I2 read from the cache change where they come
     from, not one bit of the dense output."""
 
     @pytest.mark.parametrize("name", scheme_names())
@@ -354,12 +355,9 @@ class TestDenseWeights:
         cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
         for theta in (0.0, 0.3, 1.0):
             want = dense_reference(cache, scheme, theta)
-            # a theta planned for another scheme does not lend its weights
-            other = PlannedTheta(builtin_scheme("EULER_OPT"), theta)
-            for th in (theta, PlannedTheta(scheme, theta), other):
-                got = evaluate_dense(cache, scheme, th)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+            got = evaluate_dense(cache, scheme.dense_weights(theta))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPaths:
@@ -368,7 +366,7 @@ class TestPaths:
         t = builtin_scheme("CRDI3WM")
         path = simulate_path(t, LIN, grid, PathStream(1, 0))
         for n in range(grid.n_steps):
-            dense1 = evaluate_dense(path.caches[n], t, 1.0)
+            dense1 = evaluate_dense(path.caches[n], t.dense_weights(1.0))
             assert np.array_equal(dense1, path.nodes[n + 1])
 
     def test_query_conventions(self):
@@ -379,7 +377,7 @@ class TestPaths:
         assert np.array_equal(query(path, 2.0), path.nodes[-1])
         assert np.array_equal(query(path, 0.5), path.nodes[1])
         mid = query(path, 0.65)
-        expect = evaluate_dense(path.caches[1], t, 0.3)
+        expect = evaluate_dense(path.caches[1], t.dense_weights(0.3))
         assert np.allclose(mid, expect, atol=0.0, rtol=1e-15)
 
     def test_zero_diffusion_seed_independent(self):
@@ -491,8 +489,8 @@ def test_dense_consistency_property(name, problem_name, h, seed, theta):
     y = problem.x0
     dW, V = sample(problem.dim_noise, h, PathStream(seed, 0))
     cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, V)
-    y_next = evaluate_dense(cache, scheme, 1.0)
-    out = evaluate_dense(cache, scheme, theta)
+    y_next = evaluate_dense(cache, scheme.dense_weights(1.0))
+    out = evaluate_dense(cache, scheme.dense_weights(theta))
     if theta == 0.0:
         assert np.array_equal(out, y)
     elif theta == 1.0:

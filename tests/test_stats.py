@@ -228,8 +228,8 @@ def per_path_expectation(scheme, problem, grid, f, theta_eval):
         for n, (dW, V, p) in enumerate(seq):
             t_n, h_n = grid.step(n)
             cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, V)
-            y = evaluate_dense(cache, scheme,
-                               theta_eval if n == N - 1 else 1.0)
+            y = evaluate_dense(cache, scheme.dense_weights(
+                theta_eval if n == N - 1 else 1.0))
             prob *= p
         total += prob * float(f(y))
     return total
@@ -362,6 +362,12 @@ class TestErrorTable:
         ode = ode_problem(1.0, 1.0, 1.0)
         with pytest.raises(KeyError):
             error_table(builtin_scheme("EULER_OPT"), ode, FX2, 1.0, [0.5],
+                        100, 0)
+
+    @pytest.mark.parametrize("h_list", ([], np.array([])))
+    def test_no_step_sizes(self, h_list):
+        with pytest.raises(ValueError, match="at least one step size"):
+            error_table(builtin_scheme("EULER_OPT"), LIN, FX, 2.0, h_list,
                         100, 0)
 
 

@@ -19,6 +19,18 @@ from csrk.tableau import (
 
 ALL_SCHEMES = list(scheme_names())
 
+# the stage nodes (c^(0), c^(1), c^(2)) of each builtin scheme
+_OPT_NODES = ((0.0, 2.0 / 3.0, 2.0 / 3.0), (0.0, 0.0, 0.0))
+STAGE_NODES = {
+    "EULER_LINEAR": ((0.0,), (0.0,), (0.0,)),
+    "EULER_OPT": ((0.0,), (0.0,), (0.0,)),
+    "CRDI1WM": ((0.0, 2.0 / 3.0), (0.0, 0.0), (0.0, 0.0)),
+    "CRDI2WM": ((0.0, 1.0, 0.0),) + _OPT_NODES,
+    "CRDI3WM": ((0.0, 0.5, 0.75),) + _OPT_NODES,
+    "CRDI4WM": ((0.0, 0.5, 1.0),) + _OPT_NODES,
+    "CRDI5WM": ((0.0, 0.5, 1.0),) + _OPT_NODES,
+}
+
 
 class TestWeightPolynomial:
     def test_crdi1_alpha1_at_one(self):
@@ -98,7 +110,6 @@ class TestBuiltinRegistry:
         t = builtin_scheme("CRDI1WM")
         assert t.A0[1, 0] == pytest.approx(2.0 / 3.0)
         assert t.B0[1, 0] == pytest.approx(2.0 / 3.0)
-        assert t.c0[1] == pytest.approx(2.0 / 3.0)
         assert t.beta1[1].is_zero
 
     def test_crdi5_alpha_is_cubic(self):
@@ -118,9 +129,10 @@ class TestBuiltinRegistry:
 
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_row_sum_consistency(self, name):
-        t = builtin_scheme(name)
-        for c, A in ((t.c0, t.A0), (t.c1, t.A1), (t.c2, t.A2)):
-            assert np.abs(c - A.sum(axis=1)).max() <= 1e-14
+        # stage_plan's nodes c^(q) = A^(q) e, bit for bit
+        got = tuple(c for c, _ in builtin_scheme(name).stage_plan)
+        assert all(type(v) is float for c in got for v in c)
+        assert np.array(got).tobytes() == np.array(STAGE_NODES[name]).tobytes()
 
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_order_pair(self, name):
@@ -138,7 +150,6 @@ class TestValidation:
     def _base(self, **kw):
         args = dict(
             stages=2,
-            c0=[0.0, 0.5], c1=[0.0, 0.0], c2=[0.0, 0.0],
             A0=[[0.0, 0.0], [0.5, 0.0]],
             A1=np.zeros((2, 2)), A2=np.zeros((2, 2)),
             B0=np.zeros((2, 2)), B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
@@ -157,15 +168,11 @@ class TestValidation:
 
     def test_upper_triangle_rejected(self):
         with pytest.raises(TableauError, match=r"A0\[1,2\]"):
-            self._base(A0=[[0.0, 0.3], [0.5, 0.0]], c0=[0.3, 0.5])
+            self._base(A0=[[0.0, 0.3], [0.5, 0.0]])
 
     def test_diagonal_rejected(self):
         with pytest.raises(TableauError, match="triangularity"):
             self._base(B1=[[0.1, 0.0], [0.0, 0.0]])
-
-    def test_row_sum_mismatch(self):
-        with pytest.raises(TableauError, match="row sums"):
-            self._base(c0=[0.0, 0.4])
 
     def test_meta_order_violation(self):
         with pytest.raises(TableauError):
@@ -228,7 +235,7 @@ class TestSerialization:
     def test_round_trip_exact(self, name):
         t = builtin_scheme(name)
         u = parse_tableau(tableau_to_json(t))
-        for attr in ("A0", "A1", "A2", "B0", "B1", "B2", "c0", "c1", "c2"):
+        for attr in ("A0", "A1", "A2", "B0", "B1", "B2"):
             assert np.array_equal(getattr(t, attr), getattr(u, attr))
         for attr in ("alpha", "beta1", "beta2", "beta3", "beta4"):
             assert getattr(t, attr) == getattr(u, attr)
