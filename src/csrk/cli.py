@@ -1,21 +1,23 @@
 """Command-line front end.
 
 Subcommands: schemes, check, simulate, error-table, converge, dense,
-local-order, exact-order.  Every output carries the full run configuration
-in its header for provenance; numeric fields use round-trip (17 significant
-digit) formatting.  Emits CSV (default) or JSON; plot-ready data only, no
-image rendering.
+local-order, exact-order.  Every output header records, for provenance,
+each option that shapes its numbers (``_RECORDED``, with the problem's own
+options as ``problem_params``); ``--threads`` and ``--outcome-cap`` are left
+out because they change no number.  Each command that takes a scheme takes
+exactly one of ``--scheme`` and ``--scheme-file``; ``simulate`` measures no
+functional, so it takes no ``--f`` or ``--reference``.  Numeric fields use
+round-trip (17 significant digit) formatting.  Emits CSV (default) or JSON;
+plot-ready data only, no image rendering.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 from . import __version__
 from .conditions import check_conditions, default_theta_grid
@@ -37,40 +39,29 @@ from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names
 
 _ENV_THREADS = "CSRK_THREADS"
 
-# the options that parameterise each problem, in its factory's keyword order
-_PROBLEM_PARAMS = {
-    "linear": ("a", "b", "x0", "T"),
-    "system2d": (),
-    "ode": ("lam", "x0", "T"),
-}
+# the options an output header records, in header order, where its command
+# takes them; a problem's own options are recorded as problem_params.
+# --threads and --outcome-cap are left out: results are bit-identical for
+# any thread count, and the cap only decides whether an enumeration runs
+_RECORDED = (
+    "command", "scheme", "scheme_file", "problem", "problem_params", "f",
+    "h", "h_list", "n_list", "t_eval", "theta_list", "theta_eval",
+    "m_samples", "seed", "confidence", "chunk_size", "allow_shortened",
+    "dense_per_step", "reference", "grid_points", "tol", "output_format",
+    "output",
+)
 
 
-@dataclass
-class RunConfig:
-    """Fully serializable run description; echoed into every output header."""
-
-    command: str
-    scheme: str | None = None
-    scheme_file: str | None = None
-    problem: str | None = None
-    problem_params: dict = field(default_factory=dict)
-    f: str | None = None
-    h: float | None = None
-    h_list: list[float] | None = None
-    n_list: list[int] | None = None
-    t_eval: float | None = None
-    theta_list: list[float] | None = None
-    m_samples: int | None = None
-    seed: int | None = None
-    confidence: float | None = None
-    reference: str | None = None
-    grid_points: int | None = None
-    tol: float | None = None
-    output_format: str = "csv"
-    output: str | None = None
-
-    def to_dict(self):
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+def _problems():
+    """Problem name -> (factory, its options in keyword order)."""
+    # built on each call, so the factories are the module globals at call
+    # time and a caller that replaces them (for instance to trace drift
+    # calls) is honoured
+    return {
+        "linear": (linear_problem, ("a", "b", "x0", "T")),
+        "system2d": (system2d_problem, ()),
+        "ode": (ode_problem, ("lam", "x0", "T")),
+    }
 
 
 def _fmt(v) -> str:
@@ -79,69 +70,44 @@ def _fmt(v) -> str:
     return str(v)
 
 
-class Emitter:
-    def __init__(self, config: RunConfig, extra_header=()):
-        self.config = config
-        self.extra = list(extra_header)
-        self.columns = None
-        self.rows = []
-        self.footer = {}
-
-    def set_columns(self, *columns):
-        self.columns = list(columns)
-
-    def add_row(self, *values):
-        self.rows.append(list(values))
-
-    def add_footer(self, key, value):
-        self.footer[key] = value
-
-    def emit(self):
-        cfg = self.config
-        if cfg.output_format == "json":
-            doc = {
-                "version": __version__,
-                "config": cfg.to_dict(),
-                **dict(self.extra),
-                "columns": self.columns,
-                "rows": self.rows,
-            }
-            doc.update(self.footer)
-            text = json.dumps(doc, indent=2, default=_fmt) + "\n"
-        else:
-            lines = [f"# csrk {__version__}"]
-            lines.append("# config = " + json.dumps(cfg.to_dict(), default=_fmt))
-            for key, value in self.extra:
-                lines.append(f"# {key} = {value}")
-            lines.append(",".join(self.columns))
-            for row in self.rows:
-                lines.append(",".join(_fmt(v) for v in row))
-            for key, value in self.footer.items():
-                lines.append(f"# {key} = {_fmt(value)}")
-            text = "\n".join(lines) + "\n"
-        if cfg.output:
-            with open(cfg.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+def _emit(args, columns, rows, header=(), footer=()):
+    """Write one table, headed by the recorded options, as CSV or JSON."""
+    given = vars(args)
+    if "problem" in given:
+        given = {**given, "problem_params": _problem_params(args)}
+    config = {k: given[k] for k in _RECORDED if given.get(k) is not None}
+    if args.output_format == "json":
+        doc = {"version": __version__, "config": config, **dict(header),
+               "columns": columns, "rows": rows, **dict(footer)}
+        text = json.dumps(doc, indent=2, default=_fmt) + "\n"
+    else:
+        lines = [f"# csrk {__version__}",
+                 "# config = " + json.dumps(config, default=_fmt)]
+        lines += [f"# {key} = {value}" for key, value in header]
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [f"# {key} = {_fmt(value)}" for key, value in footer]
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_scheme(args):
-    if getattr(args, "scheme_file", None):
-        with open(args.scheme_file) as fh:
-            return parse_tableau(fh.read())
-    return builtin_scheme(args.scheme)
+    if args.scheme_file is None:
+        return builtin_scheme(args.scheme)
+    with open(args.scheme_file) as fh:
+        return parse_tableau(fh.read())
 
 
 def _problem_params(args):
-    return {k: getattr(args, k) for k in _PROBLEM_PARAMS[args.problem]}
+    return {k: getattr(args, k) for k in _problems()[args.problem][1]}
 
 
 def _build_problem(args):
-    # the factories are module globals looked up at call time, so a caller
-    # that replaces them (for instance to trace drift calls) is honoured
-    factory = {"linear": linear_problem, "system2d": system2d_problem,
-               "ode": ode_problem}[args.problem]
+    factory, _ = _problems()[args.problem]
     return factory(**_problem_params(args))
 
 
@@ -178,20 +144,25 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
-def _add_scheme_args(p, file_ok=True):
-    p.add_argument("--scheme", default=None, help="builtin scheme name")
-    if file_ok:
-        p.add_argument("--scheme-file", default=None,
-                       help="JSON scheme-definition document")
+def _add_scheme_args(p):
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--scheme", help="builtin scheme name")
+    g.add_argument("--scheme-file", help="JSON scheme-definition document")
 
 
 def _add_problem_args(p):
-    p.add_argument("--problem", required=True, choices=list(_PROBLEM_PARAMS))
+    _add_scheme_args(p)
+    p.add_argument("--problem", required=True, choices=list(_problems()))
     p.add_argument("--a", type=float, default=1.5)
     p.add_argument("--b", type=float, default=0.1)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--x0", type=float, default=0.1)
     p.add_argument("--T", type=float, default=2.0)
+
+
+def _add_estimate_args(p):
+    """A problem command that measures a functional against a reference."""
+    _add_problem_args(p)
     p.add_argument("--f", default="x", help="functional: x or x2")
     p.add_argument("--reference", default=None,
                    choices=["paper_stated", "derived"],
@@ -210,8 +181,6 @@ def _add_mc_args(p):
                    help="worker threads (does not affect results)")
     p.add_argument("--chunk-size", type=_positive_int,
                    default=DEFAULT_CHUNK_SIZE)
-    p.add_argument("--allow-shortened", action="store_true",
-                   help="accept step sizes that do not divide the horizon")
 
 
 def _add_output_args(p):
@@ -250,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("simulate", help="simulate one path with dense output")
-    _add_scheme_args(p)
     _add_problem_args(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -261,16 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("error-table", "converge"):
         p = sub.add_parser(name, help="MC error rows" +
                            (" plus order fit" if name == "converge" else ""))
-        _add_scheme_args(p)
-        _add_problem_args(p)
+        _add_estimate_args(p)
         p.add_argument("--t-eval", type=float, required=True)
         p.add_argument("--h-list", type=_floats, required=True)
+        p.add_argument("--allow-shortened", action="store_true",
+                       help="accept step sizes that do not divide the horizon")
         _add_mc_args(p)
         _add_output_args(p)
 
     p = sub.add_parser("dense", help="dense-output error profile")
-    _add_scheme_args(p)
-    _add_problem_args(p)
+    _add_estimate_args(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--theta-list", type=_floats,
                    default=[round(0.1 * i, 1) for i in range(1, 10)])
@@ -278,15 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("local-order", help="one-step exact weak errors")
-    _add_scheme_args(p)
-    _add_problem_args(p)
+    _add_estimate_args(p)
     p.add_argument("--h-list", type=_floats, required=True)
     p.add_argument("--outcome-cap", type=int, default=10**7)
     _add_output_args(p)
 
     p = sub.add_parser("exact-order", help="full-grid exact weak errors")
-    _add_scheme_args(p)
-    _add_problem_args(p)
+    _add_estimate_args(p)
     p.add_argument("--N-list", dest="n_list", type=_ints, required=True)
     p.add_argument("--theta-eval", type=float, default=1.0)
     p.add_argument("--outcome-cap", type=int, default=10**7)
@@ -295,21 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from(args) -> RunConfig:
-    cfg = {f.name: getattr(args, f.name)
-           for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
-    if hasattr(args, "problem"):
-        cfg["problem_params"] = _problem_params(args)
-    return RunConfig(**cfg)
-
-
 def _cmd_schemes(args):
-    em = Emitter(_config_from(args))
-    em.set_columns("name", "stages", "p_deterministic", "p_stochastic")
+    rows = []
     for name in scheme_names():
         t = builtin_scheme(name)
-        em.add_row(name, t.stages, t.meta.p_deterministic, t.meta.p_stochastic)
-    em.emit()
+        rows.append((name, t.stages, t.meta.p_deterministic,
+                     t.meta.p_stochastic))
+    _emit(args, ("name", "stages", "p_deterministic", "p_stochastic"), rows)
     return 0
 
 
@@ -317,13 +275,11 @@ def _cmd_check(args):
     scheme = _load_scheme(args)
     grid = default_theta_grid(args.grid_points)
     report = check_conditions(scheme, grid, args.tol)
-    em = Emitter(_config_from(args), [("scheme", scheme.meta.name)])
-    em.set_columns("family", "index", "residual", "worst_theta", "pass")
-    for r in report.records:
-        em.add_row(r.cid.family, r.cid.index, r.residual, r.worst_theta,
-                   "pass" if r.passed else "FAIL")
-    em.add_footer("overall", "pass" if report.passed else "FAIL")
-    em.emit()
+    rows = [(r.cid.family, r.cid.index, r.residual, r.worst_theta,
+             "pass" if r.passed else "FAIL") for r in report.records]
+    _emit(args, ("family", "index", "residual", "worst_theta", "pass"), rows,
+          header=[("scheme", scheme.meta.name)],
+          footer=[("overall", "pass" if report.passed else "FAIL")])
     return 0 if report.passed else 1
 
 
@@ -332,18 +288,17 @@ def _cmd_simulate(args):
     problem = _build_problem(args)
     grid = exact_grid(problem, args.h)
     path = simulate_path(scheme, problem, grid, PathStream(args.seed, 0))
-    em = Emitter(_config_from(args))
-    em.set_columns("t", "theta",
-                   *[f"y{i + 1}" for i in range(problem.dim_state)])
     sub = args.dense_per_step
+    rows = []
     for n in range(grid.n_steps):
         t_n, h_n = grid.step(n)
-        em.add_row(t_n, 0.0, *path.nodes[n])
+        rows.append((t_n, 0.0, *path.nodes[n]))
         for j in range(1, sub + 1):
             th = j / (sub + 1)
-            em.add_row(t_n + th * h_n, th, *path.value(t_n + th * h_n))
-    em.add_row(grid.T, 1.0, *path.nodes[-1])
-    em.emit()
+            rows.append((t_n + th * h_n, th, *path.value(t_n + th * h_n)))
+    rows.append((grid.T, 1.0, *path.nodes[-1]))
+    _emit(args, ("t", "theta",
+                 *[f"y{i + 1}" for i in range(problem.dim_state)]), rows)
     return 0
 
 
@@ -355,32 +310,28 @@ def _error_rows(args, with_order):
         allow_shortened=args.allow_shortened, chunk_size=args.chunk_size,
         threads=args.threads,
     )
-    em = Emitter(_config_from(args),
-                 [("reference_provenance", ref.provenance)])
-    em.set_columns("h", "mu", "sigma2_mu", "ci_low", "ci_high")
-    for r in records:
-        em.add_row(r.h, r.mean_error, r.variance_of_mean, r.ci_low, r.ci_high)
+    rows = [(r.h, r.mean_error, r.variance_of_mean, r.ci_low, r.ci_high)
+            for r in records]
+    footer = ()
     if with_order:
         est = empirical_order(records)
-        em.add_footer("slope", est.slope)
-        em.add_footer("intercept", est.intercept)
-    em.emit()
+        footer = [("slope", est.slope), ("intercept", est.intercept)]
+    _emit(args, ("h", "mu", "sigma2_mu", "ci_low", "ci_high"), rows,
+          header=[("reference_provenance", ref.provenance)], footer=footer)
     return 0
 
 
 def _cmd_dense(args):
     scheme, problem, f, ref = _setup(args)
-    rows = dense_error_profile(
+    profile = dense_error_profile(
         scheme, problem, f, args.h, args.theta_list, args.m_samples,
         args.seed, confidence=args.confidence, provenance=ref.provenance,
         chunk_size=args.chunk_size, threads=args.threads,
     )
-    em = Emitter(_config_from(args),
-                 [("reference_provenance", ref.provenance)])
-    em.set_columns("t", "theta", "mu", "sigma2_mu", "ci_low", "ci_high")
-    for t, th, r in rows:
-        em.add_row(t, th, r.mean_error, r.variance_of_mean, r.ci_low, r.ci_high)
-    em.emit()
+    rows = [(t, th, r.mean_error, r.variance_of_mean, r.ci_low, r.ci_high)
+            for t, th, r in profile]
+    _emit(args, ("t", "theta", "mu", "sigma2_mu", "ci_low", "ci_high"), rows,
+          header=[("reference_provenance", ref.provenance)])
     return 0
 
 
@@ -398,10 +349,7 @@ def _cmd_exact(args):
         lead = ("N", "h")
         runs = [(TimeGrid.uniform(t0, T, n), (n, (T - t0) / n))
                 for n in args.n_list]
-    em = Emitter(_config_from(args),
-                 [("reference_provenance", ref.provenance)])
-    em.set_columns(*lead, "error")
-    pairs = []
+    rows, pairs = [], []
     for grid, cols in runs:
         val = exact_weak_expectation(scheme, problem, grid, f,
                                      theta_eval=theta,
@@ -409,9 +357,10 @@ def _cmd_exact(args):
         t_last, h_last = grid.step(grid.n_steps - 1)
         err = val - ref.value(t_last + theta * h_last)
         pairs.append((cols[-1], err))
-        em.add_row(*cols, err)
-    em.add_footer("slope", empirical_order(pairs).slope)
-    em.emit()
+        rows.append((*cols, err))
+    _emit(args, (*lead, "error"), rows,
+          header=[("reference_provenance", ref.provenance)],
+          footer=[("slope", empirical_order(pairs).slope)])
     return 0
 
 
@@ -428,12 +377,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if hasattr(args, "scheme") and args.scheme is None and \
-            getattr(args, "scheme_file", None) is None and \
-            args.command != "schemes":
-        ap.error("one of --scheme or --scheme-file is required")
+    args = build_parser().parse_args(argv)
     try:
         # a numerical failure is reported by the one-line error below, so
         # NumPy's overflow warnings on the way to it would only repeat it
@@ -442,7 +386,9 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args)
     except (TableauError, CapacityError, BlowupError, KeyError, ValueError,
             OSError) as exc:
-        print(f"csrk: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"csrk: error: {message}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         print(f"csrk: error: a value overflows a float ({exc}); "

@@ -21,7 +21,6 @@ __all__ = [
     "linear_problem",
     "system2d_problem",
     "ode_problem",
-    "problem_registry",
     "functional_from_name",
 ]
 
@@ -93,8 +92,11 @@ class SdeProblem:
         x0 = np.array(self.x0, dtype=float).reshape(self.dim_state)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
+        for name, value in (("t0", self.t0), ("T", self.T), ("x0", x0)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.t0 < self.T:
-            raise ValueError("need t0 < T")
+            raise ValueError(f"need t0 < T, got t0 = {self.t0}, T = {self.T}")
 
     def reference_for(self, functional: Functional, provenance: str | None = None):
         """Select a reference; prefers derived_closed_form when ambiguous."""
@@ -115,8 +117,6 @@ class SdeProblem:
 
 def linear_problem(a: float, b: float, x0: float, T: float) -> SdeProblem:
     """Scalar geometric Brownian motion dX = aX dt + bX dW on [0, T]."""
-    if T <= 0:
-        raise ValueError("need T > 0")
     refs = (
         ReferenceSolution(
             Functional("identity", 0),
@@ -187,8 +187,6 @@ def system2d_problem() -> SdeProblem:
 
 def ode_problem(lam: float, x0: float, T: float) -> SdeProblem:
     """Deterministic reduction: dX = lam X dt, zero diffusion."""
-    if T <= 0:
-        raise ValueError("need T > 0")
     refs = (
         ReferenceSolution(
             Functional("identity", 0),
@@ -207,11 +205,3 @@ def ode_problem(lam: float, x0: float, T: float) -> SdeProblem:
         label="ode",
         references=refs,
     )
-
-
-def problem_registry() -> dict[str, callable]:
-    return {
-        "linear": linear_problem,
-        "system2d": system2d_problem,
-        "ode": ode_problem,
-    }

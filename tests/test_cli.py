@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import warnings
@@ -68,6 +69,15 @@ class TestCheck:
         with pytest.raises(SystemExit) as ei:
             main(["check"])
         assert ei.value.code == 2
+
+    def test_scheme_and_file_exclusive(self, capsys, tmp_path):
+        f = tmp_path / "crdi3.json"
+        f.write_text(tableau_to_json(builtin_scheme("CRDI3WM")))
+        code, err = usage_error(capsys, "check", "--scheme", "CRDI2WM",
+                                "--scheme-file", str(f))
+        assert code == 2
+        assert err == ["csrk: error: argument --scheme-file: not allowed "
+                       "with argument --scheme"]
 
     def test_unknown_scheme(self, capsys):
         code, _, err = run(capsys, "check", "--scheme", "RK4")
@@ -244,6 +254,11 @@ class TestUsageErrors:
          "--threads", "2"),
         ("exact-order", "--scheme", "CRDI3WM", "--problem", "linear",
          "--f", "x2", "--N-list", "2,4", "--x0", "1e200"),
+        ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--h", "0.5", "--T", "inf"),
+        ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--h", "0.5", "--x0", "nan"),
+        ("check", "--scheme", "CRDI3WM", "--scheme-file", "f.json"),
     ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
             "N-list-0", "no-scheme", "dense-h-0", "h-list-0",
             "h-list-negative-shortened", "simulate-h-nan",
@@ -251,7 +266,7 @@ class TestUsageErrors:
             "local-h-negative", "dense-per-step-negative",
             "theta-list-duplicate", "tol-nan", "tol-inf", "h-list-empty",
             "overflow-drift", "overflow-diffusion-threads",
-            "overflow-functional"])
+            "overflow-functional", "T-inf", "x0-nan", "scheme-and-file"])
     def test_one_line_exit_2(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -259,6 +274,17 @@ class TestUsageErrors:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("csrk: error: "), err
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("check", "--scheme", "NOPE"),
+         "unknown scheme 'NOPE'; available: EULER_LINEAR, EULER_OPT, "
+         "CRDI1WM, CRDI2WM, CRDI3WM, CRDI4WM, CRDI5WM"),
+        (MC + ("--f", "nope"), "unknown functional 'nope'; available: x, x2"),
+    ], ids=["scheme", "functional"])
+    def test_unknown_name_unquoted(self, capsys, argv, message):
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == [f"csrk: error: {message}"]
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
@@ -305,6 +331,65 @@ class TestUsageErrors:
         monkeypatch.setenv("CSRK_THREADS", "2")
         _, two, _ = run(capsys, *self.MC)
         assert body_lines(one) == body_lines(two)
+
+
+class TestHeader:
+    @pytest.mark.parametrize("argv,config", [
+        (("schemes",), {"command": "schemes", "output_format": "csv"}),
+        (("check", "--scheme", "CRDI3WM"),
+         {"command": "check", "scheme": "CRDI3WM", "grid_points": 21,
+          "tol": 1e-12, "output_format": "csv"}),
+        (("simulate", "--scheme", "CRDI2WM", "--problem", "ode", "--h", "0.5",
+          "--dense-per-step", "3"),
+         {"command": "simulate", "scheme": "CRDI2WM", "problem": "ode",
+          "problem_params": {"lam": 1.0, "x0": 0.1, "T": 2.0}, "h": 0.5,
+          "seed": 0, "dense_per_step": 3, "output_format": "csv"}),
+        (("converge", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--t-eval", "2.0", "--h-list", "0.5,0.3", "--M", "100",
+          "--chunk-size", "70", "--allow-shortened", "--threads", "2"),
+         {"command": "converge", "scheme": "CRDI2WM", "problem": "linear",
+          "problem_params": {"a": 1.5, "b": 0.1, "x0": 0.1, "T": 2.0},
+          "f": "x", "h_list": [0.5, 0.3], "t_eval": 2.0, "m_samples": 100,
+          "seed": 0, "confidence": 0.9, "chunk_size": 70,
+          "allow_shortened": True, "output_format": "csv"}),
+        (("dense", "--scheme", "CRDI3WM", "--problem", "system2d", "--f",
+          "x2", "--reference", "derived", "--h", "2.0", "--theta-list", "0.5",
+          "--M", "100"),
+         {"command": "dense", "scheme": "CRDI3WM", "problem": "system2d",
+          "problem_params": {}, "f": "x2", "h": 2.0, "theta_list": [0.5],
+          "m_samples": 100, "seed": 0, "confidence": 0.9,
+          "chunk_size": 4096, "reference": "derived",
+          "output_format": "csv"}),
+        (("exact-order", "--scheme", "CRDI2WM", "--problem", "linear", "--f",
+          "x2", "--N-list", "2,4", "--theta-eval", "0.5", "--outcome-cap",
+          "1000"),
+         {"command": "exact-order", "scheme": "CRDI2WM", "problem": "linear",
+          "problem_params": {"a": 1.5, "b": 0.1, "x0": 0.1, "T": 2.0},
+          "f": "x2", "n_list": [2, 4], "theta_eval": 0.5,
+          "output_format": "csv"}),
+    ], ids=["schemes", "check", "simulate", "converge", "dense",
+            "exact-order"])
+    def test_config_line(self, capsys, argv, config):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        # the key order is part of the line
+        assert out.splitlines()[1] == "# config = " + json.dumps(config)
+
+    # the options cli._RECORDED leaves out, for the reason given there
+    UNRECORDED = {"threads", "outcome_cap"}
+
+    def test_every_option_recorded(self):
+        """An option a command takes is in its header, or changes nothing."""
+        problem_params = {name for _, params in csrk.cli._problems().values()
+                          for name in params}
+        [commands] = [a for a in csrk.cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        for name, parser in commands.choices.items():
+            dests = {a.dest for a in parser._actions
+                     if not isinstance(a, argparse._HelpAction)}
+            stray = (dests - set(csrk.cli._RECORDED) - problem_params
+                     - self.UNRECORDED)
+            assert not stray, f"{name}: {sorted(stray)} not in the header"
 
 
 class TestTracingHooks:

@@ -6,10 +6,10 @@ from scipy.integrate import solve_ivp
 
 from csrk.sde import (
     Functional,
+    SdeProblem,
     functional_from_name,
     linear_problem,
     ode_problem,
-    problem_registry,
     system2d_problem,
 )
 
@@ -87,6 +87,19 @@ class TestLinearProblem:
         with pytest.raises(ValueError):
             linear_problem(1.0, 1.0, 1.0, -2.0)
 
+    def test_non_finite_horizon(self):
+        with pytest.raises(ValueError, match="^T must be finite, got inf$"):
+            linear_problem(1.0, 1.0, 1.0, math.inf)
+
+
+class TestSdeProblem:
+    def test_non_finite_start_state(self):
+        with pytest.raises(ValueError,
+                           match=r"^x0 must be finite, got \[nan\]$"):
+            SdeProblem(dim_state=1, dim_noise=1, drift=lambda t, x: x,
+                       diffusion=lambda t, x: x[..., None], x0=[math.nan],
+                       t0=0.0, T=1.0, label="nan-start")
+
 
 class TestSystem2d:
     def test_diffusion_at_ones(self):
@@ -160,10 +173,6 @@ class TestOdeProblem:
 
 
 class TestRegistry:
-    def test_names(self):
-        reg = problem_registry()
-        assert set(reg) == {"linear", "system2d", "ode"}
-
     def test_missing_reference_error(self):
         p = ode_problem(1.0, 1.0, 1.0)
         with pytest.raises(KeyError, match="no reference"):
