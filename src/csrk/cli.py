@@ -26,6 +26,7 @@ from .integrator import BlowupError, TimeGrid
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
 from .stats import (
     DEFAULT_CHUNK_SIZE,
+    check_outcome_count,
     check_step,
     dense_error_profile,
     empirical_order,
@@ -196,7 +197,15 @@ def _provenance(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``csrk: error:`` line, exit status 2."""
+    """Reports a usage error as one ``csrk: error:`` line, exit status 2.
+
+    Options must be spelled out: with prefix matching, an option a command
+    lacks could bind to a longer one (``simulate --f`` to ``--format``).
+    Subparsers are made by this class, so this holds for every command.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"csrk: error: {message}\n")
@@ -347,6 +356,9 @@ def _cmd_exact(args):
         runs = [(TimeGrid.uniform(t0, t0 + h, 1), (h,)) for h in args.h_list]
     else:
         lead = ("N", "h")
+        # the whole list is checked before any grid is built or enumerated
+        for n in args.n_list:
+            check_outcome_count(problem.dim_noise, n, args.outcome_cap)
         runs = [(TimeGrid.uniform(t0, T, n), (n, (T - t0) / n))
                 for n in args.n_list]
     rows, pairs = [], []

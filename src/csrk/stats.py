@@ -12,8 +12,14 @@ only in the states they step and where the increments come from:
   M, chunk size);
 * the enumeration oracle expands the joint outcome tree level by level, one
   row of the ``enumerate_outcomes`` table at a time, in slices of at most
-  ``_ENUM_SLICE`` states.  It is exact up to floating-point arithmetic: the
-  noise-free reference the MC machinery is validated against.
+  ``_ENUM_SLICE`` states.  Each step writes the next level into one array
+  in outcome-major order (row ``o*R + i`` is outcome ``o`` applied to row
+  ``i``).  Probabilities stay one level behind: the oracle keeps those of
+  the level before and the step's outcome probabilities ``ps``, and forms
+  ``ps[o] * probs[i]`` for the whole level at the start of the next step,
+  or slice by slice in the final step.  It is exact up to floating-point
+  arithmetic: the noise-free reference the MC machinery is validated
+  against.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ __all__ = [
     "grid_for_step",
     "exact_grid",
     "check_step",
+    "check_outcome_count",
     "DEFAULT_CHUNK_SIZE",
 ]
 
@@ -117,7 +124,10 @@ def check_step(h: float) -> None:
 def _dividing_grid(problem: SdeProblem, h: float) -> TimeGrid | None:
     """Uniform grid with step h, or None if h does not divide the horizon."""
     check_step(h)
-    n_exact = (problem.T - problem.t0) / h
+    span = problem.T - problem.t0
+    n_exact = span / h
+    if not math.isfinite(n_exact):
+        raise ValueError(f"step {h} is too small for the horizon {span}")
     n = round(n_exact)
     if n >= 1 and abs(n_exact - n) <= 1e-9 * max(1.0, n):
         return TimeGrid.uniform(problem.t0, problem.T, n)
@@ -346,6 +356,21 @@ def mc_expectation(
 # exact enumeration
 # ---------------------------------------------------------------------------
 
+def check_outcome_count(m: int, n_steps: int, outcome_cap: int) -> None:
+    """Refuse an enumeration of n_steps steps whose outcome tree has more
+    than outcome_cap leaves."""
+    k, count = outcome_count(m), 1
+    # multiplied up to the cap only, so a huge n_steps costs nothing
+    for _ in range(n_steps):
+        count *= k
+        if count > outcome_cap:
+            raise CapacityError(
+                f"{k}^{n_steps} outcome sequences exceed the cap "
+                f"{outcome_cap} (outcome_cap, --outcome-cap on the command "
+                "line); use mc_expectation instead"
+            )
+
+
 def exact_weak_expectation(
     scheme: CsrkTableau,
     problem: SdeProblem,
@@ -362,36 +387,46 @@ def exact_weak_expectation(
     if not 0.0 <= theta_eval <= 1.0:
         raise ValueError("theta_eval must lie in [0, 1]")
     m, N = problem.dim_noise, grid.n_steps
-    k = outcome_count(m)
-    if k**N > outcome_cap:
-        raise CapacityError(
-            f"{k}^{N} outcome sequences exceed the cap {outcome_cap}; "
-            "use mc_expectation instead"
-        )
+    check_outcome_count(m, N, outcome_cap)
     states = problem.x0[None, :].copy()
-    probs = np.array([1.0])
+    # row o*R + i of states has probability ps[o] * probs[i]: probs are kept
+    # one level behind the states, so the largest level stores none
+    ps = probs = np.ones(1)
     step_weights = scheme.dense_weights(1.0)
     for n in range(N):
         outs = enumerate_outcomes(m, grid.step(n)[1])
         final = n == N - 1
         weights = scheme.dense_weights(theta_eval) if final else step_weights
-        new_states, new_probs, total = [], [], 0.0
-        for dW, V, p in zip(*outs):
-            for lo in range(0, states.shape[0], _ENUM_SLICE):
-                sl = slice(lo, lo + _ENUM_SLICE)
+        rows, total = states.shape[0], 0.0
+        if not final:
+            probs, ps = _row_probs(ps, probs, 0, rows), outs[2]
+            new_states = np.empty((ps.size * rows, states.shape[1]))
+        for o, (dW, V, p) in enumerate(zip(*outs)):
+            for lo in range(0, rows, _ENUM_SLICE):
+                hi = min(lo + _ENUM_SLICE, rows)
                 # keep no cache alive into the next slice's step
-                y = _advance(scheme, problem, grid, n, states[sl], dW, V,
+                y = _advance(scheme, problem, grid, n, states[lo:hi], dW, V,
                              weights)[1]
                 if final:
-                    total += p * float(probs[sl] @ f(y))
+                    total += p * float(_row_probs(ps, probs, lo, hi) @ f(y))
                 else:
-                    new_states.append(y)
-                    new_probs.append(p * probs[sl])
+                    new_states[o * rows + lo:o * rows + hi] = y
         if final:
             return float(total)
-        states = np.concatenate(new_states)
-        probs = np.concatenate(new_probs)
+        states = new_states
     raise AssertionError("unreachable")
+
+
+def _row_probs(ps, probs, lo, hi):
+    """Probabilities of rows [lo, hi) of a level whose row o*R + i has
+    probability ps[o] * probs[i], where R = probs.size."""
+    R = probs.size
+    out = np.empty(hi - lo)
+    # [lo, hi) may span several outcome blocks
+    for o in range(lo // R, (hi - 1) // R + 1):
+        a, b = max(lo, o * R), min(hi, (o + 1) * R)
+        np.multiply(ps[o], probs[a - o * R:b - o * R], out=out[a - lo:b - lo])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,11 @@ class TestUsageErrors:
         ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
          "--h", "0.5", "--x0", "nan"),
         ("check", "--scheme", "CRDI3WM", "--scheme-file", "f.json"),
+        # no prefix matching: --f is not --format, --theta not --theta-list
+        ("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
+         "--h", "1", "--f", "json"),
+        ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.5",
+         "--theta", "0.5", "--M", "100"),
     ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
             "N-list-0", "no-scheme", "dense-h-0", "h-list-0",
             "h-list-negative-shortened", "simulate-h-nan",
@@ -266,7 +271,8 @@ class TestUsageErrors:
             "local-h-negative", "dense-per-step-negative",
             "theta-list-duplicate", "tol-nan", "tol-inf", "h-list-empty",
             "overflow-drift", "overflow-diffusion-threads",
-            "overflow-functional", "T-inf", "x0-nan", "scheme-and-file"])
+            "overflow-functional", "T-inf", "x0-nan", "scheme-and-file",
+            "f-is-not-format", "theta-is-not-theta-list"])
     def test_one_line_exit_2(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -298,6 +304,49 @@ class TestUsageErrors:
         assert code == 2
         assert err == ["csrk: error: step 0.3 does not divide the horizon "
                        "2.0"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
+          "--h", "1e-320"), "step 1e-320 is too small for the horizon 2.0"),
+        (("exact-order", "--scheme", "CRDI3WM", "--problem", "linear",
+          "--N-list", "100000000000000000000000"),
+         "3^100000000000000000000000 outcome sequences exceed the cap "
+         "10000000 (outcome_cap, --outcome-cap on the command line); use "
+         "mc_expectation instead"),
+    ], ids=["step-count-overflow", "N-list-huge"])
+    def test_names_the_limit(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == [f"csrk: error: {message}"]
+
+    def test_outcome_cap_checked_before_the_first_enumeration(
+            self, capsys, monkeypatch):
+        steps, grids = [], []
+        step_arrays = csrk.stats.compute_step_arrays
+        uniform = csrk.cli.TimeGrid.uniform
+
+        def step(*args):
+            steps.append(args)
+            return step_arrays(*args)
+
+        def grid(*args):
+            grids.append(args)
+            return uniform(*args)
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays", step)
+        monkeypatch.setattr(csrk.cli.TimeGrid, "uniform", grid)
+        code, err = usage_error(
+            capsys, "exact-order", "--scheme", "CRDI3WM", "--problem",
+            "linear", "--f", "x2", "--N-list", "14,20",
+            "--outcome-cap", "50000000",
+        )
+        assert code == 2
+        assert err == ["csrk: error: 3^20 outcome sequences exceed the cap "
+                       "50000000 (outcome_cap, --outcome-cap on the command "
+                       "line); use mc_expectation instead"]
+        assert steps == [] and grids == []
 
     def test_every_step_checked_before_the_first_estimate(
             self, capsys, monkeypatch):

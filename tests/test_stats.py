@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import csrk.stats
 from csrk.increments import CapacityError, enumerate_outcomes, sample_batch
 from csrk.integrator import (
     BlowupError,
@@ -22,6 +24,8 @@ from csrk.sde import (
 from csrk.streams import PathStream
 from csrk.stats import (
     ErrorRecord,
+    _advance,
+    check_outcome_count,
     dense_error_profile,
     empirical_order,
     error_table,
@@ -71,6 +75,16 @@ class TestGridForStep:
             warnings.simplefilter("error")  # refused before dividing
             with pytest.raises(ValueError, match="positive and finite"):
                 grid_for_step(LIN, h, allow_shortened)
+
+    @pytest.mark.parametrize("h", [1e-320, 5e-324])
+    @pytest.mark.parametrize("allow_shortened", [False, True])
+    def test_step_count_overflow_refused(self, h, allow_shortened):
+        # 2 / h is inf: no step count exists to round
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as ei:
+                grid_for_step(LIN, h, allow_shortened)
+        assert str(ei.value) == f"step {h} is too small for the horizon 2.0"
 
 
 class TestMonteCarlo:
@@ -217,6 +231,34 @@ class TestBlowup:
         assert ei.value.step == 2
 
 
+def listed_expectation(scheme, problem, grid, f, theta_eval=1.0):
+    """The enumeration loop as first written: each level gathered from
+    per-slice lists of states and copied probabilities, then concatenated."""
+    m, N = problem.dim_noise, grid.n_steps
+    states = problem.x0[None, :].copy()
+    probs = np.array([1.0])
+    step_weights = scheme.dense_weights(1.0)
+    for n in range(N):
+        outs = enumerate_outcomes(m, grid.step(n)[1])
+        final = n == N - 1
+        weights = scheme.dense_weights(theta_eval) if final else step_weights
+        new_states, new_probs, total = [], [], 0.0
+        for dW, V, p in zip(*outs):
+            for lo in range(0, states.shape[0], csrk.stats._ENUM_SLICE):
+                sl = slice(lo, lo + csrk.stats._ENUM_SLICE)
+                y = _advance(scheme, problem, grid, n, states[sl], dW, V,
+                             weights)[1]
+                if final:
+                    total += p * float(probs[sl] @ f(y))
+                else:
+                    new_states.append(y)
+                    new_probs.append(p * probs[sl])
+        if final:
+            return float(total)
+        states = np.concatenate(new_states)
+        probs = np.concatenate(new_probs)
+
+
 def per_path_expectation(scheme, problem, grid, f, theta_eval):
     """E f(Y) summed over every outcome sequence, one path at a time."""
     m, N = problem.dim_noise, grid.n_steps
@@ -250,6 +292,41 @@ class TestExactExpectation:
         want = per_path_expectation(t, problem, grid, f, theta)
         assert got == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("slice_rows", (5, 7))
+    @pytest.mark.parametrize("theta", (1.0, 0.3))
+    @pytest.mark.parametrize("name,problem,n_max,f", [
+        ("CRDI3WM", LIN, 6, FX2),
+        ("CRDI2WM", system2d_problem(), 3, Functional("square", 1)),
+    ], ids=["CRDI3WM-linear", "CRDI2WM-system2d"])
+    def test_bit_identical_to_listed_levels(self, monkeypatch, slice_rows,
+                                            theta, name, problem, n_max, f):
+        # slices of 5 or 7 rows span outcome blocks of 3^j or 18^j rows
+        monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", slice_rows)
+        t = builtin_scheme(name)
+        for N in range(1, n_max + 1):
+            grid = TimeGrid.uniform(problem.t0, problem.T, N)
+            got = exact_weak_expectation(t, problem, grid, f, theta_eval=theta)
+            assert got == listed_expectation(t, problem, grid, f, theta), N
+
+    def test_peak_memory_below_listed_levels(self, monkeypatch):
+        monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", 2048)
+        t, grid = builtin_scheme("CRDI3WM"), TimeGrid.uniform(0.0, 2.0, 12)
+
+        def traced(expectation):
+            tracemalloc.start()
+            try:
+                value = expectation(t, LIN, grid, FX2)
+                return value, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        got, peak = traced(exact_weak_expectation)
+        want, listed_peak = traced(listed_expectation)
+        assert got == want
+        # one level of states and the previous level's probabilities, against
+        # two copies of the level and of its probabilities
+        assert peak <= 0.6 * listed_peak, (peak, listed_peak)
+
     def test_one_step_euler_by_hand(self):
         # E[x0 (1 + a h + b dW)] = x0 (1 + a h)
         g = TimeGrid.uniform(0.0, 0.25, 1)
@@ -264,6 +341,21 @@ class TestExactExpectation:
             exact_weak_expectation(
                 builtin_scheme("CRDI2WM"), LIN, g, FX, outcome_cap=1000
             )
+
+    @pytest.mark.parametrize("m,n_steps,cap,refused", [
+        (1, 6, 3**6, False),
+        (1, 6, 3**6 - 1, True),
+        (2, 2, 18**2, False),
+        (2, 3, 18**2, True),
+        (1, 1, 3, False),
+        (1, 10**23, 5 * 10**7, True),
+    ])
+    def test_outcome_count(self, m, n_steps, cap, refused):
+        if refused:
+            with pytest.raises(CapacityError, match="--outcome-cap"):
+                check_outcome_count(m, n_steps, cap)
+        else:
+            check_outcome_count(m, n_steps, cap)
 
     def test_matches_mc_within_5_sigma_over_20_seeds(self):
         g = TimeGrid.uniform(0.0, 2.0, 4)
