@@ -17,7 +17,6 @@ from .increments import (
     enumerate_outcomes,
     moments_exact,
     outcome_count,
-    sample,
     sample_batch,
     uniforms_per_step,
 )
@@ -50,10 +49,9 @@ from .stats import (
     grid_for_step,
     mc_expectation,
     mc_expectations_at,
-    query,
     simulate_path,
 )
-from .streams import PathStream, stream_keys, uniforms
+from .streams import stream_keys, uniforms
 from .tableau import (
     ConditionId,
     CsrkTableau,
@@ -90,7 +88,6 @@ __all__ = [
     "system2d_problem",
     "ode_problem",
     "CapacityError",
-    "sample",
     "sample_batch",
     "enumerate_outcomes",
     "outcome_count",
@@ -103,7 +100,6 @@ __all__ = [
     "compute_step_arrays",
     "evaluate_dense",
     "simulate_path",
-    "query",
     "MonteCarloEstimate",
     "ErrorRecord",
     "OrderEstimate",
@@ -115,7 +111,6 @@ __all__ = [
     "dense_error_profile",
     "grid_for_step",
     "DEFAULT_CHUNK_SIZE",
-    "PathStream",
     "stream_keys",
     "uniforms",
 ]

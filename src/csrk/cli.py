@@ -26,6 +26,7 @@ from .integrator import BlowupError, TimeGrid
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
 from .stats import (
     DEFAULT_CHUNK_SIZE,
+    check_fit_steps,
     check_outcome_count,
     check_step,
     dense_error_profile,
@@ -35,7 +36,6 @@ from .stats import (
     exact_weak_expectation,
     simulate_path,
 )
-from .streams import PathStream
 from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names
 
 _ENV_THREADS = "CSRK_THREADS"
@@ -296,7 +296,7 @@ def _cmd_simulate(args):
     scheme = _load_scheme(args)
     problem = _build_problem(args)
     grid = exact_grid(problem, args.h)
-    path = simulate_path(scheme, problem, grid, PathStream(args.seed, 0))
+    path = simulate_path(scheme, problem, grid, args.seed)
     sub = args.dense_per_step
     rows = []
     for n in range(grid.n_steps):
@@ -313,6 +313,9 @@ def _cmd_simulate(args):
 
 def _error_rows(args, with_order):
     scheme, problem, f, ref = _setup(args)
+    if with_order:
+        # refused before the first estimate, not after the last
+        check_fit_steps(args.h_list)
     records = error_table(
         scheme, problem, f, args.t_eval, args.h_list, args.m_samples,
         args.seed, confidence=args.confidence, provenance=ref.provenance,
@@ -361,6 +364,7 @@ def _cmd_exact(args):
             check_outcome_count(problem.dim_noise, n, args.outcome_cap)
         runs = [(TimeGrid.uniform(t0, T, n), (n, (T - t0) / n))
                 for n in args.n_list]
+    check_fit_steps([cols[-1] for _, cols in runs])
     rows, pairs = [], []
     for grid, cols in runs:
         val = exact_weak_expectation(scheme, problem, grid, f,

@@ -6,13 +6,14 @@ V[k][l] for l < k are independent +-h with probability 1/2 each, with
 V[k][k] = -h and V antisymmetric off the diagonal.  The iterated-integral
 stand-ins derive as I_(k) = dW[k] and I_(k,l) = (dW[k] dW[l] + V[k][l]) / 2.
 
-``_from_uniforms`` is the one statement of this law: sampling maps counter
-uniforms through it, and exact enumeration maps one representative uniform
-per support point through it.  Every function here hands increments over as
-arrays, ``dW (..., m)`` and ``V (..., m, m)``: one step of one path, a batch
-of paths, or the whole outcome table with its probabilities ``p (K,)``.  All
-laws have finite support, so moments and weak expectations can be computed
-exactly by enumeration.
+``_from_uniforms`` is the one statement of this law: ``sample_batch`` maps
+the counter uniforms of a (seed, path, step) address through it, and exact
+enumeration maps one representative uniform per support point through it.
+Every function here hands increments over as arrays, ``dW (..., m)`` and
+``V (..., m, m)``: one step of one path, a batch of paths, or the whole
+outcome table with its probabilities ``p (K,)``.  All laws have finite
+support, so moments and weak expectations can be computed exactly by
+enumeration.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import math
 
 import numpy as np
 
-from .streams import PathStream, uniforms
+from .streams import uniforms
 
 __all__ = [
     "CapacityError",
-    "sample",
     "sample_batch",
     "enumerate_outcomes",
     "outcome_count",
@@ -70,21 +70,16 @@ def _from_uniforms(m: int, h: float, u: np.ndarray):
     return dW, V
 
 
-def sample(m: int, h: float, stream: PathStream):
-    """One step's increments from the given stream: dW (m,), V (m, m)."""
+def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
+    """Step ``step_index``'s increments of one path or an array of paths.
+
+    Draw indices are ``step_index * uniforms_per_step(m) + slot``, so a
+    (seed, path, step) address has the same draws in any batch.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
     if h <= 0:
         raise ValueError("need h > 0")
-    return _from_uniforms(m, h, stream.uniforms(uniforms_per_step(m)))
-
-
-def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
-    """Increments for many paths at once: dW (B, m), V (B, m, m).
-
-    Draw indices are ``step_index * uniforms_per_step(m) + slot``, matching a
-    sequential PathStream that consumes exactly one step per call.
-    """
     n = uniforms_per_step(m)
     u = uniforms(seed, path_indices, step_index * n, n)
     return _from_uniforms(m, h, u)

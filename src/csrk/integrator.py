@@ -47,7 +47,7 @@ class BlowupError(ArithmeticError):
     """A drift/diffusion evaluation returned a non-finite value.
 
     For batched states ``path`` is the batch row of the first non-finite
-    value; Monte Carlo turns it into the global path index.
+    value; the path loop of stats.py turns it into the path index.
     """
 
     def __init__(self, msg, t_n=None, stage=None, family=None, step=None,

@@ -1,15 +1,15 @@
 """Path simulation, Monte Carlo and exact-enumeration weak-error estimation.
 
-One routine, ``_advance``, takes every step, for three callers that differ
-only in the states they step and where the increments come from:
+One routine, ``_advance``, takes every step, for two loops that differ only
+in the states they step and where the increments come from:
 
-* ``simulate_path`` steps one path (state ``(d,)``) on draws from its
-  ``PathStream`` and keeps each step's cache for dense queries;
-* the MC engine steps fixed-size chunks of paths (states ``(B, d)``) on
-  counter-based draws, functions of (seed, path index, step), see
-  streams.py.  Per-chunk mean/M2 statistics are folded in ascending chunk
-  order, so the result is bit-identical for any thread count given (seed,
-  M, chunk size);
+* the path loop, ``_path_steps``, steps paths on counter-based draws,
+  functions of (seed, path index, step), see streams.py.  Monte Carlo runs
+  it on fixed-size chunks of paths (states ``(B, d)``) and folds per-chunk
+  mean/M2 statistics in ascending chunk order, so the result is
+  bit-identical for any thread count given (seed, M, chunk size).
+  ``simulate_path`` runs it on one path (state ``(d,)``), so simulated path
+  p is Monte Carlo path p, and keeps each step's cache for dense queries;
 * the enumeration oracle expands the joint outcome tree level by level, one
   row of the ``enumerate_outcomes`` table at a time, in slices of at most
   ``_ENUM_SLICE`` states.  Each step writes the next level into one array
@@ -37,7 +37,6 @@ from .increments import (
     CapacityError,
     enumerate_outcomes,
     outcome_count,
-    sample,
     sample_batch,
 )
 from .integrator import (
@@ -48,13 +47,12 @@ from .integrator import (
     evaluate_dense,
 )
 from .sde import Functional, SdeProblem
-from .streams import KeyedPaths, PathStream
+from .streams import KeyedPaths
 from .tableau import CsrkTableau
 
 __all__ = [
     "ContinuousPath",
     "simulate_path",
-    "query",
     "MonteCarloEstimate",
     "ErrorRecord",
     "OrderEstimate",
@@ -68,10 +66,13 @@ __all__ = [
     "exact_grid",
     "check_step",
     "check_outcome_count",
+    "check_fit_steps",
     "DEFAULT_CHUNK_SIZE",
 ]
 
 DEFAULT_CHUNK_SIZE = 4096
+# a grid stores every node, and a simulated path every step's cache
+_MAX_STEPS = 10**7
 _ENUM_SLICE = 1 << 20
 
 
@@ -129,6 +130,9 @@ def _dividing_grid(problem: SdeProblem, h: float) -> TimeGrid | None:
     if not math.isfinite(n_exact):
         raise ValueError(f"step {h} is too small for the horizon {span}")
     n = round(n_exact)
+    if n > _MAX_STEPS:
+        raise ValueError(f"step {h} on the horizon {span} asks for "
+                         f"{n_exact:.6g} steps, above the limit {_MAX_STEPS}")
     if n >= 1 and abs(n_exact - n) <= 1e-9 * max(1.0, n):
         return TimeGrid.uniform(problem.t0, problem.T, n)
     return None
@@ -165,7 +169,7 @@ def grid_for_step(problem: SdeProblem, h: float,
 
 
 # ---------------------------------------------------------------------------
-# the step, and whole-path simulation with dense output
+# the step, and paths with dense output
 # ---------------------------------------------------------------------------
 
 def _advance(scheme, problem, grid, n, y, dW, V, weights):
@@ -200,29 +204,50 @@ def simulate_path(
     scheme: CsrkTableau,
     problem: SdeProblem,
     grid: TimeGrid,
-    stream: PathStream,
+    seed: int,
+    path: int = 0,
 ) -> ContinuousPath:
-    """Whole-path simulation with fresh, independent increments per step."""
+    """Monte Carlo path ``path`` of ``seed``, with every step's cache kept
+    for dense queries."""
     if grid.t0 < problem.t0 or grid.T > problem.T:
         raise ValueError("grid exceeds the problem's time interval")
-    step_weights = scheme.dense_weights(1.0)
-    y = problem.x0.copy()
-    caches, nodes = [], [y]
-    for n in range(grid.n_steps):
-        dW, V = sample(problem.dim_noise, grid.step(n)[1], stream)
-        cache, y = _advance(scheme, problem, grid, n, y, dW, V, step_weights)
+    caches, nodes = [], [problem.x0.copy()]
+    for _, cache, y in _path_steps(scheme, problem, grid, seed,
+                                   np.uint64(path), grid.n_steps,
+                                   scheme.dense_weights(1.0)):
         caches.append(cache)
         nodes.append(y)
     return ContinuousPath(grid, scheme, tuple(caches), tuple(nodes))
 
 
-def query(path: ContinuousPath, t: float):
-    return path.value(t)
-
-
 # ---------------------------------------------------------------------------
-# chunked Monte Carlo core
+# the path loop, and the chunked Monte Carlo core
 # ---------------------------------------------------------------------------
+
+def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
+    """Steps 0 .. n_steps-1 from x0 of one path (``paths`` 0-d, states
+    ``(d,)``) or of a batch (states ``(B, d)``): yields (n, cache, y).
+
+    Step n of path p draws from (seed, p, n); ``step_weights`` are the dense
+    weights at theta = 1.  A BlowupError leaves with its step and path set.
+    """
+    m = problem.dim_noise
+    y = np.broadcast_to(problem.x0, paths.shape + (problem.dim_state,)).copy()
+    for n in range(n_steps):
+        dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
+        try:
+            cache, y = _advance(scheme, problem, grid, n, y, dW, V,
+                                step_weights)
+        except BlowupError as exc:
+            # exc.path is the failing batch row, None for a single path
+            exc.path = int(paths.flat[exc.path or 0])
+            raise
+        if not np.isfinite(y).all():
+            path = int(paths.flat[np.argmin(np.isfinite(y).all(axis=-1))])
+            raise BlowupError(f"path {path} blew up at step {n}",
+                              step=n, path=path)
+        yield n, cache, y
+
 
 def _chunk_values(scheme, problem, grid, step_weights, eval_points, f, seed,
                   start, count):
@@ -231,32 +256,17 @@ def _chunk_values(scheme, problem, grid, step_weights, eval_points, f, seed,
     ``step_weights`` are the dense weights at theta = 1; each eval point is
     ``(n, theta, dense weights at theta)``.
     """
-    m = problem.dim_noise
     # the stream keys of the chunk's paths, computed once for all its steps
     paths = KeyedPaths(seed, np.arange(start, start + count, dtype=np.uint64))
     by_step: dict[int, list] = {}
     for idx, (n, theta, weights) in enumerate(eval_points):
         by_step.setdefault(n, []).append((idx, theta, weights))
-    last_step = max(by_step)
-    y = np.broadcast_to(problem.x0, (count, problem.dim_state)).copy()
     vals = np.empty((len(eval_points), count))
-    for n in range(last_step + 1):
-        dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
-        try:
-            cache, y = _advance(scheme, problem, grid, n, y, dW, V,
-                                step_weights)
-        except BlowupError as exc:
-            exc.path += start
-            raise
+    for n, cache, y in _path_steps(scheme, problem, grid, seed, paths,
+                                   max(by_step) + 1, step_weights):
         for idx, theta, weights in by_step.get(n, ()):
             v = y if theta == 1.0 else evaluate_dense(cache, weights)
             vals[idx] = f(v)
-        if not np.isfinite(y).all():
-            bad = ~np.isfinite(y).all(axis=-1)
-            raise BlowupError(
-                f"path {start + int(np.argmax(bad))} blew up at step {n}",
-                step=n, path=start + int(np.argmax(bad)),
-            )
     return vals
 
 
@@ -465,11 +475,19 @@ def error_table(
     return records
 
 
+def check_fit_steps(hs) -> None:
+    """Refuse an order fit over fewer than two distinct step sizes."""
+    hs = [float(h) for h in hs]
+    if len(set(hs)) < 2:
+        raise ValueError("order estimation needs nonzero errors at 2 or more "
+                         f"distinct step sizes, got {hs}")
+
+
 def empirical_order(records) -> OrderEstimate:
     """Least-squares slope of log2|error| against log2 h.
 
     Accepts ErrorRecords or (h, error) pairs; zero-error entries are dropped
-    with a warning.
+    with a warning; the others must span at least two distinct step sizes.
     """
     pairs = []
     for r in records:
@@ -478,8 +496,7 @@ def empirical_order(records) -> OrderEstimate:
             warnings.warn(f"dropping zero error at h={h} from order fit")
             continue
         pairs.append((float(h), abs(float(err))))
-    if len(pairs) < 2:
-        raise ValueError("order estimation needs at least 2 nonzero errors")
+    check_fit_steps([h for h, _ in pairs])
     x = np.log2([h for h, _ in pairs])
     y = np.log2([e for _, e in pairs])
     slope, intercept = np.polyfit(x, y, 1)

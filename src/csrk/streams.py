@@ -2,8 +2,9 @@
 
 Every uniform draw is a pure function of (seed, path index, draw index),
 computed with a splitmix64-style finalizer.  Results therefore do not depend
-on thread scheduling or on how paths are grouped into chunks, and a path's
-stream can be regenerated from its index alone.
+on thread scheduling, on how paths are grouped into chunks or on whether a
+path is stepped alone, and a path's stream can be regenerated from its index
+alone.
 
 Derivation of the draw with index ``i`` of path ``p`` under global seed ``s``::
 
@@ -83,17 +84,3 @@ def uniforms(seed: int, path_indices, start: int, count: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         vals = _mix64(keys[..., None] + ctr * _GAMMA2)
     return (vals >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
-class PathStream:
-    """Sequential view of one path's stream; consumes draw indices in order."""
-
-    def __init__(self, seed: int, path_index: int = 0):
-        self.seed = int(seed)
-        self.path_index = int(path_index)
-        self._next = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        u = uniforms(self.seed, np.uint64(self.path_index), self._next, count)
-        self._next += count
-        return u

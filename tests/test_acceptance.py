@@ -26,14 +26,12 @@ from csrk import (
     mc_expectation,
     moments_exact,
     ode_problem,
-    query,
-    sample,
+    sample_batch,
     scheme_names,
     simulate_path,
     system2d_problem,
 )
 from csrk.conditions import evaluate_condition
-from csrk.streams import PathStream
 from csrk.tableau import ConditionId
 
 LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
@@ -114,12 +112,12 @@ def _ode_slope(name, theta=None):
     for k in range(2, 7):
         n = 2**k
         grid = TimeGrid.uniform(0.0, 1.0, n)
-        path = simulate_path(t, ode, grid, PathStream(0, 0))
+        path = simulate_path(t, ode, grid, seed=0)
         if theta is None:
             err = path.nodes[-1][0] - math.e
         else:
             t_eval = grid.step(n // 2)[0] + theta / n
-            err = query(path, t_eval)[0] - math.exp(t_eval)
+            err = path.value(t_eval)[0] - math.exp(t_eval)
         pairs.append((1.0 / n, err))
     return empirical_order(pairs).slope
 
@@ -328,8 +326,8 @@ def test_criterion_10_dense_consistency(capsys, counting):
         scheme = builtin_scheme(name)
         h = float(rng.uniform(0.05, 1.0))
         y = problem.x0 * (1 + 0.1 * rng.standard_normal(problem.dim_state))
-        dW, V = sample(problem.dim_noise, h,
-                       PathStream(int(rng.integers(2**32)), 0))
+        dW, V = sample_batch(problem.dim_noise, h, int(rng.integers(2**32)),
+                             0, 0)
         cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, V)
         y1 = evaluate_dense(cache, scheme.dense_weights(1.0))
         for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -345,9 +343,9 @@ def test_criterion_10_dense_consistency(capsys, counting):
             scheme = builtin_scheme(name)
             N, s, m = 4, scheme.stages, problem.dim_noise
             grid = TimeGrid.uniform(problem.t0, problem.T, N)
-            path = simulate_path(scheme, problem, grid, PathStream(1, 0))
+            path = simulate_path(scheme, problem, grid, seed=1)
             for tq in np.linspace(problem.t0, problem.T, 11):
-                query(path, tq)
+                path.value(tq)
             cross = N * s * m if scheme.uses_cross_stages and m > 1 else 0
             if counts["drift"] != N * s:
                 failures.append(

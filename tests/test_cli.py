@@ -104,6 +104,19 @@ class TestSimulate:
                       "linear", "--h", "0.25", "--seed", "1")
         assert a == b
 
+    @pytest.mark.parametrize("T", ["2", "4"])
+    def test_overflowing_state_names_path_and_step(self, capsys, T):
+        # b x0 dW overflows in step 0 (dW != 0 there for seed 2) while drift
+        # and diffusion stay finite: only the check of the new state sees it,
+        # not a drift value of step 1
+        code, err = usage_error(
+            capsys, "simulate", "--scheme", "EULER_OPT", "--problem",
+            "linear", "--a", "0", "--b", "1e154", "--x0", "1e154",
+            "--h", "2", "--T", T, "--seed", "2",
+        )
+        assert code == 2
+        assert err == ["csrk: error: path 0 blew up at step 0"]
+
 
 class TestErrorTableAndConverge:
     ARGS = (
@@ -214,7 +227,7 @@ def usage_error(capsys, *argv):
 
 class TestUsageErrors:
     MC = ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
-          "--t-eval", "2.0", "--h-list", "0.5", "--M", "100")
+          "--t-eval", "2.0", "--h-list", "0.5,0.25", "--M", "100")
     LOCAL = ("local-order", "--scheme", "CRDI2WM", "--problem", "linear")
 
     @pytest.mark.parametrize("argv", [
@@ -250,8 +263,8 @@ class TestUsageErrors:
         ("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
          "--h", "0.5", "--a", "1e308"),
         ("converge", "--scheme", "CRDI3WM", "--problem", "linear",
-         "--t-eval", "2.0", "--h-list", "0.5", "--M", "100", "--b", "1e308",
-         "--threads", "2"),
+         "--t-eval", "2.0", "--h-list", "0.5,0.25", "--M", "100",
+         "--b", "1e308", "--threads", "2"),
         ("exact-order", "--scheme", "CRDI3WM", "--problem", "linear",
          "--f", "x2", "--N-list", "2,4", "--x0", "1e200"),
         ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
@@ -308,12 +321,21 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [
         (("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
           "--h", "1e-320"), "step 1e-320 is too small for the horizon 2.0"),
+        (("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
+          "--h", "1e-300"),
+         "step 1e-300 on the horizon 2.0 asks for 2e+300 steps, above the "
+         "limit 10000000"),
+        (("converge", "--scheme", "CRDI3WM", "--problem", "linear",
+          "--t-eval", "2.0", "--h-list", "0.5,1e-300", "--M", "100"),
+         "step 1e-300 on the horizon 2.0 asks for 2e+300 steps, above the "
+         "limit 10000000"),
         (("exact-order", "--scheme", "CRDI3WM", "--problem", "linear",
           "--N-list", "100000000000000000000000"),
          "3^100000000000000000000000 outcome sequences exceed the cap "
          "10000000 (outcome_cap, --outcome-cap on the command line); use "
          "mc_expectation instead"),
-    ], ids=["step-count-overflow", "N-list-huge"])
+    ], ids=["step-count-overflow", "step-count-limit",
+            "step-count-limit-h-list", "N-list-huge"])
     def test_names_the_limit(self, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -347,6 +369,34 @@ class TestUsageErrors:
                        "50000000 (outcome_cap, --outcome-cap on the command "
                        "line); use mc_expectation instead"]
         assert steps == [] and grids == []
+
+    @pytest.mark.parametrize("argv,steps", [
+        (("converge", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--t-eval", "2.0", "--h-list", "0.25,0.25", "--M", "100"),
+         [0.25, 0.25]),
+        (("converge", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--t-eval", "2.0", "--h-list", "0.0625", "--M", "400000"),
+         [0.0625]),
+        (LOCAL + ("--h-list", "0.5,0.5"), [0.5, 0.5]),
+        (("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--N-list", "4,4"), [0.5, 0.5]),
+    ], ids=["converge-repeated", "converge-one", "local-order-repeated",
+            "exact-order-repeated"])
+    def test_order_fit_refused_before_the_first_run(
+            self, capsys, monkeypatch, argv, steps):
+        calls = []
+        step_arrays = csrk.stats.compute_step_arrays
+
+        def step(*args):
+            calls.append(args)
+            return step_arrays(*args)
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays", step)
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == ["csrk: error: order estimation needs nonzero errors at "
+                       f"2 or more distinct step sizes, got {steps}"]
+        assert calls == []
 
     def test_every_step_checked_before_the_first_estimate(
             self, capsys, monkeypatch):
@@ -554,7 +604,10 @@ class TestTracingHooks:
         assert len(calls["step"]) == steps
         assert all(len(a) == 7 and a[3].shape == (m,) for a in calls["step"])
         assert len(calls["dense"]) == (1 + sub) * steps
-        assert calls["sample"] == calls["enum"] == []
+        # one draw per step, at the address (seed, path 0, step)
+        assert [a[2:] for a in calls["sample"]] == [
+            (0, 0, n) for n in range(steps)]
+        assert calls["enum"] == []
         scheme = builtin_scheme("CRDI3WM")
         s = scheme.stages
         families = 2 if scheme.uses_cross_stages and m > 1 else 1

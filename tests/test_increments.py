@@ -11,11 +11,9 @@ from csrk.increments import (
     enumerate_outcomes,
     moments_exact,
     outcome_count,
-    sample,
     sample_batch,
     uniforms_per_step,
 )
-from csrk.streams import PathStream
 
 
 class TestExactMoments:
@@ -148,27 +146,26 @@ class TestFromUniforms:
 
 class TestSampling:
     def test_reproducibility(self):
-        a = sample(2, 0.5, PathStream(42, 7))
-        b = sample(2, 0.5, PathStream(42, 7))
+        a = sample_batch(2, 0.5, 42, 7, 0)
+        b = sample_batch(2, 0.5, 42, 7, 0)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
-        c = sample(2, 0.5, PathStream(43, 7))
+        c = sample_batch(2, 0.5, 43, 7, 0)
         assert not (
             np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1])
         )
 
     def test_support(self):
         h = 0.5
-        stream = PathStream(0, 0)
         r = math.sqrt(3 * h)
-        for _ in range(200):
-            dW, V = sample(3, h, stream)
+        for step in range(200):
+            dW, V = sample_batch(3, h, 0, 0, step)
             assert all(v in (-r, 0.0, r) for v in dW)
             assert np.all(np.diag(V) == -h)
             assert np.array_equal(V, -V.T + np.diag(2 * np.diag(V)))
 
     def test_batch_matches_sequential_streams(self):
-        # sample_batch(seed, paths, step) must replicate per-path PathStreams
+        # a batch row must replicate the draws of its path sampled alone
         m, h, seed = 2, 0.25, 123
         n_paths, n_steps = 5, 4
         dW, V = [], []
@@ -177,9 +174,8 @@ class TestSampling:
             dW.append(d)
             V.append(v)
         for p in range(n_paths):
-            stream = PathStream(seed, p)
             for step in range(n_steps):
-                d, v = sample(m, h, stream)
+                d, v = sample_batch(m, h, seed, np.uint64(p), step)
                 assert np.array_equal(d, dW[step][p])
                 assert np.array_equal(v, V[step][p])
 
@@ -215,7 +211,7 @@ class TestSampling:
     path=st.integers(0, 2**20),
 )
 def test_sampled_invariants(m, h, seed, path):
-    dW, V = sample(m, h, PathStream(seed, path))
+    dW, V = sample_batch(m, h, seed, path, 0)
     assert dW.shape == (m,) and V.shape == (m, m)
     assert np.all(np.diag(V) == -h)
     assert np.all(V + V.T == np.diag(np.full(m, -2 * h)))

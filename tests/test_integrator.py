@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.increments import enumerate_outcomes, sample, sample_batch
+from csrk.increments import enumerate_outcomes, sample_batch
 from csrk.integrator import (
     BlowupError,
     _check_finite,
@@ -15,8 +15,7 @@ from csrk.integrator import (
     evaluate_dense,
 )
 from csrk.sde import SdeProblem, linear_problem, ode_problem, system2d_problem
-from csrk.stats import empirical_order, query, simulate_path
-from csrk.streams import PathStream
+from csrk.stats import empirical_order, simulate_path
 from csrk.tableau import builtin_scheme, scheme_names
 
 LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
@@ -67,7 +66,7 @@ class TestTimeGrid:
 class TestStages:
     def test_single_stage_collapses_to_left_node(self):
         y = np.array([0.1])
-        dW, V = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample_batch(1, 0.5, 0, 0, 0)
         cache = compute_step_arrays(
             builtin_scheme("EULER_OPT"), LIN, 0.0, y, 0.5, dW, V
         )
@@ -78,7 +77,7 @@ class TestStages:
     def test_crdi2_stage2_diffusion_argument(self):
         a, b, h = 1.5, 0.1, 0.25
         y = np.array([0.1])
-        dW, V = sample(1, h, PathStream(3, 0))
+        dW, V = sample_batch(1, h, 3, 0, 0)
         cache = compute_step_arrays(builtin_scheme("CRDI2WM"), LIN, 0.0, y, h,
                                     dW, V)
         # H_2^(1) = y (1 + (2/3) a h + sqrt(2/3) b sqrt(h))
@@ -87,7 +86,7 @@ class TestStages:
 
     def test_zero_diffusion_classical_stages(self):
         ode = ode_problem(1.0, 1.0, 1.0)
-        dW, V = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample_batch(1, 0.5, 0, 0, 0)
         cache = compute_step_arrays(
             builtin_scheme("CRDI3WM"), ode, 0.0, np.array([1.0]), 0.5, dW, V
         )
@@ -105,7 +104,7 @@ class TestStages:
             diffusion=lambda t, x: x[..., :, None],
             x0=[1.0], t0=0.0, T=1.0, label="bad",
         )
-        dW, V = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample_batch(1, 0.5, 0, 0, 0)
         with pytest.raises(BlowupError) as ei:
             compute_step_arrays(
                 builtin_scheme("CRDI2WM"), bad, 0.0, np.array([1.0]), 0.5,
@@ -193,7 +192,7 @@ class TestStagePlan:
             dW, V = sample_batch(m, h, 7, np.arange(128, dtype=np.uint64), 0)
         else:
             y = problem.x0
-            dW, V = sample(m, h, PathStream(7, 0))
+            dW, V = sample_batch(m, h, 7, 0, 0)
         cache = compute_step_arrays(scheme, problem, t_n, y, h, dW, V)
         want = step_reference(scheme, problem, t_n, y, h, dW, V)
         got = (cache.a_vals, cache.b_diag, cache.b_cross)
@@ -258,7 +257,7 @@ class TestDenseOutput:
     def test_euler_linear_dense_formula(self):
         a, b, h, th = 1.5, 0.1, 0.5, 0.37
         y = np.array([0.1])
-        dW, V = sample(1, h, PathStream(5, 0))
+        dW, V = sample_batch(1, h, 5, 0, 0)
         cache = compute_step_arrays(
             builtin_scheme("EULER_LINEAR"), LIN, 0.0, y, h, dW, V
         )
@@ -269,7 +268,7 @@ class TestDenseOutput:
 
     def test_theta_zero_bit_exact(self):
         y = np.array([0.1])
-        dW, V = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample_batch(1, 0.5, 0, 0, 0)
         for name in scheme_names():
             t = builtin_scheme(name)
             cache = compute_step_arrays(t, LIN, 0.0, y, 0.5, dW, V)
@@ -277,7 +276,7 @@ class TestDenseOutput:
             assert np.array_equal(out, y)
 
     def test_theta_domain(self):
-        dW, V = sample(1, 0.5, PathStream(0, 0))
+        dW, V = sample_batch(1, 0.5, 0, 0, 0)
         t = builtin_scheme("EULER_OPT")
         cache = compute_step_arrays(t, LIN, 0.0, np.array([0.1]), 0.5, dW, V)
         with pytest.raises(ValueError):
@@ -351,7 +350,7 @@ class TestDenseWeights:
             dW, V = sample_batch(m, h, 7, np.arange(5, dtype=np.uint64), 0)
         else:
             y = problem.x0
-            dW, V = sample(m, h, PathStream(7, 0))
+            dW, V = sample_batch(m, h, 7, 0, 0)
         cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
         for theta in (0.0, 0.3, 1.0):
             want = dense_reference(cache, scheme, theta)
@@ -364,7 +363,7 @@ class TestPaths:
     def test_node_consistency(self):
         grid = TimeGrid.uniform(0.0, 2.0, 8)
         t = builtin_scheme("CRDI3WM")
-        path = simulate_path(t, LIN, grid, PathStream(1, 0))
+        path = simulate_path(t, LIN, grid, seed=1)
         for n in range(grid.n_steps):
             dense1 = evaluate_dense(path.caches[n], t.dense_weights(1.0))
             assert np.array_equal(dense1, path.nodes[n + 1])
@@ -372,11 +371,11 @@ class TestPaths:
     def test_query_conventions(self):
         grid = TimeGrid.uniform(0.0, 2.0, 4)
         t = builtin_scheme("CRDI2WM")
-        path = simulate_path(t, LIN, grid, PathStream(2, 0))
-        assert np.array_equal(query(path, 0.0), LIN.x0)
-        assert np.array_equal(query(path, 2.0), path.nodes[-1])
-        assert np.array_equal(query(path, 0.5), path.nodes[1])
-        mid = query(path, 0.65)
+        path = simulate_path(t, LIN, grid, seed=2)
+        assert np.array_equal(path.value(0.0), LIN.x0)
+        assert np.array_equal(path.value(2.0), path.nodes[-1])
+        assert np.array_equal(path.value(0.5), path.nodes[1])
+        mid = path.value(0.65)
         expect = evaluate_dense(path.caches[1], t.dense_weights(0.3))
         assert np.allclose(mid, expect, atol=0.0, rtol=1e-15)
 
@@ -384,8 +383,8 @@ class TestPaths:
         ode = ode_problem(1.0, 1.0, 1.0)
         grid = TimeGrid.uniform(0.0, 1.0, 5)
         t = builtin_scheme("CRDI4WM")
-        p1 = simulate_path(t, ode, grid, PathStream(0, 0))
-        p2 = simulate_path(t, ode, grid, PathStream(99, 123))
+        p1 = simulate_path(t, ode, grid, seed=0)
+        p2 = simulate_path(t, ode, grid, seed=99, path=123)
         for a, b in zip(p1.nodes, p2.nodes):
             assert np.array_equal(a, b)
 
@@ -393,7 +392,7 @@ class TestPaths:
         with pytest.raises(ValueError):
             simulate_path(
                 builtin_scheme("EULER_OPT"), LIN,
-                TimeGrid.uniform(0.0, 3.0, 3), PathStream(0, 0),
+                TimeGrid.uniform(0.0, 3.0, 3), seed=0,
             )
 
     def test_blowup_carries_step_index(self):
@@ -406,7 +405,7 @@ class TestPaths:
         with pytest.raises(BlowupError) as ei:
             simulate_path(
                 builtin_scheme("EULER_OPT"), decays,
-                TimeGrid.uniform(0.0, 1.0, 5), PathStream(0, 0),
+                TimeGrid.uniform(0.0, 1.0, 5), seed=0,
             )
         assert ei.value.step == 2
 
@@ -419,12 +418,12 @@ class TestOdeReduction:
         for k in range(2, 7):
             n = 2**k
             grid = TimeGrid.uniform(0.0, 1.0, n)
-            path = simulate_path(t, ode, grid, PathStream(0, 0))
+            path = simulate_path(t, ode, grid, seed=0)
             if theta is None:
                 err = path.nodes[-1][0] - math.e
             else:
                 t_eval = grid.step(n // 2)[0] + theta / n
-                err = query(path, t_eval)[0] - math.exp(t_eval)
+                err = path.value(t_eval)[0] - math.exp(t_eval)
             pairs.append((1.0 / n, err))
         return empirical_order(pairs).slope
 
@@ -459,10 +458,10 @@ class TestEvaluationCounts:
         scheme = builtin_scheme(name)
         N, s, m = 5, scheme.stages, problem.dim_noise
         grid = TimeGrid.uniform(problem.t0, problem.T, N)
-        path = simulate_path(scheme, problem, grid, PathStream(0, 0))
+        path = simulate_path(scheme, problem, grid, seed=0)
         # dense queries must not add any evaluations
         for t_q in np.linspace(problem.t0, problem.T, 17):
-            query(path, t_q)
+            path.value(t_q)
         assert counts["drift"] == N * s
         cross_calls = N * s * m if scheme.uses_cross_stages and m > 1 else 0
         assert counts["diffusion"] == N * s * m + cross_calls
@@ -487,7 +486,7 @@ def test_dense_consistency_property(name, problem_name, h, seed, theta):
     problem = LIN if problem_name == "linear" else system2d_problem()
     scheme = builtin_scheme(name)
     y = problem.x0
-    dW, V = sample(problem.dim_noise, h, PathStream(seed, 0))
+    dW, V = sample_batch(problem.dim_noise, h, seed, 0, 0)
     cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, V)
     y_next = evaluate_dense(cache, scheme.dense_weights(1.0))
     out = evaluate_dense(cache, scheme.dense_weights(theta))

@@ -21,10 +21,11 @@ from csrk.sde import (
     ode_problem,
     system2d_problem,
 )
-from csrk.streams import PathStream
+from csrk.streams import KeyedPaths
 from csrk.stats import (
     ErrorRecord,
     _advance,
+    _path_steps,
     check_outcome_count,
     dense_error_profile,
     empirical_order,
@@ -36,7 +37,7 @@ from csrk.stats import (
     normal_quantile,
     simulate_path,
 )
-from csrk.tableau import CsrkTableau, builtin_scheme
+from csrk.tableau import CsrkTableau, builtin_scheme, scheme_names
 
 LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
 FX = Functional("identity", 0)
@@ -85,6 +86,20 @@ class TestGridForStep:
             with pytest.raises(ValueError) as ei:
                 grid_for_step(LIN, h, allow_shortened)
         assert str(ei.value) == f"step {h} is too small for the horizon 2.0"
+
+    @pytest.mark.parametrize("h,allow_shortened,count", [
+        (1e-300, False, "2e+300"), (1e-300, True, "2e+300"),
+        (1e-9, False, "2e+09"), (1e-9, True, "2e+09"),
+        (1.9e-7, False, "1.05263e+07"),
+    ])
+    def test_step_count_limit(self, monkeypatch, h, allow_shortened, count):
+        # refused before a single node is built
+        monkeypatch.setattr(TimeGrid, "uniform",
+                            lambda *args: pytest.fail("grid built"))
+        with pytest.raises(ValueError) as ei:
+            grid_for_step(LIN, h, allow_shortened)
+        assert str(ei.value) == (f"step {h} on the horizon 2.0 asks for "
+                                 f"{count} steps, above the limit 10000000")
 
 
 class TestMonteCarlo:
@@ -171,6 +186,15 @@ class TestMonteCarlo:
             assert joint.mean == single.mean
 
 
+# finite drift and diffusion whose weighted sum overflows where dW != 0:
+# only the check of the new states sees it
+OVERFLOWS = SdeProblem(
+    dim_state=1, dim_noise=1,
+    drift=lambda t, x: 0.0 * x,
+    diffusion=lambda t, x: np.full(x.shape + (1,), 1.5e308),
+    x0=[0.0], t0=0.0, T=1.0, label="overflow",
+)
+
 # drift overflows once a stage value passes 8: a few paths of seed 3 blow up
 BLOWS_UP = SdeProblem(
     dim_state=1, dim_noise=1,
@@ -189,7 +213,7 @@ class TestBlowup:
         failures = []
         for p in range(M):
             try:
-                simulate_path(t, BLOWS_UP, grid, PathStream(seed, p))
+                simulate_path(t, BLOWS_UP, grid, seed, p)
             except BlowupError as exc:
                 failures.append((p // chunk, exc.step, p))
         # chunks run in order; within one, the earliest step, then lowest path
@@ -201,22 +225,43 @@ class TestBlowup:
         assert (ei.value.step, ei.value.path) == (step, path)
 
     def test_overflowing_state_names_first_path(self):
-        # finite drift and diffusion whose weighted sum overflows where
-        # dW != 0: only the check of the chunk's new states sees it
-        huge = SdeProblem(
-            dim_state=1, dim_noise=1,
-            drift=lambda t, x: 0.0 * x,
-            diffusion=lambda t, x: np.full(x.shape + (1,), 1.5e308),
-            x0=[0.0], t0=0.0, T=1.0, label="overflow",
-        )
         M, chunk, seed = 256, 64, 3
         dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
         first = int(np.argmax(dW[:, 0] != 0.0))
         with np.errstate(over="ignore"), pytest.raises(BlowupError) as ei:
-            mc_expectation(builtin_scheme("EULER_OPT"), huge,
+            mc_expectation(builtin_scheme("EULER_OPT"), OVERFLOWS,
                            TimeGrid.uniform(0.0, 1.0, 2), FX, 1.0, M, seed,
                            chunk_size=chunk)
         assert (ei.value.step, ei.value.path) == (0, first)
+
+    def test_simulate_names_its_path_and_step(self):
+        seed = 3
+        dW, _ = sample_batch(1, 0.5, seed, np.arange(64, dtype=np.uint64), 0)
+        overflowing = [int(p) for p in np.flatnonzero(dW[:, 0] != 0.0)[:3]]
+        assert len(overflowing) == 3 and overflowing[-1] > 1
+        for path in overflowing:
+            # a state that overflows in step 0 is reported there, not as
+            # the non-finite drift of step 1 it leads to
+            with np.errstate(over="ignore"), \
+                    pytest.raises(BlowupError) as ei:
+                simulate_path(builtin_scheme("EULER_OPT"), OVERFLOWS,
+                              TimeGrid.uniform(0.0, 1.0, 2), seed, path)
+            assert (ei.value.step, ei.value.path) == (0, path)
+            assert str(ei.value) == f"path {path} blew up at step 0"
+
+    @pytest.mark.parametrize("path", [0, 9])
+    def test_simulate_names_the_path_of_a_drift_blowup(self, path):
+        late = SdeProblem(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x: np.where(t < 0.4, x, np.inf * x),
+            diffusion=lambda t, x: x[..., :, None],
+            x0=[1.0], t0=0.0, T=1.0, label="late-blowup",
+        )
+        with pytest.raises(BlowupError) as ei:
+            simulate_path(builtin_scheme("EULER_OPT"), late,
+                          TimeGrid.uniform(0.0, 1.0, 5), 4, path)
+        assert (ei.value.step, ei.value.path) == (2, path)
+        assert (ei.value.family, ei.value.stage) == ("drift", 0)
 
     def test_enumeration_carries_step(self):
         late = SdeProblem(
@@ -275,6 +320,34 @@ def per_path_expectation(scheme, problem, grid, f, theta_eval):
             prob *= p
         total += prob * float(f(y))
     return total
+
+
+class TestSimulateIsMonteCarloPath:
+    """simulate_path(seed, p) is row p of a Monte Carlo batch of seed."""
+
+    @pytest.mark.parametrize("name", scheme_names())
+    @pytest.mark.parametrize("problem,rel", [
+        (LIN, 0.0),
+        # a batch's x @ A.T rounds differently from one path's
+        (system2d_problem(), 1e-12),
+    ], ids=["linear", "system2d"])
+    def test_nodes_are_batch_rows(self, name, problem, rel):
+        scheme = builtin_scheme(name)
+        grid = TimeGrid.uniform(problem.t0, problem.T, 5)  # h * x rounds
+        seed, start, count = 5, 60, 8
+        paths = KeyedPaths(seed,
+                           np.arange(start, start + count, dtype=np.uint64))
+        rows = [y for _, _, y in _path_steps(
+            scheme, problem, grid, seed, paths, grid.n_steps,
+            scheme.dense_weights(1.0))]
+        for p in range(start, start + count):
+            nodes = simulate_path(scheme, problem, grid, seed, p).nodes
+            for n, batch in enumerate(rows):
+                if rel == 0.0:
+                    assert (nodes[n + 1] == batch[p - start]).all()
+                else:
+                    np.testing.assert_allclose(nodes[n + 1], batch[p - start],
+                                               rtol=rel, atol=0.0)
 
 
 class TestExactExpectation:
@@ -418,6 +491,19 @@ class TestOrderEstimation:
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError):
                 empirical_order([(0.5, 0.0), (0.25, 0.0)])
+
+    def test_needs_two_distinct_steps(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before np.polyfit
+            with pytest.raises(ValueError) as ei:
+                empirical_order([(0.25, 1e-3), (0.25, 2e-3)])
+        assert str(ei.value) == ("order estimation needs nonzero errors at 2 "
+                                 "or more distinct step sizes, got "
+                                 "[0.25, 0.25]")
+        # the only other step size has a zero error, which is dropped
+        with pytest.warns(UserWarning, match="zero error"), \
+                pytest.raises(ValueError, match=r"got \[0.5, 0.5\]"):
+            empirical_order([(0.5, 1e-3), (0.25, 0.0), (0.5, 3e-3)])
 
     def test_accepts_error_records(self):
         recs = [

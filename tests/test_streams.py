@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.streams import KeyedPaths, PathStream, stream_keys, uniforms
+from csrk.streams import KeyedPaths, stream_keys, uniforms
 
 
 class TestUniforms:
@@ -41,13 +41,6 @@ class TestUniforms:
 
 
 class TestPathStream:
-    def test_sequential_view_matches_batch(self):
-        s = PathStream(11, 5)
-        first = s.uniforms(3)
-        second = s.uniforms(4)
-        batch = uniforms(11, np.uint64(5), 0, 7)
-        assert np.array_equal(np.concatenate([first, second]), batch)
-
     def test_keys_distinct(self):
         keys = stream_keys(0, np.arange(10**5))
         assert len(np.unique(keys)) == 10**5
