@@ -113,11 +113,13 @@ def _build_problem(args):
 
 
 def _setup(args):
-    """Scheme, problem, functional and reference of a problem command."""
+    """Scheme, problem and reference (which carries f) of a problem command."""
     scheme = _load_scheme(args)
     problem = _build_problem(args)
+    provenance = {"derived": "derived_closed_form"}.get(args.reference,
+                                                        args.reference)
     f = functional_from_name(args.f)
-    return scheme, problem, f, problem.reference_for(f, _provenance(args))
+    return scheme, problem, problem.reference_for(f, provenance)
 
 
 def _floats(text):
@@ -188,12 +190,6 @@ def _add_output_args(p):
     p.add_argument("--format", dest="output_format", default="csv",
                    choices=["csv", "json"])
     p.add_argument("--output", default=None, help="output path (default stdout)")
-
-
-def _provenance(args):
-    if args.reference is None:
-        return None
-    return "derived_closed_form" if args.reference == "derived" else args.reference
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,13 +308,13 @@ def _cmd_simulate(args):
 
 
 def _error_rows(args, with_order):
-    scheme, problem, f, ref = _setup(args)
+    scheme, problem, ref = _setup(args)
     if with_order:
         # refused before the first estimate, not after the last
         check_fit_steps(args.h_list)
     records = error_table(
-        scheme, problem, f, args.t_eval, args.h_list, args.m_samples,
-        args.seed, confidence=args.confidence, provenance=ref.provenance,
+        scheme, problem, ref, args.t_eval, args.h_list, args.m_samples,
+        args.seed, confidence=args.confidence,
         allow_shortened=args.allow_shortened, chunk_size=args.chunk_size,
         threads=args.threads,
     )
@@ -326,7 +322,7 @@ def _error_rows(args, with_order):
             for r in records]
     footer = ()
     if with_order:
-        est = empirical_order(records)
+        est = empirical_order([(r.h, r.mean_error) for r in records])
         footer = [("slope", est.slope), ("intercept", est.intercept)]
     _emit(args, ("h", "mu", "sigma2_mu", "ci_low", "ci_high"), rows,
           header=[("reference_provenance", ref.provenance)], footer=footer)
@@ -334,11 +330,11 @@ def _error_rows(args, with_order):
 
 
 def _cmd_dense(args):
-    scheme, problem, f, ref = _setup(args)
+    scheme, problem, ref = _setup(args)
     profile = dense_error_profile(
-        scheme, problem, f, args.h, args.theta_list, args.m_samples,
-        args.seed, confidence=args.confidence, provenance=ref.provenance,
-        chunk_size=args.chunk_size, threads=args.threads,
+        scheme, problem, ref, args.h, args.theta_list, args.m_samples,
+        args.seed, confidence=args.confidence, chunk_size=args.chunk_size,
+        threads=args.threads,
     )
     rows = [(t, th, r.mean_error, r.variance_of_mean, r.ci_low, r.ci_high)
             for t, th, r in profile]
@@ -349,7 +345,7 @@ def _cmd_dense(args):
 
 def _cmd_exact(args):
     """local-order: one step of each h; exact-order: N steps over [t0, T]."""
-    scheme, problem, f, ref = _setup(args)
+    scheme, problem, ref = _setup(args)
     t0, T = problem.t0, problem.T
     theta = getattr(args, "theta_eval", 1.0)
     if args.command == "local-order":
@@ -367,11 +363,11 @@ def _cmd_exact(args):
     check_fit_steps([cols[-1] for _, cols in runs])
     rows, pairs = [], []
     for grid, cols in runs:
-        val = exact_weak_expectation(scheme, problem, grid, f,
+        val = exact_weak_expectation(scheme, problem, grid, ref.functional,
                                      theta_eval=theta,
                                      outcome_cap=args.outcome_cap)
         t_last, h_last = grid.step(grid.n_steps - 1)
-        err = val - ref.value(t_last + theta * h_last)
+        err = val - ref.at(t_last + theta * h_last)
         pairs.append((cols[-1], err))
         rows.append((*cols, err))
     _emit(args, (*lead, "error"), rows,

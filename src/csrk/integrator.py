@@ -44,20 +44,33 @@ __all__ = [
 
 
 class BlowupError(ArithmeticError):
-    """A drift/diffusion evaluation returned a non-finite value.
+    """A state, or a value computed from it, is not finite.
 
-    For batched states ``path`` is the batch row of the first non-finite
-    value; the path loop of stats.py turns it into the path index.
+    ``family`` names the value (None for a state): drift or diffusion in the
+    step from ``t_n``, or an f-value or expectation at time ``t_n``.  For
+    batched states ``path`` is the batch row of the first non-finite value;
+    the path loop of stats.py turns it into the path index.
     """
 
-    def __init__(self, msg, t_n=None, stage=None, family=None, step=None,
+    def __init__(self, t_n=None, stage=None, family=None, step=None,
                  path=None):
-        super().__init__(msg)
+        super().__init__()
         self.t_n = t_n
         self.stage = stage
         self.family = family
         self.step = step
         self.path = path
+
+    def __str__(self):
+        parts = []
+        if self.step is not None:
+            who = "enumeration" if self.path is None else f"path {self.path}"
+            parts.append(f"{who} blew up at step {self.step}")
+        if self.family is not None:
+            stage = "" if self.stage is None else f", stage {self.stage + 1}"
+            parts.append(f"non-finite {self.family} value at t={self.t_n}"
+                         f"{stage}")
+        return ": ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -134,10 +147,7 @@ def _check_finite(arr, t_n, stage, family, batched):
         row = None
         if batched:
             row = int(np.argmin(np.isfinite(arr))) // (arr.size // len(arr))
-        raise BlowupError(
-            f"non-finite {family} value at t={t_n}, stage {stage + 1}",
-            t_n=t_n, stage=stage, family=family, path=row,
-        )
+        raise BlowupError(t_n=t_n, stage=stage, family=family, path=row)
 
 
 def compute_step_arrays(

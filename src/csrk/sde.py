@@ -75,6 +75,17 @@ class ReferenceSolution:
     value: callable  # t -> float
     provenance: str  # "paper_stated" | "derived_closed_form"
 
+    def at(self, t: float) -> float:
+        """``value(t)``, refused with a ValueError unless it is finite."""
+        try:
+            v = self.value(t)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ValueError(f"the reference value of {self.functional.label} "
+                             f"at t={t} is not finite")
+        return v
+
 
 @dataclass(frozen=True)
 class SdeProblem:

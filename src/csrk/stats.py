@@ -4,12 +4,13 @@ One routine, ``_advance``, takes every step, for two loops that differ only
 in the states they step and where the increments come from:
 
 * the path loop, ``_path_steps``, steps paths on counter-based draws,
-  functions of (seed, path index, step), see streams.py.  Monte Carlo runs
-  it on fixed-size chunks of paths (states ``(B, d)``) and folds per-chunk
-  mean/M2 statistics in ascending chunk order, so the result is
-  bit-identical for any thread count given (seed, M, chunk size).
-  ``simulate_path`` runs it on one path (state ``(d,)``), so simulated path
-  p is Monte Carlo path p, and keeps each step's cache for dense queries;
+  functions of (seed, path index, step), see streams.py.  The one Monte
+  Carlo routine, ``mc_expectations_at``, runs it on fixed-size chunks of
+  paths (states ``(B, d)``) and folds per-chunk mean/M2 statistics in
+  ascending chunk order, so the result is bit-identical for any thread
+  count given (seed, M, chunk size).  ``simulate_path`` runs it on one path
+  (state ``(d,)``), so simulated path p is Monte Carlo path p, and keeps
+  each step's cache for dense queries;
 * the enumeration oracle expands the joint outcome tree level by level, one
   row of the ``enumerate_outcomes`` table at a time, in slices of at most
   ``_ENUM_SLICE`` states.  Each step writes the next level into one array
@@ -20,6 +21,10 @@ in the states they step and where the increments come from:
   or slice by slice in the final step.  It is exact up to floating-point
   arithmetic: the noise-free reference the MC machinery is validated
   against.
+
+A non-finite stage value, state, f-value or enumerated expectation raises a
+``BlowupError``.  The tables measure the functional of the given
+``ReferenceSolution``; which reference to use is the caller's choice.
 """
 
 from __future__ import annotations
@@ -244,30 +249,8 @@ def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
             raise
         if not np.isfinite(y).all():
             path = int(paths.flat[np.argmin(np.isfinite(y).all(axis=-1))])
-            raise BlowupError(f"path {path} blew up at step {n}",
-                              step=n, path=path)
+            raise BlowupError(step=n, path=path)
         yield n, cache, y
-
-
-def _chunk_values(scheme, problem, grid, step_weights, eval_points, f, seed,
-                  start, count):
-    """f-values at every eval point for paths [start, start+count).
-
-    ``step_weights`` are the dense weights at theta = 1; each eval point is
-    ``(n, theta, dense weights at theta)``.
-    """
-    # the stream keys of the chunk's paths, computed once for all its steps
-    paths = KeyedPaths(seed, np.arange(start, start + count, dtype=np.uint64))
-    by_step: dict[int, list] = {}
-    for idx, (n, theta, weights) in enumerate(eval_points):
-        by_step.setdefault(n, []).append((idx, theta, weights))
-    vals = np.empty((len(eval_points), count))
-    for n, cache, y in _path_steps(scheme, problem, grid, seed, paths,
-                                   max(by_step) + 1, step_weights):
-        for idx, theta, weights in by_step.get(n, ()):
-            v = y if theta == 1.0 else evaluate_dense(cache, weights)
-            vals[idx] = f(v)
-    return vals
 
 
 def _combine(acc, other):
@@ -279,38 +262,6 @@ def _combine(acc, other):
     mean = mean_a + delta * (n_b / n)
     m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
     return n, mean, m2
-
-
-def _mc_moments(scheme, problem, grid, eval_points, f, M, seed,
-                chunk_size=DEFAULT_CHUNK_SIZE, threads=1):
-    """Per-eval-point (count, mean, M2), deterministic in (seed, M, chunk)."""
-    if M < 2:
-        raise ValueError("need at least M = 2 samples")
-    if chunk_size < 1:
-        raise ValueError("need chunk_size >= 1")
-    n_chunks = (M + chunk_size - 1) // chunk_size
-    # the dense weights of the step and of each eval theta are built here,
-    # not on every chunk and step
-    step_weights = scheme.dense_weights(1.0)
-    eval_points = [(n, theta, scheme.dense_weights(theta))
-                   for n, theta in eval_points]
-
-    def one(c):
-        start = c * chunk_size
-        count = min(chunk_size, M - start)
-        vals = _chunk_values(
-            scheme, problem, grid, step_weights, eval_points, f, seed, start,
-            count,
-        )
-        mean = vals.mean(axis=1)
-        m2 = ((vals - mean[:, None]) ** 2).sum(axis=1)
-        return count, mean, m2
-
-    # both maps yield in ascending chunk order, which fixes the reduction
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return functools.reduce(_combine, pool.map(one, range(n_chunks)))
-    return functools.reduce(_combine, map(one, range(n_chunks)))
 
 
 def mc_expectations_at(
@@ -325,14 +276,52 @@ def mc_expectations_at(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> list[MonteCarloEstimate]:
-    """Estimates of E f(Y(t)) at several times, sharing one set of paths."""
+    """Estimates of E f(Y(t)) at several times, sharing one set of paths.
+
+    A non-finite f-value raises a BlowupError naming its path and time.
+    """
     z = normal_quantile(confidence)
     eval_points = [grid.locate(t) for t in eval_times]
     if not eval_points:
         raise ValueError("need at least one evaluation time")
-    n, mean, m2 = _mc_moments(
-        scheme, problem, grid, eval_points, f, M, seed, chunk_size, threads
-    )
+    if M < 2:
+        raise ValueError("need at least M = 2 samples")
+    if chunk_size < 1:
+        raise ValueError("need chunk_size >= 1")
+    # the dense weights and the eval points of each step are built here,
+    # not on every chunk and step
+    step_weights = scheme.dense_weights(1.0)
+    by_step: dict[int, list] = {}
+    for idx, (n, theta) in enumerate(eval_points):
+        by_step.setdefault(n, []).append(
+            (idx, theta, scheme.dense_weights(theta)))
+
+    def chunk(start):
+        count = min(chunk_size, M - start)
+        # the stream keys of the chunk's paths, computed once for all steps
+        paths = KeyedPaths(seed,
+                           np.arange(start, start + count, dtype=np.uint64))
+        vals = np.empty((len(eval_points), count))
+        for n, cache, y in _path_steps(scheme, problem, grid, seed, paths,
+                                       max(by_step) + 1, step_weights):
+            for idx, theta, weights in by_step.get(n, ()):
+                v = y if theta == 1.0 else evaluate_dense(cache, weights)
+                vals[idx] = f(v)
+        if not np.isfinite(vals).all():
+            # the first eval point with a non-finite value, then its first path
+            idx, row = divmod(int(np.argmin(np.isfinite(vals))), count)
+            raise BlowupError(t_n=float(eval_times[idx]), family="f",
+                              step=eval_points[idx][0], path=start + row)
+        mean = vals.mean(axis=1)
+        return count, mean, ((vals - mean[:, None]) ** 2).sum(axis=1)
+
+    starts = range(0, M, chunk_size)
+    # both maps yield in ascending chunk order, which fixes the reduction
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            n, mean, m2 = functools.reduce(_combine, pool.map(chunk, starts))
+    else:
+        n, mean, m2 = functools.reduce(_combine, map(chunk, starts))
     out = []
     for t, mu, s2 in zip(eval_times, mean, m2):
         var_mean = s2 / (n - 1) / n
@@ -392,7 +381,8 @@ def exact_weak_expectation(
     """E f(Y) by exhaustive expansion of the joint outcome tree.
 
     ``theta_eval`` applies to the final step, so the value is
-    E f(Y(t_{N-1} + theta_eval * h_{N-1})).  Exact up to floating point.
+    E f(Y(t_{N-1} + theta_eval * h_{N-1})).  Exact up to floating point;
+    a non-finite stage value or expectation raises a BlowupError.
     """
     if not 0.0 <= theta_eval <= 1.0:
         raise ValueError("theta_eval must lie in [0, 1]")
@@ -415,13 +405,21 @@ def exact_weak_expectation(
             for lo in range(0, rows, _ENUM_SLICE):
                 hi = min(lo + _ENUM_SLICE, rows)
                 # keep no cache alive into the next slice's step
-                y = _advance(scheme, problem, grid, n, states[lo:hi], dW, V,
-                             weights)[1]
+                try:
+                    y = _advance(scheme, problem, grid, n, states[lo:hi], dW,
+                                 V, weights)[1]
+                except BlowupError as exc:
+                    exc.path = None  # a slice row is not a path
+                    raise
                 if final:
                     total += p * float(_row_probs(ps, probs, lo, hi) @ f(y))
                 else:
                     new_states[o * rows + lo:o * rows + hi] = y
         if final:
+            if not math.isfinite(total):
+                t_n, h_n = grid.step(n)
+                raise BlowupError(t_n=t_n + theta_eval * h_n,
+                                  family="expectation", step=n)
             return float(total)
         states = new_states
     raise AssertionError("unreachable")
@@ -444,35 +442,31 @@ def _row_probs(ps, probs, lo, hi):
 # ---------------------------------------------------------------------------
 
 def error_table(
-    scheme, problem, f, t_eval, h_list, M, seed,
+    scheme, problem, reference, t_eval, h_list, M, seed,
     confidence: float = 0.9,
-    provenance: str | None = None,
     allow_shortened: bool = False,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> list[ErrorRecord]:
-    """One MC estimate per step size against the problem's reference."""
+    """One MC estimate of ``reference.functional`` per step size, less the
+    reference value at ``t_eval``."""
     if len(h_list) == 0:
         raise ValueError("need at least one step size")
-    ref = problem.reference_for(f, provenance)
-    exact = ref.value(t_eval)
+    exact = reference.at(t_eval)
     # every step size is checked before the first estimate is run
     grids = [grid_for_step(problem, h, allow_shortened) for h in h_list]
     records = []
     for h, grid in zip(h_list, grids):
-        est = mc_expectation(
-            scheme, problem, grid, f, t_eval, M, seed, confidence,
-            chunk_size, threads,
-        )
-        records.append(
-            ErrorRecord(
-                h=float(h),
-                mean_error=est.mean - exact,
-                variance_of_mean=est.variance_of_mean,
-                half_width=est.half_width,
-            )
-        )
+        est = mc_expectation(scheme, problem, grid, reference.functional,
+                             t_eval, M, seed, confidence, chunk_size, threads)
+        records.append(_error_record(h, est, exact))
     return records
+
+
+def _error_record(h, est: MonteCarloEstimate, exact: float) -> ErrorRecord:
+    return ErrorRecord(h=float(h), mean_error=est.mean - exact,
+                       variance_of_mean=est.variance_of_mean,
+                       half_width=est.half_width)
 
 
 def check_fit_steps(hs) -> None:
@@ -483,15 +477,14 @@ def check_fit_steps(hs) -> None:
                          f"distinct step sizes, got {hs}")
 
 
-def empirical_order(records) -> OrderEstimate:
-    """Least-squares slope of log2|error| against log2 h.
+def empirical_order(errors) -> OrderEstimate:
+    """Least-squares slope of log2|error| against log2 h of (h, error) pairs.
 
-    Accepts ErrorRecords or (h, error) pairs; zero-error entries are dropped
-    with a warning; the others must span at least two distinct step sizes.
+    Zero-error pairs are dropped with a warning; the others must span at
+    least two distinct step sizes.
     """
     pairs = []
-    for r in records:
-        h, err = (r.h, r.mean_error) if isinstance(r, ErrorRecord) else r
+    for h, err in errors:
         if err == 0.0:
             warnings.warn(f"dropping zero error at h={h} from order fit")
             continue
@@ -504,13 +497,13 @@ def empirical_order(records) -> OrderEstimate:
 
 
 def dense_error_profile(
-    scheme, problem, f, h, theta_list, M, seed,
+    scheme, problem, reference, h, theta_list, M, seed,
     confidence: float = 0.9,
-    provenance: str | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ):
-    """Errors of E f(Y(t_n + theta h)) at every node and theta.
+    """Errors of E f(Y(t_n + theta h)) against the reference, for f its
+    ``reference.functional``, at every node and theta.
 
     One MC pass: each path's step caches are queried at all requested times.
     Returns a list of (t, theta, ErrorRecord) triples.
@@ -520,7 +513,6 @@ def dense_error_profile(
             raise ValueError("theta values must lie in [0, 1)")
     if len(set(theta_list)) < len(theta_list):
         raise ValueError(f"theta values must be distinct, got {theta_list}")
-    ref = problem.reference_for(f, provenance)
     grid = exact_grid(problem, h)
     times, thetas = [], []
     for n in range(grid.n_steps):
@@ -529,21 +521,8 @@ def dense_error_profile(
             times.append(t_n + th * h_n)
             thetas.append(th)
     ests = mc_expectations_at(
-        scheme, problem, grid, f, times, M, seed, confidence, chunk_size,
-        threads,
+        scheme, problem, grid, reference.functional, times, M, seed,
+        confidence, chunk_size, threads,
     )
-    out = []
-    for t, th, est in zip(times, thetas, ests):
-        out.append(
-            (
-                t,
-                th,
-                ErrorRecord(
-                    h=float(h),
-                    mean_error=est.mean - ref.value(t),
-                    variance_of_mean=est.variance_of_mean,
-                    half_width=est.half_width,
-                ),
-            )
-        )
-    return out
+    return [(t, th, _error_record(h, est, reference.at(t)))
+            for t, th, est in zip(times, thetas, ests)]

@@ -305,6 +305,35 @@ class TestUsageErrors:
         assert code == 2
         assert err == [f"csrk: error: {message}"]
 
+    HUGE = ("--scheme", "CRDI3WM", "--problem", "linear", "--f", "x2")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("converge",) + HUGE + ("--x0", "1e154", "--t-eval", "2.0",
+                                 "--h-list", "0.5,0.25", "--M", "100"),
+         "the reference value of x1^2 at t=2.0 is not finite"),
+        (("dense",) + HUGE + ("--x0", "1e154", "--h", "0.5", "--M", "100"),
+         "path 0 blew up at step 0: non-finite f value at t=0.2"),
+        (("exact-order",) + HUGE + ("--x0", "1e154", "--N-list", "2,4"),
+         "enumeration blew up at step 1: non-finite expectation value at "
+         "t=2.0"),
+        (("local-order",) + HUGE + ("--x0", "1e300", "--h-list", "0.5,0.25"),
+         "enumeration blew up at step 0: non-finite expectation value at "
+         "t=0.5"),
+        (("converge", "--scheme", "CRDI3WM", "--problem", "linear",
+          "--t-eval", "2.0", "--h-list", "0.5,0.25", "--M", "100",
+          "--b", "1e308"),
+         "path 0 blew up at step 0: non-finite diffusion value at t=0.0, "
+         "stage 2"),
+    ], ids=["converge-reference", "dense-f-value", "exact-order-expectation",
+            "local-order-expectation", "converge-diffusion"])
+    def test_non_finite_result_named(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == [f"csrk: error: {message}"]
+        assert not caught, [str(w.message) for w in caught]
+
     @pytest.mark.parametrize("argv", [
         ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
          "--h", "0.3"),

@@ -45,6 +45,7 @@ class TestLinearProblem:
         ref = self._prob().reference_for(Functional("identity", 0))
         assert ref.value(1.7) == pytest.approx(0.1 * math.exp(2.55))
         assert ref.value(1.7) == pytest.approx(1.28071, abs=5e-6)
+        assert ref.at(1.7) == ref.value(1.7)
 
     def test_initial_values(self):
         p = self._prob()
@@ -177,3 +178,15 @@ class TestRegistry:
         p = ode_problem(1.0, 1.0, 1.0)
         with pytest.raises(KeyError, match="no reference"):
             p.reference_for(Functional("square", 0))
+
+    @pytest.mark.parametrize("x0,t", [
+        (1e300, 1.0),  # x0**2 raises OverflowError
+        (1e154, 2.0),  # x0**2 is finite, its product with exp(6.02) is not
+    ])
+    def test_non_finite_reference_refused(self, x0, t):
+        ref = linear_problem(1.5, 0.1, x0, 2.0).reference_for(
+            Functional("square", 0))
+        with pytest.raises(ValueError) as ei:
+            ref.at(t)
+        assert str(ei.value) == (f"the reference value of x1^2 at t={t} is "
+                                 "not finite")

@@ -23,7 +23,6 @@ from csrk.sde import (
 )
 from csrk.streams import KeyedPaths
 from csrk.stats import (
-    ErrorRecord,
     _advance,
     _path_steps,
     check_outcome_count,
@@ -195,6 +194,14 @@ OVERFLOWS = SdeProblem(
     x0=[0.0], t0=0.0, T=1.0, label="overflow",
 )
 
+# x0 (1 + dW) stays finite, but its square overflows where dW > 0
+SQUARE_OVERFLOWS = SdeProblem(
+    dim_state=1, dim_noise=1,
+    drift=lambda t, x: 0.0 * x,
+    diffusion=lambda t, x: x[..., :, None],
+    x0=[1.2e154], t0=0.0, T=0.5, label="square-overflows",
+)
+
 # drift overflows once a stage value passes 8: a few paths of seed 3 blow up
 BLOWS_UP = SdeProblem(
     dim_state=1, dim_noise=1,
@@ -262,6 +269,8 @@ class TestBlowup:
                           TimeGrid.uniform(0.0, 1.0, 5), 4, path)
         assert (ei.value.step, ei.value.path) == (2, path)
         assert (ei.value.family, ei.value.stage) == ("drift", 0)
+        assert str(ei.value) == (f"path {path} blew up at step 2: non-finite "
+                                 "drift value at t=0.4, stage 1")
 
     def test_enumeration_carries_step(self):
         late = SdeProblem(
@@ -274,6 +283,36 @@ class TestBlowup:
             exact_weak_expectation(builtin_scheme("EULER_OPT"), late,
                                    TimeGrid.uniform(0.0, 1.0, 5), FX)
         assert ei.value.step == 2
+        # a row of an enumerated level is not a path
+        assert ei.value.path is None
+        assert str(ei.value) == ("enumeration blew up at step 2: non-finite "
+                                 "drift value at t=0.4, stage 1")
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_mc_names_first_non_finite_f_value(self, threads):
+        M, chunk, seed = 256, 64, 3
+        dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
+        first = int(np.argmax(dW[:, 0] > 0.0))
+        assert first > 0
+        # np.errstate would not reach the pool's threads
+        with warnings.catch_warnings(), pytest.raises(BlowupError) as ei:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mc_expectation(builtin_scheme("EULER_OPT"), SQUARE_OVERFLOWS,
+                           TimeGrid.uniform(0.0, 0.5, 1), FX2, 0.5, M, seed,
+                           chunk_size=chunk, threads=threads)
+        assert (ei.value.step, ei.value.path) == (0, first)
+        assert str(ei.value) == (f"path {first} blew up at step 0: "
+                                 "non-finite f value at t=0.5")
+
+    def test_enumeration_refuses_a_non_finite_expectation(self):
+        with np.errstate(over="ignore"), pytest.raises(BlowupError) as ei:
+            exact_weak_expectation(builtin_scheme("EULER_OPT"),
+                                   SQUARE_OVERFLOWS,
+                                   TimeGrid.uniform(0.0, 0.5, 2), FX2,
+                                   theta_eval=0.5)
+        assert (ei.value.step, ei.value.path) == (1, None)
+        assert str(ei.value) == ("enumeration blew up at step 1: non-finite "
+                                 "expectation value at t=0.375")
 
 
 def listed_expectation(scheme, problem, grid, f, theta_eval=1.0):
@@ -505,20 +544,12 @@ class TestOrderEstimation:
                 pytest.raises(ValueError, match=r"got \[0.5, 0.5\]"):
             empirical_order([(0.5, 1e-3), (0.25, 0.0), (0.5, 3e-3)])
 
-    def test_accepts_error_records(self):
-        recs = [
-            ErrorRecord(h=0.5, mean_error=1e-2, variance_of_mean=0.0,
-                        half_width=0.0),
-            ErrorRecord(h=0.25, mean_error=2.5e-3, variance_of_mean=0.0,
-                        half_width=0.0),
-        ]
-        assert empirical_order(recs).slope == pytest.approx(2.0, abs=1e-12)
-
 
 class TestErrorTable:
     def test_rows_against_reference(self):
         t = builtin_scheme("CRDI2WM")
-        recs = error_table(t, LIN, FX, 2.0, [0.5, 0.25], 20000, 4)
+        recs = error_table(t, LIN, LIN.reference_for(FX), 2.0, [0.5, 0.25],
+                           20000, 4)
         assert [r.h for r in recs] == [0.5, 0.25]
         for r in recs:
             assert r.ci_low == r.mean_error - r.half_width
@@ -528,33 +559,33 @@ class TestErrorTable:
     def test_provenance_selector(self):
         t = builtin_scheme("CRDI2WM")
         sys2 = system2d_problem()
-        derived = error_table(t, sys2, FX2, 4.0, [1.0], 2000, 0)
-        stated = error_table(t, sys2, FX2, 4.0, [1.0], 2000, 0,
-                             provenance="paper_stated")
+        refs = [sys2.reference_for(FX2),
+                sys2.reference_for(FX2, "paper_stated")]
+        derived, stated = [error_table(t, sys2, ref, 4.0, [1.0], 2000, 0)
+                           for ref in refs]
         diff = math.exp(-4.0) - math.exp(-271 / 256 * 4.0)
         assert derived[0].mean_error - stated[0].mean_error == pytest.approx(
             diff, rel=1e-12
         )
-
-    def test_missing_reference(self):
-        ode = ode_problem(1.0, 1.0, 1.0)
-        with pytest.raises(KeyError):
-            error_table(builtin_scheme("EULER_OPT"), ode, FX2, 1.0, [0.5],
-                        100, 0)
+        est = mc_expectation(t, sys2, grid_for_step(sys2, 1.0), FX2, 4.0,
+                             2000, 0)
+        for ref, rows in zip(refs, (derived, stated)):
+            assert rows[0].mean_error == est.mean - ref.value(4.0)
+            assert rows[0].variance_of_mean == est.variance_of_mean
 
     @pytest.mark.parametrize("h_list", ([], np.array([])))
     def test_no_step_sizes(self, h_list):
         with pytest.raises(ValueError, match="at least one step size"):
-            error_table(builtin_scheme("EULER_OPT"), LIN, FX, 2.0, h_list,
-                        100, 0)
+            error_table(builtin_scheme("EULER_OPT"), LIN, LIN.reference_for(FX),
+                        2.0, h_list, 100, 0)
 
 
 class TestDenseProfile:
     def test_zero_diffusion_profile_deterministic(self):
         ode = ode_problem(1.0, 1.0, 1.0)
-        t = builtin_scheme("CRDI3WM")
-        rows_small = dense_error_profile(t, ode, FX, 0.25, [0.5], 100, 0)
-        rows_big = dense_error_profile(t, ode, FX, 0.25, [0.5], 1000, 7)
+        t, ref = builtin_scheme("CRDI3WM"), ode.reference_for(FX)
+        rows_small = dense_error_profile(t, ode, ref, 0.25, [0.5], 100, 0)
+        rows_big = dense_error_profile(t, ode, ref, 0.25, [0.5], 1000, 7)
         for (ta, tha, ra), (tb, thb, rb) in zip(rows_small, rows_big):
             assert (ta, tha) == (tb, thb)
             assert ra.mean_error == pytest.approx(rb.mean_error, rel=1e-12)
@@ -562,7 +593,8 @@ class TestDenseProfile:
 
     def test_profile_layout(self):
         t = builtin_scheme("CRDI2WM")
-        rows = dense_error_profile(t, LIN, FX, 0.5, [0.25, 0.75], 500, 0)
+        rows = dense_error_profile(t, LIN, LIN.reference_for(FX), 0.5,
+                                   [0.25, 0.75], 500, 0)
         assert len(rows) == 4 * 2
         times = [r[0] for r in rows]
         assert times[0] == pytest.approx(0.125)
@@ -571,5 +603,6 @@ class TestDenseProfile:
     def test_theta_domain(self):
         with pytest.raises(ValueError):
             dense_error_profile(
-                builtin_scheme("CRDI2WM"), LIN, FX, 0.5, [1.0], 100, 0
+                builtin_scheme("CRDI2WM"), LIN, LIN.reference_for(FX), 0.5,
+                [1.0], 100, 0
             )
