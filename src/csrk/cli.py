@@ -65,6 +65,11 @@ def _problems():
     }
 
 
+# each problem option and its default; a problem takes the options its
+# entry in _problems() names and refuses the others
+_PROBLEM_OPTIONS = {"a": 1.5, "b": 0.1, "lam": 1.0, "x0": 0.1, "T": 2.0}
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
@@ -104,7 +109,14 @@ def _load_scheme(args):
 
 
 def _problem_params(args):
-    return {k: getattr(args, k) for k in _problems()[args.problem][1]}
+    names = _problems()[args.problem][1]
+    unused = [f"--{k}" for k in _PROBLEM_OPTIONS
+              if k not in names and getattr(args, k) is not None]
+    if unused:
+        raise ValueError(f"problem {args.problem!r} does not take "
+                         f"{', '.join(unused)}")
+    return {k: _PROBLEM_OPTIONS[k] if getattr(args, k) is None
+            else getattr(args, k) for k in names}
 
 
 def _build_problem(args):
@@ -156,11 +168,8 @@ def _add_scheme_args(p):
 def _add_problem_args(p):
     _add_scheme_args(p)
     p.add_argument("--problem", required=True, choices=list(_problems()))
-    p.add_argument("--a", type=float, default=1.5)
-    p.add_argument("--b", type=float, default=0.1)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=0.1)
-    p.add_argument("--T", type=float, default=2.0)
+    for name in _PROBLEM_OPTIONS:
+        p.add_argument(f"--{name}", type=float)
 
 
 def _add_estimate_args(p):

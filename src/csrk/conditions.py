@@ -214,9 +214,16 @@ def evaluate_condition(t: CsrkTableau, cid: ConditionId, theta: float = 1.0) -> 
     return CATALOG[cid].residual(t, theta)
 
 
+_MAX_GRID_POINTS = 10**7
+
+
 def default_theta_grid(points: int = 21) -> np.ndarray:
     if points < 2:
         raise ValueError("theta grid needs at least the endpoints")
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"theta grid may have at most {_MAX_GRID_POINTS} points (points, "
+            f"--grid-points on the command line), got {points}")
     return np.linspace(0.0, 1.0, points)
 
 
@@ -231,7 +238,7 @@ def check_conditions(
     ``conditions`` defaults to the tableau's declared set.  Continuous
     conditions are checked at every theta of ``grid`` (must contain 0 and 1);
     at-one conditions only at theta = 1.  A condition passes iff its worst
-    residual is within ``tol``.
+    residual is within ``tol``; a NaN residual is the worst, so it fails.
     """
     if grid is None:
         grid = default_theta_grid()
@@ -251,7 +258,9 @@ def check_conditions(
         worst, worst_theta = -1.0, 1.0
         for th in thetas:
             r = cond.residual(t, th)
-            if r > worst:
+            if r > worst or math.isnan(r):
                 worst, worst_theta = r, th
+                if math.isnan(r):
+                    break
         records.append(ConditionRecord(cid, worst, worst_theta, worst <= tol))
     return ConditionReport(tuple(records), tol)

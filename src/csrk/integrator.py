@@ -15,8 +15,11 @@ and ``evaluate_dense`` for its three callers: the path simulator, the Monte
 Carlo engine and the enumeration oracle.
 
 A step reads the scheme's nodes and nonzero couplings as Python floats from
-``CsrkTableau.stage_plan``, built once per tableau.  It evaluates drift and
-diffusion at every stage and stores the iterated-integral matrix
+``CsrkTableau.stage_plan``, built once per tableau.  The two diffusion
+families share one loop and one m x m table per stage: b^k at H_i^(k) on the
+diagonal and, where the cross family runs, b^k at Hhat_i^(l) off it; dense
+output sums each family over the entries it filled.  A step evaluates drift
+and diffusion at every stage and stores the iterated-integral matrix
 ``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for every dense evaluation of
 that step to read.  ``evaluate_dense`` takes the scheme's dense weights at
 theta, ``CsrkTableau.dense_weights(theta)``, which depend only on the scheme
@@ -137,8 +140,9 @@ class StageCache:
     V: np.ndarray  # (..., m, m)
     I2: np.ndarray  # (..., m, m): 0.5 * (dW dW^T + V)
     a_vals: tuple  # s arrays (..., d)
-    b_diag: tuple  # s tuples of m arrays (..., d): b^k at H_i^(k)
-    b_cross: tuple | None  # s tuples of m tuples of m arrays: b^k at Hhat_i^(l)
+    # s tables of m x m arrays (..., d): b^k at H_i^(k) on the diagonal,
+    # b^k at Hhat_i^(l) at [k][l] off it (None where the cross family is off)
+    b_vals: tuple
 
 
 def _check_finite(arr, t_n, stage, family, batched):
@@ -163,16 +167,18 @@ def compute_step_arrays(
     if h <= 0:
         raise ValueError("need h > 0")
     s, m = scheme.stages, problem.dim_noise
-    (c0, K0), (c1, K1), (c2, K2) = scheme.stage_plan
+    (c0, K0), diag, cross = scheme.stage_plan
     sqrt_h = math.sqrt(h)
     y_n = np.asarray(y_n, dtype=float)
     dW = np.asarray(dW, dtype=float)
     V = np.asarray(V, dtype=float)
     batched = y_n.ndim > 1
-    cross = scheme.uses_cross_stages and m > 1
+    # (nodes, couplings, family, whether its values go on the diagonal)
+    families = [(*diag, "diffusion", True)]
+    if scheme.uses_cross_stages and m > 1:
+        families.append((*cross, "cross diffusion", False))
     a_vals: list = [None] * s
-    b_diag: list = [None] * s
-    b_cross: list = [None] * s if cross else None
+    b_vals: list = [None] * s
 
     for i in range(s):
         H0 = y_n
@@ -181,50 +187,34 @@ def compute_step_arrays(
                 H0 = H0 + (h * a) * a_vals[j]
             if b != 0.0:
                 for r in range(m):
-                    H0 = H0 + b * dW[..., r, None] * b_diag[j][r]
+                    H0 = H0 + b * dW[..., r, None] * b_vals[j][r][r]
         a_vals[i] = np.asarray(
             problem.drift(t_n + c0[i] * h, H0), dtype=float
         )
         _check_finite(a_vals[i], t_n, i, "drift", batched)
 
-        diag_i = []
-        for k in range(m):
-            Hk = y_n
-            for j, a, b in K1[i]:
-                if a != 0.0:
-                    Hk = Hk + (h * a) * a_vals[j]
-                if b != 0.0:
-                    Hk = Hk + (sqrt_h * b) * b_diag[j][k]
-            bmat = np.asarray(
-                problem.diffusion(t_n + c1[i] * h, Hk), dtype=float
-            )
-            _check_finite(bmat, t_n, i, "diffusion", batched)
-            diag_i.append(bmat[..., :, k])
-        b_diag[i] = tuple(diag_i)
-
-        if cross:
-            cross_i = [[None] * m for _ in range(m)]
+        table = [[None] * m for _ in range(m)]
+        for c, K, family, on_diag in families:
             for l in range(m):
-                Hl = y_n
-                for j, a, b in K2[i]:
+                H = y_n
+                for j, a, b in K[i]:
                     if a != 0.0:
-                        Hl = Hl + (h * a) * a_vals[j]
+                        H = H + (h * a) * a_vals[j]
                     if b != 0.0:
-                        Hl = Hl + (sqrt_h * b) * b_diag[j][l]
+                        H = H + (sqrt_h * b) * b_vals[j][l][l]
                 bmat = np.asarray(
-                    problem.diffusion(t_n + c2[i] * h, Hl), dtype=float
+                    problem.diffusion(t_n + c[i] * h, H), dtype=float
                 )
-                _check_finite(bmat, t_n, i, "cross diffusion", batched)
+                _check_finite(bmat, t_n, i, family, batched)
                 for k in range(m):
-                    if k != l:
-                        cross_i[k][l] = bmat[..., :, k]
-            b_cross[i] = tuple(tuple(row) for row in cross_i)
+                    if (k == l) == on_diag:
+                        table[k][l] = bmat[..., :, k]
+        b_vals[i] = tuple(map(tuple, table))
 
     return StageCache(
         t_n=t_n, h=h, sqrt_h=sqrt_h, y_n=y_n, dW=dW, V=V,
         I2=0.5 * (dW[..., :, None] * dW[..., None, :] + V),
-        a_vals=tuple(a_vals), b_diag=tuple(b_diag),
-        b_cross=tuple(b_cross) if cross else None,
+        a_vals=tuple(a_vals), b_vals=tuple(b_vals),
     )
 
 
@@ -237,26 +227,23 @@ def evaluate_dense(cache: StageCache, weights):
     s = len(al)
     m = cache.dW.shape[-1]
     h, sqrt_h = cache.h, cache.sqrt_h
-    dW, I2 = cache.dW, cache.I2
+    dW, I2, b_vals = cache.dW, cache.I2, cache.b_vals
+    # per family: its two weights and the (k, l) entries of the table it
+    # fills; the off-diagonal is filled only where the cross family ran
+    families = [(b1, b2, [(k, k) for k in range(m)])]
+    if m > 1 and b_vals[0][0][1] is not None:
+        families.append((b3, b4, [(k, l) for k in range(m)
+                                  for l in range(m) if k != l]))
 
     y = cache.y_n.copy()
     for i in range(s):
         if al[i] != 0.0:
             y += (al[i] * h) * cache.a_vals[i]
-    for i in range(s):
-        if b1[i] == 0.0 and b2[i] == 0.0:
-            continue
-        for k in range(m):
-            coeff = b1[i] * dW[..., k] + (b2[i] / sqrt_h) * I2[..., k, k]
-            y += coeff[..., None] * cache.b_diag[i][k]
-    if cache.b_cross is not None:
+    for bw, bi, pairs in families:
         for i in range(s):
-            if b3[i] == 0.0 and b4[i] == 0.0:
+            if bw[i] == 0.0 and bi[i] == 0.0:
                 continue
-            for k in range(m):
-                for l in range(m):
-                    if k == l:
-                        continue
-                    coeff = b3[i] * dW[..., k] + (b4[i] / sqrt_h) * I2[..., k, l]
-                    y += coeff[..., None] * cache.b_cross[i][k][l]
+            for k, l in pairs:
+                coeff = bw[i] * dW[..., k] + (bi[i] / sqrt_h) * I2[..., k, l]
+                y += coeff[..., None] * b_vals[i][k][l]
     return y

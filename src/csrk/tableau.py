@@ -132,6 +132,10 @@ class CsrkTableau:
             mat = _ro(getattr(self, name))
             if mat.shape != (s, s):
                 raise TableauError(f"{name} must be {s}x{s}")
+            if not np.isfinite(mat).all():
+                i, j = np.argwhere(~np.isfinite(mat))[0]
+                raise TableauError(
+                    f"{name}[{i + 1},{j + 1}] = {mat[i, j]} is not finite")
             for i in range(s):
                 for j in range(i, s):
                     if mat[i, j] != 0.0:
@@ -354,15 +358,13 @@ def builtin_scheme(name: str) -> CsrkTableau:
 _ALLOWED_FUNCS = {"sqrt": math.sqrt}
 
 
-def _eval_expr(text) -> float:
-    """Evaluate a numeric coefficient expression like '(9-2*sqrt(15))/14'."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    try:
-        node = ast.parse(str(text), mode="eval")
-    except SyntaxError as exc:
-        raise TableauError(f"cannot parse expression {text!r}: {exc}") from None
+def _eval_expr(text, where="expression") -> float:
+    """Evaluate a numeric coefficient expression like '(9-2*sqrt(15))/14'.
 
+    The value is a finite real float; an expression without one (a division
+    by zero, an overflow, a math domain error, a complex or non-finite
+    result) raises a TableauError that names it as ``where``.
+    """
     def ev(n):
         if isinstance(n, ast.Expression):
             return ev(n.body)
@@ -389,9 +391,22 @@ def _eval_expr(text) -> float:
             and len(n.args) == 1
         ):
             return _ALLOWED_FUNCS[n.func.id](ev(n.args[0]))
-        raise TableauError(f"unsupported construct in expression {text!r}")
+        raise TableauError(f"unsupported construct in {where} {text!r}")
 
-    return ev(node)
+    try:
+        value = (float(text) if isinstance(text, (int, float))
+                 else ev(ast.parse(str(text), mode="eval")))
+    except SyntaxError as exc:
+        raise TableauError(f"cannot parse {where} {text!r}: {exc}") from None
+    except TableauError:
+        raise
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        why = "overflows a float" if isinstance(exc, OverflowError) else exc
+        raise TableauError(f"{where} {text!r} has no value: {why}") from None
+    if isinstance(value, complex) or not math.isfinite(value):
+        raise TableauError(
+            f"{where} {text!r} is not a finite real number: {value}")
+    return value
 
 
 def _parse_matrix(doc, key, s):
@@ -401,7 +416,8 @@ def _parse_matrix(doc, key, s):
         raise TableauError(f"missing matrix {key!r}") from None
     if len(raw) != s * s:
         raise TableauError(f"{key} must have {s * s} row-major entries")
-    return np.array([_eval_expr(v) for v in raw]).reshape(s, s)
+    return np.array([_eval_expr(v, f"{key}[{r // s + 1},{r % s + 1}]")
+                     for r, v in enumerate(raw)]).reshape(s, s)
 
 
 def _parse_weights(doc, key, s):
@@ -421,7 +437,8 @@ def _parse_weights(doc, key, s):
                     f"{key}[{i + 1}] has a theta^({n}/2) term; weights must "
                     "vanish at theta = 0"
                 )
-            terms[n] = terms.get(n, 0.0) + _eval_expr(coeff)
+            terms[n] = terms.get(n, 0.0) + _eval_expr(
+                coeff, f"{key}[{i + 1}] theta^({n}/2) coefficient")
         out.append(WeightPolynomial.from_dict(terms))
     return tuple(out)
 

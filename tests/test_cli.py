@@ -65,6 +65,42 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--scheme-file", str(f))
         assert code == 0
 
+    @staticmethod
+    def _two_stage_file(tmp_path, **entries):
+        doc = {"name": "X", "s": 2, "meta": {
+            "conditions": ["order2_at_one:8", "order2_at_one:9"]}}
+        for key in ("A0", "A1", "A2", "B0", "B1", "B2"):
+            doc[key] = [0, 0, entries.get(key, 0), 0]
+        doc["alpha"] = [[[2, 1.0]], []]
+        for key in ("beta1", "beta2", "beta3", "beta4"):
+            doc[key] = [[], []]
+        f = tmp_path / "x.json"
+        f.write_text(json.dumps(doc))
+        return str(f)
+
+    def test_nan_residual_fails(self, capsys, tmp_path):
+        # alpha @ (B0 e)**2 = 1 * 0 + 0 * inf is NaN
+        f = self._two_stage_file(tmp_path, B0="1e200")
+        code, out, err = run(capsys, "check", "--scheme-file", f)
+        assert code == 1 and not err
+        assert body_lines(out)[2] == "order2_at_one,9,nan,1,FAIL"
+        assert out.endswith("# overall = FAIL\n")
+
+    @pytest.mark.parametrize("text,why", [
+        ("1/0", "has no value: float division by zero"),
+        ("10.0**400", "has no value: overflows a float"),
+        ("sqrt(-1)", "has no value: math domain error"),
+        ("(-8)**(1/3)", "is not a finite real number: "
+                        "(1.0000000000000002+1.7320508075688772j)"),
+        ("1e308*10 - 1e308*10", "is not a finite real number: nan"),
+    ])
+    def test_expression_without_value_is_one_line(self, capsys, tmp_path,
+                                                  text, why):
+        f = self._two_stage_file(tmp_path, A0=text)
+        code, err = usage_error(capsys, "check", "--scheme-file", f)
+        assert code == 2
+        assert err == [f"csrk: error: A0[2,1] {text!r} {why}"]
+
     def test_missing_scheme_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["check"])
@@ -363,12 +399,33 @@ class TestUsageErrors:
          "3^100000000000000000000000 outcome sequences exceed the cap "
          "10000000 (outcome_cap, --outcome-cap on the command line); use "
          "mc_expectation instead"),
+        (("check", "--scheme", "CRDI3WM", "--grid-points",
+          "100000000000000000000000"),
+         "theta grid may have at most 10000000 points (points, --grid-points "
+         "on the command line), got 100000000000000000000000"),
     ], ids=["step-count-overflow", "step-count-limit",
-            "step-count-limit-h-list", "N-list-huge"])
+            "step-count-limit-h-list", "N-list-huge", "grid-points-huge"])
     def test_names_the_limit(self, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == [f"csrk: error: {message}"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("exact-order", "--scheme", "CRDI3WM", "--problem", "system2d",
+          "--f", "x2", "--N-list", "2,3", "--T", "1.0", "--x0", "5",
+          "--a", "9"),
+         "problem 'system2d' does not take --a, --x0, --T"),
+        (("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
+          "--h", "0.5", "--lam", "7"),
+         "problem 'linear' does not take --lam"),
+        (("simulate", "--scheme", "CRDI3WM", "--problem", "ode",
+          "--h", "0.5", "--b", "0.1"),
+         "problem 'ode' does not take --b"),
+    ], ids=["system2d", "linear", "ode"])
+    def test_option_the_problem_does_not_take(self, capsys, argv, message):
+        code, err = usage_error(capsys, *argv)
         assert code == 2
         assert err == [f"csrk: error: {message}"]
 

@@ -190,3 +190,27 @@ class TestCheckerInterface:
         # nan would fail every condition and inf pass any tableau
         with pytest.raises(ValueError, match="positive and finite"):
             check_conditions(builtin_scheme("CRDI2WM"), tol=tol)
+
+    def test_nan_residual_fails(self):
+        # alpha @ (B0 e)**2 = 1 * 0 + 0 * inf is NaN, which no comparison
+        # with a finite worst residual would keep
+        zero = np.zeros((2, 2))
+        w, nil = WeightPolynomial(((2, 1.0),)), WeightPolynomial()
+        t = CsrkTableau(
+            stages=2, A0=zero, A1=zero, A2=zero,
+            B0=[[0.0, 0.0], [1e200, 0.0]], B1=zero, B2=zero,
+            alpha=(w, nil), beta1=(nil, nil), beta2=(nil, nil),
+            beta3=(nil, nil), beta4=(nil, nil),
+            meta=SchemeMeta("huge", 1.0, 1.0),
+        )
+        cid = ConditionId("order2_at_one", 9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_conditions(t, conditions={cid})
+        [rec] = rep.records
+        assert math.isnan(rec.residual) and rec.worst_theta == 1.0
+        assert not rec.passed and not rep.passed
+
+    @pytest.mark.parametrize("points", (10**7 + 1, 10**23))
+    def test_grid_point_limit(self, points):
+        with pytest.raises(ValueError, match="at most 10000000 points"):
+            default_theta_grid(points)

@@ -72,7 +72,7 @@ class TestStages:
         )
         # H_1^(0) = H_1^(k) = y_n, so the cached values are a(y_n), b(y_n)
         assert cache.a_vals[0][0] == pytest.approx(1.5 * 0.1)
-        assert cache.b_diag[0][0][0] == pytest.approx(0.1 * 0.1)
+        assert cache.b_vals[0][0][0][0] == pytest.approx(0.1 * 0.1)
 
     def test_crdi2_stage2_diffusion_argument(self):
         a, b, h = 1.5, 0.1, 0.25
@@ -82,7 +82,7 @@ class TestStages:
                                     dW, V)
         # H_2^(1) = y (1 + (2/3) a h + sqrt(2/3) b sqrt(h))
         H2 = 0.1 * (1 + 2 / 3 * a * h + math.sqrt(2 / 3) * b * math.sqrt(h))
-        assert cache.b_diag[1][0][0] == pytest.approx(b * H2, rel=1e-14)
+        assert cache.b_vals[1][0][0][0] == pytest.approx(b * H2, rel=1e-14)
 
     def test_zero_diffusion_classical_stages(self):
         ode = ode_problem(1.0, 1.0, 1.0)
@@ -166,6 +166,16 @@ def step_reference(scheme, problem, t_n, y_n, h, dW, V):
     return a_vals, b_diag, b_cross if cross else None
 
 
+def as_table(b_diag, b_cross):
+    """The reference's b_diag[i][k] and b_cross[i][k][l] as the cache's
+    b_vals[i][k][k] and b_vals[i][k][l]."""
+    m = len(b_diag[0])
+    return [[[b_diag[i][k] if k == l else
+              b_cross[i][k][l] if b_cross is not None else None
+              for l in range(m)] for k in range(m)]
+            for i in range(len(b_diag))]
+
+
 def flat_arrays(tree):
     """The arrays of a nested list/tuple structure, in order (None kept)."""
     if isinstance(tree, (list, tuple)):
@@ -195,8 +205,9 @@ class TestStagePlan:
             dW, V = sample_batch(m, h, 7, 0, 0)
         cache = compute_step_arrays(scheme, problem, t_n, y, h, dW, V)
         want = step_reference(scheme, problem, t_n, y, h, dW, V)
-        got = (cache.a_vals, cache.b_diag, cache.b_cross)
-        got, want = flat_arrays(got), flat_arrays(want)
+        a_vals, b_diag, b_cross = want
+        got = flat_arrays((cache.a_vals, cache.b_vals))
+        want = flat_arrays((a_vals, as_table(b_diag, b_cross)))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             if w is None:
@@ -318,8 +329,8 @@ def dense_reference(cache, scheme, theta):
             continue
         for k in range(m):
             coeff = b1[i] * dW[..., k] + (b2[i] / sqrt_h) * I2[..., k, k]
-            y += coeff[..., None] * cache.b_diag[i][k]
-    if cache.b_cross is not None:
+            y += coeff[..., None] * cache.b_vals[i][k][k]
+    if scheme.uses_cross_stages and m > 1:
         for i in range(s):
             if b3[i] == 0.0 and b4[i] == 0.0:
                 continue
@@ -328,7 +339,7 @@ def dense_reference(cache, scheme, theta):
                     if k == l:
                         continue
                     coeff = b3[i] * dW[..., k] + (b4[i] / sqrt_h) * I2[..., k, l]
-                    y += coeff[..., None] * cache.b_cross[i][k][l]
+                    y += coeff[..., None] * cache.b_vals[i][k][l]
     return y
 
 

@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csrk.integrator import TimeGrid
 from csrk.tableau import (
@@ -11,6 +14,7 @@ from csrk.tableau import (
     SchemeMeta,
     TableauError,
     WeightPolynomial,
+    _eval_expr,
     builtin_scheme,
     parse_tableau,
     scheme_names,
@@ -294,3 +298,86 @@ class TestSerialization:
         """
         with pytest.raises(TableauError, match="unsupported construct"):
             parse_tableau(doc)
+
+    @pytest.mark.parametrize("key", ("A0", "B2"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_matrix_entry_named(self, key, bad):
+        zero = np.zeros((2, 2))
+        mats = {k: zero for k in ("A0", "A1", "A2", "B0", "B1", "B2")}
+        mats[key] = np.array([[0.0, 0.0], [bad, 0.0]])
+        nil = (WeightPolynomial(),) * 2
+        with pytest.raises(TableauError,
+                           match=rf"{key}\[2,1\] = {bad} is not finite"):
+            CsrkTableau(stages=2, **mats, alpha=nil, beta1=nil, beta2=nil,
+                        beta3=nil, beta4=nil, meta=SchemeMeta("X", 1.0, 1.0))
+
+
+def _doc(a21=0, alpha1=1.0):
+    return json.dumps({
+        "name": "X", "s": 2, "A0": [0, 0, a21, 0], "A1": [0, 0, 0, 0],
+        "A2": [0, 0, 0, 0], "B0": [0, 0, 0, 0], "B1": [0, 0, 0, 0],
+        "B2": [0, 0, 0, 0], "alpha": [[[2, alpha1]], []],
+        "beta1": [[], []], "beta2": [[], []], "beta3": [[], []],
+        "beta4": [[], []]})
+
+
+class TestExpressions:
+    @pytest.mark.parametrize("text,value", [
+        ("-1/2", -0.5), ("+2", 2.0), ("-sqrt(4)**2", -4.0), ("2**-1", 0.5),
+    ])
+    def test_unary_operators(self, text, value):
+        got = _eval_expr(text)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("text,why", [
+        ("1/0", "has no value: float division by zero"),
+        ("10.0**400", "has no value: overflows a float"),
+        ("sqrt(-1)", "has no value: math domain error"),
+        ("(-8)**(1/3)", "is not a finite real number: "
+                        "(1.0000000000000002+1.7320508075688772j)"),
+        ("sqrt((-8)**(1/3))", "has no value: must be real number, not "
+                              "complex"),
+        ("1e308*10 - 1e308*10", "is not a finite real number: nan"),
+        ("1e400", "is not a finite real number: inf"),
+    ])
+    def test_matrix_entry_without_value_named(self, text, why):
+        with pytest.raises(TableauError) as ei:
+            parse_tableau(_doc(a21=text))
+        assert str(ei.value) == f"A0[2,1] {text!r} {why}"
+
+    def test_weight_coefficient_without_value_named(self):
+        with pytest.raises(TableauError,
+                           match=r"alpha\[1\] theta\^\(2/2\) coefficient "
+                                 r"'\(-8\)\*\*\(1/3\)' is not a finite real"):
+            parse_tableau(_doc(alpha1="(-8)**(1/3)"))
+
+
+# the README grammar: numeric literals, + - * / ** (binary and unary + -),
+# sqrt and parentheses
+_LITERALS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(("0", "0.0", "1e308", "1e-320", "1e400", "2.5e-3")),
+)
+_EXPRESSIONS = st.recursive(
+    _LITERALS,
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(sub, sub).map(lambda t: f"({t[0]})**({t[1]})"),
+        st.tuples(st.sampled_from("+-"), sub).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        sub.map(lambda e: f"sqrt({e})"),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_EXPRESSIONS)
+def test_grammar_gives_finite_real_or_tableau_error(text):
+    try:
+        value = _eval_expr(text)
+    except TableauError:
+        return
+    assert type(value) is float and math.isfinite(value)
