@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -76,6 +77,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _strict_json(v):
+    """v with each non-finite float spelled as in CSV ("nan", "inf",
+    "-inf"), a JSON string, since strict JSON has no NaN or Infinity."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return _fmt(v)
+    if isinstance(v, dict):
+        return {k: _strict_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict_json(x) for x in v]
+    return v
+
+
 def _emit(args, columns, rows, header=(), footer=()):
     """Write one table, headed by the recorded options, as CSV or JSON."""
     given = vars(args)
@@ -85,7 +98,7 @@ def _emit(args, columns, rows, header=(), footer=()):
     if args.output_format == "json":
         doc = {"version": __version__, "config": config, **dict(header),
                "columns": columns, "rows": rows, **dict(footer)}
-        text = json.dumps(doc, indent=2, default=_fmt) + "\n"
+        text = json.dumps(_strict_json(doc), indent=2, default=_fmt) + "\n"
     else:
         lines = [f"# csrk {__version__}",
                  "# config = " + json.dumps(config, default=_fmt)]

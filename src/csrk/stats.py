@@ -8,7 +8,10 @@ in the states they step and where the increments come from:
   Carlo routine, ``mc_expectations_at``, runs it on fixed-size chunks of
   paths (states ``(B, d)``) and folds per-chunk mean/M2 statistics in
   ascending chunk order, so the result is bit-identical for any thread
-  count given (seed, M, chunk size).  ``simulate_path`` runs it on one path
+  count given (seed, M, chunk size).  Each worker thread writes the f-values
+  and their squared deviations of every chunk it runs into one statistics
+  block, allocated on its first chunk and sized by the largest chunk run,
+  so no chunk faults a fresh block in.  ``simulate_path`` runs it on one path
   (state ``(d,)``), so simulated path p is Monte Carlo path p, and keeps
   each step's cache for dense queries;
 * the enumeration oracle expands the joint outcome tree level by level, one
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -296,12 +300,20 @@ def mc_expectations_at(
         by_step.setdefault(n, []).append(
             (idx, theta, scheme.dense_weights(theta)))
 
+    n_eval, rows = len(eval_points), min(chunk_size, M)
+    # one statistics block per worker thread and run, sized by the largest
+    # chunk: a fresh block per chunk is page-faulted in again every time
+    worker = threading.local()
+
     def chunk(start):
         count = min(chunk_size, M - start)
         # the stream keys of the chunk's paths, computed once for all steps
         paths = KeyedPaths(seed,
                            np.arange(start, start + count, dtype=np.uint64))
-        vals = np.empty((len(eval_points), count))
+        if not hasattr(worker, "block"):
+            worker.block = np.empty(n_eval * rows)
+        # the contiguous prefix has the layout of np.empty((n_eval, count))
+        vals = worker.block[:n_eval * count].reshape(n_eval, count)
         for n, cache, y in _path_steps(scheme, problem, grid, seed, paths,
                                        max(by_step) + 1, step_weights):
             for idx, theta, weights in by_step.get(n, ()):
@@ -313,7 +325,11 @@ def mc_expectations_at(
             raise BlowupError(t_n=float(eval_times[idx]), family="f",
                               step=eval_points[idx][0], path=start + row)
         mean = vals.mean(axis=1)
-        return count, mean, ((vals - mean[:, None]) ** 2).sum(axis=1)
+        # the deviations overwrite the values, by the ufuncs of
+        # (vals - mean[:, None]) ** 2, so M2 keeps its bits
+        np.subtract(vals, mean[:, None], out=vals)
+        np.square(vals, out=vals)
+        return count, mean, vals.sum(axis=1)
 
     starts = range(0, M, chunk_size)
     # both maps yield in ascending chunk order, which fixes the reduction

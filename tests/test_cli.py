@@ -86,6 +86,22 @@ class TestCheck:
         assert body_lines(out)[2] == "order2_at_one,9,nan,1,FAIL"
         assert out.endswith("# overall = FAIL\n")
 
+    def test_nan_residual_is_strict_json(self, capsys, tmp_path):
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        f = self._two_stage_file(tmp_path, B0="1e200")
+        code, out, _ = run(capsys, "check", "--scheme-file", f,
+                           "--format", "json")
+        assert code == 1
+        doc = json.loads(out, parse_constant=refuse)
+        # spelled as in CSV
+        assert doc["rows"][1] == ["order2_at_one", 9, "nan", 1.0, "FAIL"]
+        # finite values are written as plain json.dumps writes them
+        code, out, _ = run(capsys, "check", "--scheme", "CRDI3WM",
+                           "--format", "json")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     @pytest.mark.parametrize("text,why", [
         ("1/0", "has no value: float division by zero"),
         ("10.0**400", "has no value: overflows a float"),

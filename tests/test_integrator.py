@@ -369,6 +369,20 @@ class TestDenseWeights:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", [n for n in scheme_names()
+                                      if builtin_scheme(n).uses_cross_stages])
+    def test_noise_sums_in_order_on_a_sampled_batch(self, name):
+        # the diagonal family's sum comes before the cross family's; on 4096
+        # sampled paths, summing them the other way round changes bits
+        problem, scheme, h = system2d_problem(), builtin_scheme(name), 0.3
+        dW, V = sample_batch(2, h, 7, np.arange(4096, dtype=np.uint64), 0)
+        y = np.broadcast_to(problem.x0, (4096, 2)).copy()
+        cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
+        for theta in (0.3, 1.0):
+            want = dense_reference(cache, scheme, theta)
+            got = evaluate_dense(cache, scheme.dense_weights(theta))
+            assert got.tobytes() == want.tobytes()
+
 
 class TestPaths:
     def test_node_consistency(self):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -24,6 +26,7 @@ from csrk.sde import (
 from csrk.streams import KeyedPaths
 from csrk.stats import (
     _advance,
+    _combine,
     _path_steps,
     check_outcome_count,
     dense_error_profile,
@@ -101,7 +104,80 @@ class TestGridForStep:
                                  f"{count} steps, above the limit 10000000")
 
 
+def fresh_block_moments(scheme, problem, grid, f, eval_times, M, seed,
+                        chunk_size):
+    """(count, mean, M2) of mc_expectations_at as first written: each chunk
+    fills a fresh values array and squares fresh deviation temporaries, and
+    the chunks are folded by _combine in ascending order."""
+    eval_points = [grid.locate(t) for t in eval_times]
+    step_weights = scheme.dense_weights(1.0)
+    by_step = {}
+    for idx, (n, theta) in enumerate(eval_points):
+        by_step.setdefault(n, []).append(
+            (idx, theta, scheme.dense_weights(theta)))
+
+    def chunk(start):
+        count = min(chunk_size, M - start)
+        paths = KeyedPaths(seed,
+                           np.arange(start, start + count, dtype=np.uint64))
+        vals = np.empty((len(eval_points), count))
+        for n, cache, y in _path_steps(scheme, problem, grid, seed, paths,
+                                       max(by_step) + 1, step_weights):
+            for idx, theta, weights in by_step.get(n, ()):
+                v = y if theta == 1.0 else evaluate_dense(cache, weights)
+                vals[idx] = f(v)
+        mean = vals.mean(axis=1)
+        return count, mean, ((vals - mean[:, None]) ** 2).sum(axis=1)
+
+    return functools.reduce(_combine, map(chunk, range(0, M, chunk_size)))
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("threads", (1, 2, 3))
+    @pytest.mark.parametrize("problem,f,times", [
+        (LIN, FX, [1.3, 0.5, 2.0, 0.1, 1.75]),
+        (system2d_problem(), FX2, [3.8, 0.3, 2.0, 1.1]),
+    ], ids=("linear", "system2d"))
+    def test_reused_block_matches_fresh_arrays(self, threads, problem, f,
+                                               times):
+        # the last chunk is partial, so it uses a prefix of the block
+        chunk = 256
+        M, seed, t = 3 * chunk + 17, 4, builtin_scheme("CRDI3WM")
+        grid = grid_for_step(problem, 0.5)
+        assert any(grid.locate(x)[1] < 1.0 for x in times)
+        n, mean, m2 = fresh_block_moments(t, problem, grid, f, times, M,
+                                          seed, chunk)
+        # frequent thread switches: a block shared between workers would
+        # mix their chunks' values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            ests = mc_expectations_at(t, problem, grid, f, times, M, seed,
+                                      chunk_size=chunk, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [e.samples for e in ests] == [n] * len(times)
+        got = np.array([e.mean for e in ests])
+        assert got.tobytes() == mean.tobytes()
+        got = np.array([e.variance_of_mean for e in ests])
+        assert got.tobytes() == (m2 / (n - 1) / n).tobytes()
+
+    def test_block_sized_by_the_paths_run(self):
+        # a block sized by chunk_size would take 8 GB per eval point
+        grid = grid_for_step(LIN, 0.25)
+        t, times = builtin_scheme("CRDI3WM"), [0.25 * k for k in range(1, 9)]
+        tracemalloc.start()
+        try:
+            huge = mc_expectations_at(t, LIN, grid, FX, times, 100, 2,
+                                      chunk_size=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 x 100 block takes 6.4 kB
+        assert peak < 10**6
+        assert huge == mc_expectations_at(t, LIN, grid, FX, times, 100, 2,
+                                          chunk_size=100)
+
     def test_bit_identical_across_thread_counts(self):
         grid = grid_for_step(LIN, 0.25)
         kw = dict(M=30000, seed=5, confidence=0.9)
@@ -300,6 +376,24 @@ class TestBlowup:
             mc_expectation(builtin_scheme("EULER_OPT"), SQUARE_OVERFLOWS,
                            TimeGrid.uniform(0.0, 0.5, 1), FX2, 0.5, M, seed,
                            chunk_size=chunk, threads=threads)
+        assert (ei.value.step, ei.value.path) == (0, first)
+        assert str(ei.value) == (f"path {first} blew up at step 0: "
+                                 "non-finite f value at t=0.5")
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_non_finite_f_value_in_a_later_chunk(self, threads):
+        # on one thread chunks 0 and 1 leave their values in the block that
+        # chunk 2 fills before its first path fails
+        M, chunk, seed = 40, 4, 11
+        dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
+        first = int(np.argmax(dW[:, 0] > 0.0))
+        assert first // chunk == 2
+        with warnings.catch_warnings(), pytest.raises(BlowupError) as ei:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mc_expectations_at(builtin_scheme("EULER_OPT"), SQUARE_OVERFLOWS,
+                               TimeGrid.uniform(0.0, 0.5, 1), FX2,
+                               [0.5, 0.25], M, seed, chunk_size=chunk,
+                               threads=threads)
         assert (ei.value.step, ei.value.path) == (0, first)
         assert str(ei.value) == (f"path {first} blew up at step 0: "
                                  "non-finite f value at t=0.5")
