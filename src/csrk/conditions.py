@@ -209,9 +209,16 @@ def _build_catalog() -> dict[ConditionId, Condition]:
 CATALOG: dict[ConditionId, Condition] = _build_catalog()
 
 
+def _condition(cid: ConditionId) -> Condition:
+    try:
+        return CATALOG[cid]
+    except KeyError:
+        raise ValueError(f"condition '{cid}' is not in the catalog") from None
+
+
 def evaluate_condition(t: CsrkTableau, cid: ConditionId, theta: float = 1.0) -> float:
     """Residual |lhs - rhs| of one catalog condition at the given theta."""
-    return CATALOG[cid].residual(t, theta)
+    return _condition(cid).residual(t, theta)
 
 
 _MAX_GRID_POINTS = 10**7
@@ -239,6 +246,7 @@ def check_conditions(
     conditions are checked at every theta of ``grid`` (must contain 0 and 1);
     at-one conditions only at theta = 1.  A condition passes iff its worst
     residual is within ``tol``; a NaN residual is the worst, so it fails.
+    An id that is not in ``CATALOG`` raises a ValueError that names it.
     """
     if grid is None:
         grid = default_theta_grid()
@@ -251,9 +259,11 @@ def check_conditions(
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if conditions is None:
         conditions = t.meta.declared_conditions
+    # every id is looked up before any is checked, so an unknown one is
+    # refused at once
+    catalog = [(cid, _condition(cid)) for cid in sorted(conditions)]
     records = []
-    for cid in sorted(conditions):
-        cond = CATALOG[cid]
+    for cid, cond in catalog:
         thetas = grid if cond.continuous else (1.0,)
         worst, worst_theta = -1.0, 1.0
         for th in thetas:

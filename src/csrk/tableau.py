@@ -5,6 +5,10 @@ B^(0..2) and five families of weight functions alpha, beta^(1..4) of the
 dense-output parameter theta.  The stage nodes are the row sums
 c^(q) = A^(q) e.  Every weight is a polynomial in sqrt(theta) with no constant
 term, so the dense output collapses onto the left node at theta = 0.
+
+Every scheme, builtin or not, is a JSON scheme document (grammar in the
+README) read by ``parse_tableau``; the builtin documents are at the end of
+this module.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import ast
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +88,12 @@ class ConditionId:
 
     @classmethod
     def parse(cls, text: str) -> "ConditionId":
-        family, _, index = text.partition(":")
-        if not index:
-            raise TableauError(f"condition id {text!r} is not 'family:index'")
+        if not (isinstance(text, str)
+                and re.fullmatch(r"[^:]+:[0-9]+", text, re.ASCII)):
+            raise TableauError(
+                f"condition id {text!r} is not 'family:index' with a "
+                "non-negative integer index")
+        family, index = text.split(":")
         return cls(family, int(index))
 
 
@@ -186,172 +194,6 @@ class CsrkTableau:
 
 
 # ---------------------------------------------------------------------------
-# builtin registry
-# ---------------------------------------------------------------------------
-
-def _w(terms: dict[int, float]) -> WeightPolynomial:
-    return WeightPolynomial.from_dict(terms)
-
-
-_ZERO_W = WeightPolynomial()
-
-
-def _cid_set(*specs) -> frozenset[ConditionId]:
-    out = set()
-    for family, indices in specs:
-        out.update(ConditionId(family, i) for i in indices)
-    return frozenset(out)
-
-
-_ORDER1_ALL = ("continuous_order1", range(1, 8))
-_ORDER2_ALL = ("order2_at_one", range(8, 51))
-# continuous counterparts satisfied by the optimal order-2 schemes
-_EXT_BETA = (9, 11, 13, 14, 15, 16, 22, 32, 33)
-
-_SQ6_4 = math.sqrt(6.0) / 4.0
-_SQ2_4 = math.sqrt(2.0) / 4.0
-_SQ23 = math.sqrt(2.0 / 3.0)
-_SQ2 = math.sqrt(2.0)
-
-
-def _euler(name: str, beta1_terms: dict[int, float],
-           declared: frozenset[ConditionId]) -> CsrkTableau:
-    z = np.zeros((1, 1))
-    return CsrkTableau(
-        stages=1,
-        A0=z, A1=z, A2=z, B0=z, B1=z, B2=z,
-        alpha=(_w({2: 1.0}),),
-        beta1=(_w(beta1_terms),),
-        beta2=(_ZERO_W,), beta3=(_ZERO_W,), beta4=(_ZERO_W,),
-        meta=SchemeMeta(name, 1.0, 1.0, declared),
-    )
-
-
-def _crdi1() -> CsrkTableau:
-    z = np.zeros((2, 2))
-    lower = np.array([[0.0, 0.0], [2.0 / 3.0, 0.0]])
-    declared = _cid_set(_ORDER1_ALL, ("continuous_order2_extended", (8,)))
-    return CsrkTableau(
-        stages=2,
-        A0=lower, B0=lower, A1=z, B1=z, A2=z, B2=z,
-        alpha=(_w({2: 1.0, 4: -0.75}), _w({4: 0.75})),
-        beta1=(_w({1: 1.0}), _ZERO_W),
-        beta2=(_ZERO_W,) * 2, beta3=(_ZERO_W,) * 2, beta4=(_ZERO_W,) * 2,
-        meta=SchemeMeta("CRDI1WM", 2.0, 1.0, declared),
-    )
-
-
-# weight functions shared by CRDI2WM..CRDI5WM
-_BETA1_OPT = (_w({1: 1.0, 3: -0.75}), _w({3: 0.375}), _w({3: 0.375}))
-_BETA2_OPT = (_ZERO_W, _w({2: _SQ6_4}), _w({2: -_SQ6_4}))
-_BETA3_OPT = (_w({3: -0.25}), _w({3: 0.125}), _w({3: 0.125}))
-_BETA4_OPT = (_ZERO_W, _w({2: _SQ2_4}), _w({2: -_SQ2_4}))
-
-# diffusion-part coefficients shared by CRDI2WM..CRDI5WM
-_A1_OPT = np.array([[0.0, 0.0, 0.0], [2.0 / 3.0, 0.0, 0.0], [2.0 / 3.0, 0.0, 0.0]])
-_B1_OPT = np.array([[0.0, 0.0, 0.0], [_SQ23, 0.0, 0.0], [-_SQ23, 0.0, 0.0]])
-_A2_OPT = np.zeros((3, 3))
-_B2_OPT = np.array([[0.0, 0.0, 0.0], [_SQ2, 0.0, 0.0], [-_SQ2, 0.0, 0.0]])
-
-
-def _order2_scheme(name, p_det, A0, B0, alpha, extra_declared=()):
-    declared = _cid_set(
-        _ORDER1_ALL,
-        _ORDER2_ALL,
-        ("continuous_order2_extended", _EXT_BETA if name != "CRDI5WM"
-         else tuple(i for i in _EXT_BETA if i != 9)),
-        *extra_declared,
-    ) | _cid_set(("continuous_order2_extended", (8,)))
-    return CsrkTableau(
-        stages=3,
-        A0=A0, B0=B0, A1=_A1_OPT, B1=_B1_OPT, A2=_A2_OPT, B2=_B2_OPT,
-        alpha=alpha,
-        beta1=_BETA1_OPT, beta2=_BETA2_OPT, beta3=_BETA3_OPT, beta4=_BETA4_OPT,
-        meta=SchemeMeta(name, p_det, 2.0, frozenset(declared)),
-    )
-
-
-def _crdi2() -> CsrkTableau:
-    A0 = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    B0 = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    alpha = (_w({2: 1.0, 4: -0.5}), _w({4: 0.5}), _ZERO_W)
-    return _order2_scheme("CRDI2WM", 2.0, A0, B0, alpha)
-
-
-_A0_CRDI3 = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.75, 0.0]]
-_B0_CRDI3 = [
-    [0.0, 0.0, 0.0],
-    [(9.0 - 2.0 * math.sqrt(15.0)) / 14.0, 0.0, 0.0],
-    [(18.0 + 3.0 * math.sqrt(15.0)) / 28.0, 0.0, 0.0],
-]
-_A0_CRDI4 = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]]
-_B0_CRDI4 = [
-    [0.0, 0.0, 0.0],
-    [(6.0 - math.sqrt(6.0)) / 10.0, 0.0, 0.0],
-    [(3.0 + 2.0 * math.sqrt(6.0)) / 5.0, 0.0, 0.0],
-]
-_DET3 = (("det_order3", (1, 2)),)
-
-
-def _crdi3() -> CsrkTableau:
-    alpha = (_w({2: 1.0, 4: -7.0 / 9.0}), _w({4: 1.0 / 3.0}), _w({4: 4.0 / 9.0}))
-    return _order2_scheme("CRDI3WM", 3.0, _A0_CRDI3, _B0_CRDI3, alpha, _DET3)
-
-
-def _crdi4() -> CsrkTableau:
-    alpha = (_w({2: 1.0, 4: -5.0 / 6.0}), _w({4: 2.0 / 3.0}), _w({4: 1.0 / 6.0}))
-    return _order2_scheme("CRDI4WM", 3.0, _A0_CRDI4, _B0_CRDI4, alpha, _DET3)
-
-
-def _crdi5() -> CsrkTableau:
-    alpha = (
-        _w({2: 1.0, 4: -1.5, 6: 2.0 / 3.0}),
-        _w({4: 2.0, 6: -4.0 / 3.0}),
-        _w({4: -0.5, 6: 2.0 / 3.0}),
-    )
-    extra = _DET3 + (("det_order3_continuous", (1,)),)
-    return _order2_scheme("CRDI5WM", 3.0, _A0_CRDI4, _B0_CRDI4, alpha, extra)
-
-
-_BUILDERS = {
-    # the linearly interpolated Euler-Maruyama extension only satisfies the
-    # order-1 conditions at theta = 1 plus the continuous ones that do not
-    # involve beta^(1); the sqrt(theta) variant satisfies all of 1-7 on [0,1]
-    "EULER_LINEAR": lambda: _euler(
-        "EULER_LINEAR",
-        {2: 1.0},
-        _cid_set(
-            ("continuous_order1", (1, 2, 3, 5, 6, 7)),
-            ("order1_at_one", range(1, 8)),
-        ),
-    ),
-    "EULER_OPT": lambda: _euler("EULER_OPT", {1: 1.0}, _cid_set(_ORDER1_ALL)),
-    "CRDI1WM": _crdi1,
-    "CRDI2WM": _crdi2,
-    "CRDI3WM": _crdi3,
-    "CRDI4WM": _crdi4,
-    "CRDI5WM": _crdi5,
-}
-
-_CACHE: dict[str, CsrkTableau] = {}
-
-
-def scheme_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
-
-
-def builtin_scheme(name: str) -> CsrkTableau:
-    key = name.upper()
-    if key not in _BUILDERS:
-        raise KeyError(
-            f"unknown scheme {name!r}; available: {', '.join(_BUILDERS)}"
-        )
-    if key not in _CACHE:
-        _CACHE[key] = _BUILDERS[key]()
-    return _CACHE[key]
-
-
-# ---------------------------------------------------------------------------
 # external scheme-definition documents (JSON)
 # ---------------------------------------------------------------------------
 
@@ -368,7 +210,7 @@ def _eval_expr(text, where="expression") -> float:
     def ev(n):
         if isinstance(n, ast.Expression):
             return ev(n.body)
-        if isinstance(n, ast.Constant) and isinstance(n.value, (int, float)):
+        if isinstance(n, ast.Constant) and type(n.value) in (int, float):
             return float(n.value)
         if isinstance(n, ast.BinOp) and isinstance(
             n.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -394,7 +236,7 @@ def _eval_expr(text, where="expression") -> float:
         raise TableauError(f"unsupported construct in {where} {text!r}")
 
     try:
-        value = (float(text) if isinstance(text, (int, float))
+        value = (float(text) if type(text) in (int, float)
                  else ev(ast.parse(str(text), mode="eval")))
     except SyntaxError as exc:
         raise TableauError(f"cannot parse {where} {text!r}: {exc}") from None
@@ -409,38 +251,60 @@ def _eval_expr(text, where="expression") -> float:
     return value
 
 
-def _parse_matrix(doc, key, s):
+def _sized_list(doc, key, length, what):
+    """doc[key] as a list of ``length`` items, else a TableauError."""
     try:
         raw = doc[key]
     except KeyError:
-        raise TableauError(f"missing matrix {key!r}") from None
-    if len(raw) != s * s:
-        raise TableauError(f"{key} must have {s * s} row-major entries")
+        raise TableauError(f"missing field {key!r}") from None
+    if not isinstance(raw, list) or len(raw) != length:
+        raise TableauError(f"{key} must be a list of {length} {what}")
+    return raw
+
+
+def _parse_matrix(doc, key, s):
+    raw = _sized_list(doc, key, s * s, "row-major entries")
     return np.array([_eval_expr(v, f"{key}[{r // s + 1},{r % s + 1}]")
                      for r, v in enumerate(raw)]).reshape(s, s)
 
 
 def _parse_weights(doc, key, s):
-    try:
-        raw = doc[key]
-    except KeyError:
-        raise TableauError(f"missing weights {key!r}") from None
-    if len(raw) != s:
-        raise TableauError(f"{key} must list {s} weight functions")
     out = []
-    for i, pairs in enumerate(raw):
+    for i, pairs in enumerate(_sized_list(doc, key, s, "weight functions"), 1):
+        if not isinstance(pairs, list):
+            raise TableauError(f"{key}[{i}] must be a list of [n, c] terms")
         terms = {}
-        for n, coeff in pairs:
-            n = int(n)
+        for k, term in enumerate(pairs, 1):
+            if not (isinstance(term, list) and len(term) == 2):
+                raise TableauError(
+                    f"{key}[{i}] term {k} must be an [n, c] pair, got "
+                    f"{json.dumps(term)}")
+            n, coeff = term
+            if type(n) is not int:  # a JSON integer, not a float or bool
+                raise TableauError(
+                    f"{key}[{i}] term {k} has half-exponent {json.dumps(n)}; n "
+                    "must be an integer")
             if n <= 0:
                 raise TableauError(
-                    f"{key}[{i + 1}] has a theta^({n}/2) term; weights must "
+                    f"{key}[{i}] has a theta^({n}/2) term; weights must "
                     "vanish at theta = 0"
                 )
             terms[n] = terms.get(n, 0.0) + _eval_expr(
-                coeff, f"{key}[{i + 1}] theta^({n}/2) coefficient")
+                coeff, f"{key}[{i}] theta^({n}/2) coefficient")
         out.append(WeightPolynomial.from_dict(terms))
     return tuple(out)
+
+
+def _parse_order(meta_doc, key) -> float:
+    value = meta_doc.get(key, 1.0)
+    try:
+        order = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        order = math.inf
+    if not math.isfinite(order):
+        raise TableauError(
+            f"meta.{key} must be a finite number, got {json.dumps(value)}")
+    return order
 
 
 def parse_tableau(text: str) -> CsrkTableau:
@@ -449,27 +313,33 @@ def parse_tableau(text: str) -> CsrkTableau:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TableauError(f"invalid JSON: {exc}") from None
-    try:
-        name = doc["name"]
-        s = int(doc["s"])
-    except KeyError as exc:
-        raise TableauError(f"missing field {exc.args[0]!r}") from None
-    if s < 1:
-        raise TableauError("stage count s must be positive")
+    if not isinstance(doc, dict):
+        raise TableauError("a scheme document must be a JSON object")
+    for key in ("name", "s"):
+        if key not in doc:
+            raise TableauError(f"missing field {key!r}")
+    name, s = doc["name"], doc["s"]
+    if not isinstance(name, str):
+        raise TableauError(f"name must be a string, got {json.dumps(name)}")
+    if not (type(s) is int and s >= 1):
+        raise TableauError(
+            f"stage count s must be a positive integer, got {json.dumps(s)}")
     mats = {k: _parse_matrix(doc, k, s) for k in ("A0", "A1", "A2", "B0", "B1", "B2")}
     weights = {
         k: _parse_weights(doc, k, s)
         for k in ("alpha", "beta1", "beta2", "beta3", "beta4")
     }
     meta_doc = doc.get("meta", {})
-    declared = frozenset(
-        ConditionId.parse(c) for c in meta_doc.get("conditions", ())
-    )
+    if not isinstance(meta_doc, dict):
+        raise TableauError("meta must be a JSON object")
+    conditions = meta_doc.get("conditions", [])
+    if not isinstance(conditions, list):
+        raise TableauError("meta.conditions must be a list of condition ids")
     meta = SchemeMeta(
         name=name,
-        p_deterministic=float(meta_doc.get("p_deterministic", 1.0)),
-        p_stochastic=float(meta_doc.get("p_stochastic", 1.0)),
-        declared_conditions=declared,
+        p_deterministic=_parse_order(meta_doc, "p_deterministic"),
+        p_stochastic=_parse_order(meta_doc, "p_stochastic"),
+        declared_conditions=frozenset(map(ConditionId.parse, conditions)),
     )
     return CsrkTableau(
         stages=s,
@@ -499,3 +369,315 @@ def tableau_to_json(t: CsrkTableau) -> str:
         },
     }
     return json.dumps(doc, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# builtin schemes: one scheme document each, in the README grammar
+# ---------------------------------------------------------------------------
+
+_DOCUMENTS = {
+    # The linearly interpolated Euler-Maruyama extension satisfies the
+    # order-1 conditions at theta = 1 but, of the continuous ones, only those
+    # that do not involve beta^(1): all but 4.  EULER_OPT's sqrt(theta)
+    # weight satisfies all of 1-7 on [0, 1].
+    "EULER_LINEAR": """
+{
+  "name": "EULER_LINEAR",
+  "s": 1,
+  "A0": [0],
+  "A1": [0],
+  "A2": [0],
+  "B0": [0],
+  "B1": [0],
+  "B2": [0],
+  "alpha": [[[2, 1.0]]],
+  "beta1": [[[2, 1.0]]],
+  "beta2": [[]],
+  "beta3": [[]],
+  "beta4": [[]],
+  "meta": {
+    "p_deterministic": 1.0,
+    "p_stochastic": 1.0,
+    "conditions": [
+      "continuous_order1:1", "continuous_order1:2", "continuous_order1:3",
+      "continuous_order1:5", "continuous_order1:6", "continuous_order1:7",
+      "order1_at_one:1", "order1_at_one:2", "order1_at_one:3",
+      "order1_at_one:4", "order1_at_one:5", "order1_at_one:6",
+      "order1_at_one:7"
+    ]
+  }
+}
+""",
+    "EULER_OPT": """
+{
+  "name": "EULER_OPT",
+  "s": 1,
+  "A0": [0],
+  "A1": [0],
+  "A2": [0],
+  "B0": [0],
+  "B1": [0],
+  "B2": [0],
+  "alpha": [[[2, 1.0]]],
+  "beta1": [[[1, 1.0]]],
+  "beta2": [[]],
+  "beta3": [[]],
+  "beta4": [[]],
+  "meta": {
+    "p_deterministic": 1.0,
+    "p_stochastic": 1.0,
+    "conditions": [
+      "continuous_order1:1", "continuous_order1:2", "continuous_order1:3",
+      "continuous_order1:4", "continuous_order1:5", "continuous_order1:6",
+      "continuous_order1:7"
+    ]
+  }
+}
+""",
+    # the README's "Scheme files" example is this document
+    "CRDI1WM": """
+{
+  "name": "CRDI1WM",
+  "s": 2,
+  "A0": [0, 0, "2/3", 0],
+  "A1": [0, 0, 0, 0],
+  "A2": [0, 0, 0, 0],
+  "B0": [0, 0, "2/3", 0],
+  "B1": [0, 0, 0, 0],
+  "B2": [0, 0, 0, 0],
+  "alpha": [[[2, 1.0], [4, -0.75]], [[4, 0.75]]],
+  "beta1": [[[1, 1.0]], []],
+  "beta2": [[], []],
+  "beta3": [[], []],
+  "beta4": [[], []],
+  "meta": {
+    "p_deterministic": 2.0,
+    "p_stochastic": 1.0,
+    "conditions": [
+      "continuous_order1:1", "continuous_order1:2", "continuous_order1:3",
+      "continuous_order1:4", "continuous_order1:5", "continuous_order1:6",
+      "continuous_order1:7", "continuous_order2_extended:8"
+    ]
+  }
+}
+""",
+    # CRDI2WM-CRDI5WM share A1, A2, B1, B2 and beta1-beta4 and differ in A0,
+    # B0 and alpha.  Each declares conditions 1-7 on [0, 1], 8-50 at
+    # theta = 1 and the continuous counterparts of 8, 9, 11, 13, 14, 15, 16,
+    # 22, 32 and 33.
+    "CRDI2WM": """
+{
+  "name": "CRDI2WM",
+  "s": 3,
+  "A0": [0, 0, 0, 1, 0, 0, 0, 0, 0],
+  "A1": [0, 0, 0, "2/3", 0, 0, "2/3", 0, 0],
+  "A2": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+  "B0": [0, 0, 0, 1, 0, 0, 0, 0, 0],
+  "B1": [0, 0, 0, "sqrt(2/3)", 0, 0, "-sqrt(2/3)", 0, 0],
+  "B2": [0, 0, 0, "sqrt(2)", 0, 0, "-sqrt(2)", 0, 0],
+  "alpha": [[[2, 1.0], [4, -0.5]], [[4, 0.5]], []],
+  "beta1": [[[1, 1.0], [3, -0.75]], [[3, 0.375]], [[3, 0.375]]],
+  "beta2": [[], [[2, "sqrt(6)/4"]], [[2, "-sqrt(6)/4"]]],
+  "beta3": [[[3, -0.25]], [[3, 0.125]], [[3, 0.125]]],
+  "beta4": [[], [[2, "sqrt(2)/4"]], [[2, "-sqrt(2)/4"]]],
+  "meta": {
+    "p_deterministic": 2.0,
+    "p_stochastic": 2.0,
+    "conditions": [
+      "continuous_order1:1", "continuous_order1:2", "continuous_order1:3",
+      "continuous_order1:4", "continuous_order1:5", "continuous_order1:6",
+      "continuous_order1:7",
+      "continuous_order2_extended:8", "continuous_order2_extended:9",
+      "continuous_order2_extended:11", "continuous_order2_extended:13",
+      "continuous_order2_extended:14", "continuous_order2_extended:15",
+      "continuous_order2_extended:16", "continuous_order2_extended:22",
+      "continuous_order2_extended:32", "continuous_order2_extended:33",
+      "order2_at_one:8", "order2_at_one:9", "order2_at_one:10",
+      "order2_at_one:11", "order2_at_one:12", "order2_at_one:13",
+      "order2_at_one:14", "order2_at_one:15", "order2_at_one:16",
+      "order2_at_one:17", "order2_at_one:18", "order2_at_one:19",
+      "order2_at_one:20", "order2_at_one:21", "order2_at_one:22",
+      "order2_at_one:23", "order2_at_one:24", "order2_at_one:25",
+      "order2_at_one:26", "order2_at_one:27", "order2_at_one:28",
+      "order2_at_one:29", "order2_at_one:30", "order2_at_one:31",
+      "order2_at_one:32", "order2_at_one:33", "order2_at_one:34",
+      "order2_at_one:35", "order2_at_one:36", "order2_at_one:37",
+      "order2_at_one:38", "order2_at_one:39", "order2_at_one:40",
+      "order2_at_one:41", "order2_at_one:42", "order2_at_one:43",
+      "order2_at_one:44", "order2_at_one:45", "order2_at_one:46",
+      "order2_at_one:47", "order2_at_one:48", "order2_at_one:49",
+      "order2_at_one:50"
+    ]
+  }
+}
+""",
+    # CRDI3WM and CRDI4WM add the deterministic order-3 conditions at
+    # theta = 1
+    "CRDI3WM": """
+{
+  "name": "CRDI3WM",
+  "s": 3,
+  "A0": [0, 0, 0, 0.5, 0, 0, 0, 0.75, 0],
+  "A1": [0, 0, 0, "2/3", 0, 0, "2/3", 0, 0],
+  "A2": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+  "B0": [0, 0, 0, "(9-2*sqrt(15))/14", 0, 0, "(18+3*sqrt(15))/28", 0, 0],
+  "B1": [0, 0, 0, "sqrt(2/3)", 0, 0, "-sqrt(2/3)", 0, 0],
+  "B2": [0, 0, 0, "sqrt(2)", 0, 0, "-sqrt(2)", 0, 0],
+  "alpha": [[[2, 1.0], [4, "-7/9"]], [[4, "1/3"]], [[4, "4/9"]]],
+  "beta1": [[[1, 1.0], [3, -0.75]], [[3, 0.375]], [[3, 0.375]]],
+  "beta2": [[], [[2, "sqrt(6)/4"]], [[2, "-sqrt(6)/4"]]],
+  "beta3": [[[3, -0.25]], [[3, 0.125]], [[3, 0.125]]],
+  "beta4": [[], [[2, "sqrt(2)/4"]], [[2, "-sqrt(2)/4"]]],
+  "meta": {
+    "p_deterministic": 3.0,
+    "p_stochastic": 2.0,
+    "conditions": [
+      "continuous_order1:1", "continuous_order1:2", "continuous_order1:3",
+      "continuous_order1:4", "continuous_order1:5", "continuous_order1:6",
+      "continuous_order1:7",
+      "continuous_order2_extended:8", "continuous_order2_extended:9",
+      "continuous_order2_extended:11", "continuous_order2_extended:13",
+      "continuous_order2_extended:14", "continuous_order2_extended:15",
+      "continuous_order2_extended:16", "continuous_order2_extended:22",
+      "continuous_order2_extended:32", "continuous_order2_extended:33",
+      "det_order3:1", "det_order3:2",
+      "order2_at_one:8", "order2_at_one:9", "order2_at_one:10",
+      "order2_at_one:11", "order2_at_one:12", "order2_at_one:13",
+      "order2_at_one:14", "order2_at_one:15", "order2_at_one:16",
+      "order2_at_one:17", "order2_at_one:18", "order2_at_one:19",
+      "order2_at_one:20", "order2_at_one:21", "order2_at_one:22",
+      "order2_at_one:23", "order2_at_one:24", "order2_at_one:25",
+      "order2_at_one:26", "order2_at_one:27", "order2_at_one:28",
+      "order2_at_one:29", "order2_at_one:30", "order2_at_one:31",
+      "order2_at_one:32", "order2_at_one:33", "order2_at_one:34",
+      "order2_at_one:35", "order2_at_one:36", "order2_at_one:37",
+      "order2_at_one:38", "order2_at_one:39", "order2_at_one:40",
+      "order2_at_one:41", "order2_at_one:42", "order2_at_one:43",
+      "order2_at_one:44", "order2_at_one:45", "order2_at_one:46",
+      "order2_at_one:47", "order2_at_one:48", "order2_at_one:49",
+      "order2_at_one:50"
+    ]
+  }
+}
+""",
+    "CRDI4WM": """
+{
+  "name": "CRDI4WM",
+  "s": 3,
+  "A0": [0, 0, 0, 0.5, 0, 0, -1, 2, 0],
+  "A1": [0, 0, 0, "2/3", 0, 0, "2/3", 0, 0],
+  "A2": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+  "B0": [0, 0, 0, "(6-sqrt(6))/10", 0, 0, "(3+2*sqrt(6))/5", 0, 0],
+  "B1": [0, 0, 0, "sqrt(2/3)", 0, 0, "-sqrt(2/3)", 0, 0],
+  "B2": [0, 0, 0, "sqrt(2)", 0, 0, "-sqrt(2)", 0, 0],
+  "alpha": [[[2, 1.0], [4, "-5/6"]], [[4, "2/3"]], [[4, "1/6"]]],
+  "beta1": [[[1, 1.0], [3, -0.75]], [[3, 0.375]], [[3, 0.375]]],
+  "beta2": [[], [[2, "sqrt(6)/4"]], [[2, "-sqrt(6)/4"]]],
+  "beta3": [[[3, -0.25]], [[3, 0.125]], [[3, 0.125]]],
+  "beta4": [[], [[2, "sqrt(2)/4"]], [[2, "-sqrt(2)/4"]]],
+  "meta": {
+    "p_deterministic": 3.0,
+    "p_stochastic": 2.0,
+    "conditions": [
+      "continuous_order1:1", "continuous_order1:2", "continuous_order1:3",
+      "continuous_order1:4", "continuous_order1:5", "continuous_order1:6",
+      "continuous_order1:7",
+      "continuous_order2_extended:8", "continuous_order2_extended:9",
+      "continuous_order2_extended:11", "continuous_order2_extended:13",
+      "continuous_order2_extended:14", "continuous_order2_extended:15",
+      "continuous_order2_extended:16", "continuous_order2_extended:22",
+      "continuous_order2_extended:32", "continuous_order2_extended:33",
+      "det_order3:1", "det_order3:2",
+      "order2_at_one:8", "order2_at_one:9", "order2_at_one:10",
+      "order2_at_one:11", "order2_at_one:12", "order2_at_one:13",
+      "order2_at_one:14", "order2_at_one:15", "order2_at_one:16",
+      "order2_at_one:17", "order2_at_one:18", "order2_at_one:19",
+      "order2_at_one:20", "order2_at_one:21", "order2_at_one:22",
+      "order2_at_one:23", "order2_at_one:24", "order2_at_one:25",
+      "order2_at_one:26", "order2_at_one:27", "order2_at_one:28",
+      "order2_at_one:29", "order2_at_one:30", "order2_at_one:31",
+      "order2_at_one:32", "order2_at_one:33", "order2_at_one:34",
+      "order2_at_one:35", "order2_at_one:36", "order2_at_one:37",
+      "order2_at_one:38", "order2_at_one:39", "order2_at_one:40",
+      "order2_at_one:41", "order2_at_one:42", "order2_at_one:43",
+      "order2_at_one:44", "order2_at_one:45", "order2_at_one:46",
+      "order2_at_one:47", "order2_at_one:48", "order2_at_one:49",
+      "order2_at_one:50"
+    ]
+  }
+}
+""",
+    # CRDI5WM is CRDI4WM with a cubic alpha, which satisfies the
+    # deterministic order-3 condition 1 on all of [0, 1].  It trades the
+    # continuous theta^2/2 identity of condition 9 for it, so it declares no
+    # continuous_order2_extended:9 (condition 9 still holds at theta = 1).
+    "CRDI5WM": """
+{
+  "name": "CRDI5WM",
+  "s": 3,
+  "A0": [0, 0, 0, 0.5, 0, 0, -1, 2, 0],
+  "A1": [0, 0, 0, "2/3", 0, 0, "2/3", 0, 0],
+  "A2": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+  "B0": [0, 0, 0, "(6-sqrt(6))/10", 0, 0, "(3+2*sqrt(6))/5", 0, 0],
+  "B1": [0, 0, 0, "sqrt(2/3)", 0, 0, "-sqrt(2/3)", 0, 0],
+  "B2": [0, 0, 0, "sqrt(2)", 0, 0, "-sqrt(2)", 0, 0],
+  "alpha": [
+    [[2, 1.0], [4, -1.5], [6, "2/3"]],
+    [[4, 2.0], [6, "-4/3"]],
+    [[4, -0.5], [6, "2/3"]]
+  ],
+  "beta1": [[[1, 1.0], [3, -0.75]], [[3, 0.375]], [[3, 0.375]]],
+  "beta2": [[], [[2, "sqrt(6)/4"]], [[2, "-sqrt(6)/4"]]],
+  "beta3": [[[3, -0.25]], [[3, 0.125]], [[3, 0.125]]],
+  "beta4": [[], [[2, "sqrt(2)/4"]], [[2, "-sqrt(2)/4"]]],
+  "meta": {
+    "p_deterministic": 3.0,
+    "p_stochastic": 2.0,
+    "conditions": [
+      "continuous_order1:1", "continuous_order1:2", "continuous_order1:3",
+      "continuous_order1:4", "continuous_order1:5", "continuous_order1:6",
+      "continuous_order1:7",
+      "continuous_order2_extended:8", "continuous_order2_extended:11",
+      "continuous_order2_extended:13", "continuous_order2_extended:14",
+      "continuous_order2_extended:15", "continuous_order2_extended:16",
+      "continuous_order2_extended:22", "continuous_order2_extended:32",
+      "continuous_order2_extended:33",
+      "det_order3:1", "det_order3:2", "det_order3_continuous:1",
+      "order2_at_one:8", "order2_at_one:9", "order2_at_one:10",
+      "order2_at_one:11", "order2_at_one:12", "order2_at_one:13",
+      "order2_at_one:14", "order2_at_one:15", "order2_at_one:16",
+      "order2_at_one:17", "order2_at_one:18", "order2_at_one:19",
+      "order2_at_one:20", "order2_at_one:21", "order2_at_one:22",
+      "order2_at_one:23", "order2_at_one:24", "order2_at_one:25",
+      "order2_at_one:26", "order2_at_one:27", "order2_at_one:28",
+      "order2_at_one:29", "order2_at_one:30", "order2_at_one:31",
+      "order2_at_one:32", "order2_at_one:33", "order2_at_one:34",
+      "order2_at_one:35", "order2_at_one:36", "order2_at_one:37",
+      "order2_at_one:38", "order2_at_one:39", "order2_at_one:40",
+      "order2_at_one:41", "order2_at_one:42", "order2_at_one:43",
+      "order2_at_one:44", "order2_at_one:45", "order2_at_one:46",
+      "order2_at_one:47", "order2_at_one:48", "order2_at_one:49",
+      "order2_at_one:50"
+    ]
+  }
+}
+""",
+}
+
+
+def scheme_names() -> tuple[str, ...]:
+    return tuple(_DOCUMENTS)
+
+
+def builtin_scheme(name: str) -> CsrkTableau:
+    key = name.upper()
+    if key not in _DOCUMENTS:
+        raise KeyError(
+            f"unknown scheme {name!r}; available: {', '.join(_DOCUMENTS)}"
+        )
+    return _parsed(key)
+
+
+@functools.cache
+def _parsed(key: str) -> CsrkTableau:
+    return parse_tableau(_DOCUMENTS[key])

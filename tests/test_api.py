@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import pkgutil
 import re
@@ -9,6 +10,7 @@ import pytest
 
 import csrk
 from csrk.cli import build_parser, main
+from csrk.tableau import _DOCUMENTS
 
 MODULES = ["csrk"] + [f"csrk.{info.name}"
                       for info in pkgutil.iter_modules(csrk.__path__)]
@@ -43,6 +45,12 @@ def test_every_exported_name_resolves(module):
 def test_readme_quick_start_runs():
     block = README.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_scheme_file_is_crdi1wm_document():
+    section = README.split("## Scheme files\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == json.loads(_DOCUMENTS["CRDI1WM"])
 
 
 @pytest.mark.parametrize("argv", csrk_commands(README), ids=" ".join)

@@ -11,7 +11,7 @@ import csrk.stats
 from csrk import __version__
 from csrk.cli import main
 from csrk.increments import uniforms_per_step
-from csrk.tableau import builtin_scheme, tableau_to_json
+from csrk.tableau import _DOCUMENTS, builtin_scheme, scheme_names, tableau_to_json
 
 
 def run(capsys, *argv):
@@ -116,6 +116,64 @@ class TestCheck:
         code, err = usage_error(capsys, "check", "--scheme-file", f)
         assert code == 2
         assert err == [f"csrk: error: A0[2,1] {text!r} {why}"]
+
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_document_file_matches_builtin(self, capsys, tmp_path, name):
+        # a builtin is its document: check on the file prints the same
+        # rows, scheme line and footer; the recorded config differs only in
+        # which of --scheme and --scheme-file was given
+        f = tmp_path / "scheme.json"
+        f.write_text(_DOCUMENTS[name])
+        outputs = [run(capsys, "check", *argv)
+                   for argv in (("--scheme", name), ("--scheme-file", str(f)))]
+        (code, builtin, _), (file_code, from_file, _) = outputs
+        assert code == file_code == 0
+        config = "# config = "
+        assert ([ln for ln in builtin.splitlines() if not ln.startswith(config)]
+                == [ln for ln in from_file.splitlines()
+                    if not ln.startswith(config)])
+        assert len(body_lines(builtin)) == (
+            1 + len(builtin_scheme(name).meta.declared_conditions))
+        configs = [json.loads(next(ln for ln in out.splitlines()
+                                   if ln.startswith(config))[len(config):])
+                   for out in (builtin, from_file)]
+        assert configs[0].pop("scheme") == name
+        assert configs[1].pop("scheme_file") == str(f)
+        assert configs[0] == configs[1]
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"s": None}, "stage count s must be a positive integer, got null"),
+        ({"s": 2.5}, "stage count s must be a positive integer, got 2.5"),
+        ({"meta": []}, "meta must be a JSON object"),
+        ({"A0": 0}, "A0 must be a list of 1 row-major entries"),
+        ({"beta1": [[1]]}, "beta1[1] term 1 must be an [n, c] pair, got 1"),
+        ({"beta1": [[[2.7, 1.0]]]},
+         "beta1[1] term 1 has half-exponent 2.7; n must be an integer"),
+        ({"meta": {"p_deterministic": "nan"}},
+         'meta.p_deterministic must be a finite number, got "nan"'),
+        ({"meta": {"conditions": ["continuous_order1:x"]}},
+         "condition id 'continuous_order1:x' is not 'family:index' with a "
+         "non-negative integer index"),
+        ({"meta": {"conditions": ["foo:1"]}},
+         "condition 'foo:1' is not in the catalog"),
+        ({"meta": {"conditions": ["order2_at_one:99"]}},
+         "condition 'order2_at_one:99' is not in the catalog"),
+    ])
+    def test_malformed_document_is_one_line(self, capsys, tmp_path, fields,
+                                            message):
+        doc = json.loads(_DOCUMENTS["EULER_OPT"])
+        doc.update(fields)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, err = usage_error(capsys, "check", "--scheme-file", str(f))
+        assert (code, err) == (2, [f"csrk: error: {message}"])
+
+    def test_document_not_an_object_is_one_line(self, capsys, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text("[]")
+        code, err = usage_error(capsys, "check", "--scheme-file", str(f))
+        assert (code, err) == (
+            2, ["csrk: error: a scheme document must be a JSON object"])
 
     def test_missing_scheme_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -86,6 +86,19 @@ class TestBuiltinsPass:
             assert evaluate_condition(t, cid, th) <= 1e-12
 
 
+class TestUnknownCondition:
+    @pytest.mark.parametrize("cid", (ConditionId("foo", 1),
+                                     ConditionId("order2_at_one", 99)))
+    def test_refused_by_name(self, cid):
+        t = builtin_scheme("CRDI3WM")
+        message = f"^condition '{cid}' is not in the catalog$"
+        with pytest.raises(ValueError, match=message):
+            check_conditions(t, conditions=[ConditionId("order2_at_one", 8),
+                                            cid])
+        with pytest.raises(ValueError, match=message):
+            evaluate_condition(t, cid)
+
+
 class TestNegativeControls:
     def test_euler_opt_fails_condition_13(self):
         cid = ConditionId("order2_at_one", 13)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -14,6 +15,7 @@ from csrk.tableau import (
     SchemeMeta,
     TableauError,
     WeightPolynomial,
+    _DOCUMENTS,
     _eval_expr,
     builtin_scheme,
     parse_tableau,
@@ -83,6 +85,29 @@ class TestBuiltinRegistry:
             "EULER_LINEAR", "EULER_OPT", "CRDI1WM", "CRDI2WM", "CRDI3WM",
             "CRDI4WM", "CRDI5WM",
         ]
+
+    @pytest.mark.parametrize("name,digest", [
+        ("EULER_LINEAR",
+         "36807e7c4bbbd9e614bf3493943891f2c43713dcd098d33e48b50b07d681b7ea"),
+        ("EULER_OPT",
+         "dd89bce3c313fc8b2a73cd6e57fed6f64db7f464767c46b923a74fffed3729cf"),
+        ("CRDI1WM",
+         "a45f125a97cde749645bffd3e5f290a0527126a33be522da20d5b89d4fd37e82"),
+        ("CRDI2WM",
+         "0d6cbe7f381cdcf0d791240cfe65b61f52c81f1fc0d631a54cacb55e97626a19"),
+        ("CRDI3WM",
+         "2bc11b81ea7964f49f25278895639a381bbe4da77349b3f63391555eb5eefaea"),
+        ("CRDI4WM",
+         "2925a7f0288b41349242d0bff70b8b5fa676b7c6bfc7b82cd387231cc9761ae4"),
+        ("CRDI5WM",
+         "5445932149d3ef1b7a9c840a809b2557a455c5b44bcc4c10d2e8e6d5412705ab"),
+    ])
+    def test_serialized_bits_pinned(self, name, digest):
+        # tableau_to_json writes every matrix entry and weight coefficient
+        # with full double precision, the orders and the sorted declared set,
+        # so the digest pins each of them bit for bit
+        text = tableau_to_json(builtin_scheme(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_case_insensitive_and_unknown(self):
         assert builtin_scheme("crdi3wm") is builtin_scheme("CRDI3WM")
@@ -197,6 +222,17 @@ class TestConditionId:
         with pytest.raises(TableauError):
             ConditionId.parse("no-colon")
 
+    @pytest.mark.parametrize("text", (
+        "no-colon", "continuous_order1:x", "continuous_order1:", ":1",
+        "continuous_order1:-1", "continuous_order1: 1", "a:b:1", 5,
+    ))
+    def test_parse_errors_name_the_text(self, text):
+        with pytest.raises(TableauError) as ei:
+            ConditionId.parse(text)
+        assert str(ei.value) == (f"condition id {text!r} is not "
+                                 "'family:index' with a non-negative "
+                                 "integer index")
+
 
 def dense_thetas():
     """theta = 0 and 1, and the thetas ``dense`` evaluates on an h = 0.25
@@ -310,6 +346,69 @@ class TestSerialization:
                            match=rf"{key}\[2,1\] = {bad} is not finite"):
             CsrkTableau(stages=2, **mats, alpha=nil, beta1=nil, beta2=nil,
                         beta3=nil, beta4=nil, meta=SchemeMeta("X", 1.0, 1.0))
+
+
+def _one_stage(**fields):
+    """EULER_OPT's document with the given top-level fields replaced."""
+    doc = json.loads(_DOCUMENTS["EULER_OPT"])
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+class TestMalformedDocument:
+    """Each structural fault is a TableauError that names the field."""
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"s": None}, "stage count s must be a positive integer, got null"),
+        ({"s": 2.5}, "stage count s must be a positive integer, got 2.5"),
+        ({"s": 1.0}, "stage count s must be a positive integer, got 1.0"),
+        ({"s": True}, "stage count s must be a positive integer, got true"),
+        ({"s": 0}, "stage count s must be a positive integer, got 0"),
+        ({"name": 5}, "name must be a string, got 5"),
+        ({"meta": []}, "meta must be a JSON object"),
+        ({"meta": {"conditions": "continuous_order1:1"}},
+         "meta.conditions must be a list of condition ids"),
+        ({"A0": 0}, "A0 must be a list of 1 row-major entries"),
+        ({"A0": "0"}, "A0 must be a list of 1 row-major entries"),
+        ({"beta1": 0}, "beta1 must be a list of 1 weight functions"),
+        ({"beta1": [1]}, "beta1[1] must be a list of [n, c] terms"),
+        ({"beta1": [[1]]}, "beta1[1] term 1 must be an [n, c] pair, got 1"),
+        ({"beta1": [[[1, 1.0, 2]]]},
+         "beta1[1] term 1 must be an [n, c] pair, got [1, 1.0, 2]"),
+        ({"beta1": [[[2.7, 1.0]]]},
+         "beta1[1] term 1 has half-exponent 2.7; n must be an integer"),
+        ({"beta1": [[[1.0, 1.0]]]},
+         "beta1[1] term 1 has half-exponent 1.0; n must be an integer"),
+        ({"alpha": [[[2, 1.0], [True, 1.0]]]},
+         "alpha[1] term 2 has half-exponent true; n must be an integer"),
+    ])
+    def test_field_named(self, fields, message):
+        with pytest.raises(TableauError) as ei:
+            parse_tableau(_one_stage(**fields))
+        assert str(ei.value) == message
+
+    @pytest.mark.parametrize("key", ("p_deterministic", "p_stochastic"))
+    @pytest.mark.parametrize("value,shown", [
+        ("nan", '"nan"'), ("abc", '"abc"'), ("2", '"2"'), (None, "null"),
+        (True, "true"), (math.nan, "NaN"), (math.inf, "Infinity"),
+        (10**400, "1" + "0" * 400),
+    ])
+    def test_order_must_be_finite_number(self, key, value, shown):
+        meta = json.loads(_DOCUMENTS["EULER_OPT"])["meta"]
+        meta[key] = value
+        with pytest.raises(TableauError) as ei:
+            parse_tableau(_one_stage(meta=meta))
+        assert str(ei.value) == f"meta.{key} must be a finite number, got {shown}"
+
+    def test_integer_orders_accepted(self):
+        meta = {"p_deterministic": 2, "p_stochastic": 1}
+        assert parse_tableau(_one_stage(meta=meta)).meta == SchemeMeta(
+            "EULER_OPT", 2.0, 1.0)
+
+    @pytest.mark.parametrize("entry", (True, "True", None, [0]))
+    def test_non_numeric_entry_refused(self, entry):
+        with pytest.raises(TableauError, match=r"unsupported construct in A0"):
+            parse_tableau(_one_stage(A0=[entry]))
 
 
 def _doc(a21=0, alpha1=1.0):
