@@ -20,6 +20,8 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
 from . import __version__
 from .conditions import check_conditions, default_theta_grid
 from .increments import CapacityError
@@ -35,7 +37,8 @@ from .stats import (
     error_table,
     exact_grid,
     exact_weak_expectation,
-    simulate_path,
+    _dense_value,
+    _path_steps,
 )
 from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names
 
@@ -300,6 +303,10 @@ def _cmd_schemes(args):
 
 def _cmd_check(args):
     scheme = _load_scheme(args)
+    if not scheme.meta.declared_conditions:
+        # an empty set would pass with no rows
+        raise ValueError(f"scheme {scheme.meta.name!r} declares no conditions "
+                         "to check (meta.conditions)")
     grid = default_theta_grid(args.grid_points)
     report = check_conditions(scheme, grid, args.tol)
     rows = [(r.cid.family, r.cid.index, r.residual, r.worst_theta,
@@ -314,16 +321,29 @@ def _cmd_simulate(args):
     scheme = _load_scheme(args)
     problem = _build_problem(args)
     grid = exact_grid(problem, args.h)
-    path = simulate_path(scheme, problem, grid, args.seed)
     sub = args.dense_per_step
-    rows = []
-    for n in range(grid.n_steps):
+    # path 0 of the seed, streamed from the path loop: step n's rows go out
+    # once step n + 1 is taken, since grid.locate may place a sub-step of
+    # step n on the next node, and then step n's cache is dropped
+    caches, nodes, rows = {}, {0: problem.x0}, []
+
+    def emit(n):
         t_n, h_n = grid.step(n)
-        rows.append((t_n, 0.0, *path.nodes[n]))
+        rows.append((t_n, 0.0, *nodes.pop(n)))
         for j in range(1, sub + 1):
             th = j / (sub + 1)
-            rows.append((t_n + th * h_n, th, *path.value(t_n + th * h_n)))
-    rows.append((grid.T, 1.0, *path.nodes[-1]))
+            rows.append((t_n + th * h_n, th, *_dense_value(
+                scheme, grid, caches, t_n + th * h_n)))
+        del caches[n]
+
+    for n, cache, y in _path_steps(scheme, problem, grid, args.seed,
+                                   np.uint64(0), grid.n_steps,
+                                   scheme.dense_weights(1.0)):
+        caches[n], nodes[n + 1] = cache, y
+        if n:
+            emit(n - 1)
+    emit(grid.n_steps - 1)
+    rows.append((grid.T, 1.0, *nodes.pop(grid.n_steps)))
     _emit(args, ("t", "theta",
                  *[f"y{i + 1}" for i in range(problem.dim_state)]), rows)
     return 0

@@ -14,16 +14,19 @@ in the states they step and where the increments come from:
   so no chunk faults a fresh block in.  ``simulate_path`` runs it on one path
   (state ``(d,)``), so simulated path p is Monte Carlo path p, and keeps
   each step's cache for dense queries;
-* the enumeration oracle expands the joint outcome tree level by level, one
-  row of the ``enumerate_outcomes`` table at a time, in slices of at most
-  ``_ENUM_SLICE`` states.  Each step writes the next level into one array
-  in outcome-major order (row ``o*R + i`` is outcome ``o`` applied to row
-  ``i``).  Probabilities stay one level behind: the oracle keeps those of
-  the level before and the step's outcome probabilities ``ps``, and forms
-  ``ps[o] * probs[i]`` for the whole level at the start of the next step,
-  or slice by slice in the final step.  It is exact up to floating-point
-  arithmetic: the noise-free reference the MC machinery is validated
-  against.
+* the enumeration oracle expands the joint outcome tree level by level, in
+  slices of at most ``_ENUM_SLICE`` states.  A level is stored as a list of
+  row blocks, one per slice the next step reads, in outcome-major order
+  (row ``o*R + i`` is outcome ``o`` applied to row ``i``).  Each step takes
+  each slice through every row of the ``enumerate_outcomes`` table, then
+  drops its block, so the level it reads shrinks as the next one fills.
+  Probabilities stay behind the states: row ``o*R + i`` has probability
+  ``ps[o] * parent[i]``, and a level's probabilities are formed only once
+  its states have been stepped, never for level N-2: the final step forms
+  ``ps[o] * (ps_prev[o'] * probs[i])`` once per slice, the two products of
+  a formed level in the same order, and adds the (outcome, slice) terms in
+  outcome-major order.  It is exact up to floating-point arithmetic: the
+  noise-free reference the MC machinery is validated against.
 
 A non-finite stage value, state, f-value or enumerated expectation raises a
 ``BlowupError``.  The tables measure the functional of the given
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -205,8 +209,13 @@ class ContinuousPath:
 
     def value(self, t: float):
         """Y(t); at a node, the same bits as ``nodes``."""
-        n, theta = self.grid.locate(t)
-        return evaluate_dense(self.caches[n], self.scheme.dense_weights(theta))
+        return _dense_value(self.scheme, self.grid, self.caches, t)
+
+
+def _dense_value(scheme, grid, caches, t):
+    """Y(t) from ``caches[n]``, for the step n that ``grid.locate`` names."""
+    n, theta = grid.locate(t)
+    return evaluate_dense(caches[n], scheme.dense_weights(theta))
 
 
 def simulate_path(
@@ -255,6 +264,13 @@ def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
             path = int(paths.flat[np.argmin(np.isfinite(y).all(axis=-1))])
             raise BlowupError(step=n, path=path)
         yield n, cache, y
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _combine(acc, other):
@@ -332,9 +348,11 @@ def mc_expectations_at(
         return count, mean, vals.sum(axis=1)
 
     starts = range(0, M, chunk_size)
+    # more workers than usable CPUs only pass the GIL back and forth
+    workers = min(threads, _usable_cpus())
     # both maps yield in ascending chunk order, which fixes the reduction
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             n, mean, m2 = functools.reduce(_combine, pool.map(chunk, starts))
     else:
         n, mean, m2 = functools.reduce(_combine, map(chunk, starts))
@@ -404,52 +422,101 @@ def exact_weak_expectation(
         raise ValueError("theta_eval must lie in [0, 1]")
     m, N = problem.dim_noise, grid.n_steps
     check_outcome_count(m, N, outcome_cap)
-    states = problem.x0[None, :].copy()
-    # row o*R + i of states has probability ps[o] * probs[i]: probs are kept
-    # one level behind the states, so the largest level stores none
-    ps = probs = np.ones(1)
-    step_weights = scheme.dense_weights(1.0)
-    for n in range(N):
+    # the level's R rows in blocks: block b holds rows [b*S, (b+1)*S), the
+    # slice the next step reads, for S = _ENUM_SLICE
+    rows, blocks = 1, [problem.x0[None, :].copy()]
+    # row o*R + i has probability ps[o] * parent[i], where parent is the
+    # level before's probabilities; for the final step it is another such
+    # pair, so level N-2's probabilities are never formed
+    ps = parent = np.ones(1)
+
+    def step(n, states, dW, V, weights):
+        # keep no cache alive into the next slice's step
+        try:
+            return _advance(scheme, problem, grid, n, states, dW, V,
+                            weights)[1]
+        except BlowupError as exc:
+            exc.path = None  # a slice row is not a path
+            raise
+
+    weights = scheme.dense_weights(1.0)
+    for n in range(N - 1):
         outs = enumerate_outcomes(m, grid.step(n)[1])
-        final = n == N - 1
-        weights = scheme.dense_weights(theta_eval) if final else step_weights
-        rows, total = states.shape[0], 0.0
-        if not final:
-            probs, ps = _row_probs(ps, probs, 0, rows), outs[2]
-            new_states = np.empty((ps.size * rows, states.shape[1]))
+        new_rows = outs[2].size * rows
+        new_blocks = [None] * -(-new_rows // _ENUM_SLICE)
+        for b in range(len(blocks)):
+            for o, (dW, V) in enumerate(zip(outs[0], outs[1])):
+                y = step(n, blocks[b], dW, V, weights)
+                _store(new_blocks, new_rows, o * rows + b * _ENUM_SLICE, y)
+            # every outcome has stepped this slice: the level shrinks as
+            # the next one fills
+            blocks[b] = None
+        # level n's probabilities, formed once its states are gone
+        parent = (ps, parent) if n == N - 2 else _row_probs(ps, parent, 0,
+                                                             rows)
+        ps, rows, blocks = outs[2], new_rows, new_blocks
+    n = N - 1
+    weights = scheme.dense_weights(theta_eval)
+    outs = enumerate_outcomes(m, grid.step(n)[1])
+    # a slice's probabilities serve all its outcomes, and each term is kept
+    # until the last slice, to be added in outcome-major order
+    terms = np.empty((outs[2].size, len(blocks)))
+    for b in range(len(blocks)):
+        lo = b * _ENUM_SLICE
+        probs = _row_probs(ps, parent, lo, lo + blocks[b].shape[0])
         for o, (dW, V, p) in enumerate(zip(*outs)):
-            for lo in range(0, rows, _ENUM_SLICE):
-                hi = min(lo + _ENUM_SLICE, rows)
-                # keep no cache alive into the next slice's step
-                try:
-                    y = _advance(scheme, problem, grid, n, states[lo:hi], dW,
-                                 V, weights)[1]
-                except BlowupError as exc:
-                    exc.path = None  # a slice row is not a path
-                    raise
-                if final:
-                    total += p * float(_row_probs(ps, probs, lo, hi) @ f(y))
-                else:
-                    new_states[o * rows + lo:o * rows + hi] = y
-        if final:
-            if not math.isfinite(total):
-                t_n, h_n = grid.step(n)
-                raise BlowupError(t_n=t_n + theta_eval * h_n,
-                                  family="expectation", step=n)
-            return float(total)
-        states = new_states
-    raise AssertionError("unreachable")
+            # y lives into the next step call: a heap block above the step's
+            # temporaries keeps the C allocator from handing them back to
+            # the kernel between calls (3x the page faults)
+            y = step(n, blocks[b], dW, V, weights)
+            terms[o, b] = p * float(probs @ f(y))
+        blocks[b] = None
+    # a left fold: np.sum's pairwise order, or the compensated sum() of
+    # Python 3.12, would move the last bits
+    total = 0.0
+    for term in terms.flat:
+        total += term
+    if not math.isfinite(total):
+        t_n, h_n = grid.step(n)
+        raise BlowupError(t_n=t_n + theta_eval * h_n, family="expectation",
+                          step=n)
+    return float(total)
 
 
-def _row_probs(ps, probs, lo, hi):
+def _store(blocks, rows, start, y):
+    """Write y to rows start, start + 1, ... of a level of ``rows`` rows kept
+    in blocks of _ENUM_SLICE rows; a block is allocated on its first write,
+    and a range that straddles two blocks is written in two pieces."""
+    while y.shape[0]:
+        b, r = divmod(start, _ENUM_SLICE)
+        if blocks[b] is None:
+            size = min(_ENUM_SLICE, rows - b * _ENUM_SLICE)
+            blocks[b] = np.empty((size, y.shape[1]))
+        k = min(y.shape[0], _ENUM_SLICE - r)
+        blocks[b][r:r + k] = y[:k]
+        start, y = start + k, y[k:]
+
+
+def _level_rows(probs):
+    """Row count of a level's probabilities: an array or a (ps, parent)
+    pair as taken by _row_probs."""
+    if isinstance(probs, np.ndarray):
+        return probs.size
+    return probs[0].size * _level_rows(probs[1])
+
+
+def _row_probs(ps, parent, lo, hi):
     """Probabilities of rows [lo, hi) of a level whose row o*R + i has
-    probability ps[o] * probs[i], where R = probs.size."""
-    R = probs.size
+    probability ps[o] * parent[i], where ``parent`` holds the R probabilities
+    of the level before: an array, or another such (ps, parent) pair."""
+    R = _level_rows(parent)
     out = np.empty(hi - lo)
     # [lo, hi) may span several outcome blocks
     for o in range(lo // R, (hi - 1) // R + 1):
-        a, b = max(lo, o * R), min(hi, (o + 1) * R)
-        np.multiply(ps[o], probs[a - o * R:b - o * R], out=out[a - lo:b - lo])
+        a, b = max(lo, o * R) - o * R, min(hi, (o + 1) * R) - o * R
+        before = (parent[a:b] if isinstance(parent, np.ndarray)
+                  else _row_probs(*parent, a, b))
+        np.multiply(ps[o], before, out=out[o * R + a - lo:o * R + b - lo])
     return out
 
 

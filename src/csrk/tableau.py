@@ -307,6 +307,19 @@ def _parse_order(meta_doc, key) -> float:
     return order
 
 
+_MATRICES = ("A0", "A1", "A2", "B0", "B1", "B2")
+_WEIGHTS = ("alpha", "beta1", "beta2", "beta3", "beta4")
+
+
+def _refuse_unknown_fields(doc, fields, prefix=""):
+    """A misspelled field would silently take its default, so refuse it."""
+    for key in doc:
+        if key not in fields:
+            raise TableauError(
+                f"unknown field {prefix + key!r}; expected one of "
+                f"{', '.join(prefix + f for f in fields)}")
+
+
 def parse_tableau(text: str) -> CsrkTableau:
     """Parse a JSON scheme-definition document (see README for the grammar)."""
     try:
@@ -315,6 +328,7 @@ def parse_tableau(text: str) -> CsrkTableau:
         raise TableauError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise TableauError("a scheme document must be a JSON object")
+    _refuse_unknown_fields(doc, ("name", "s", *_MATRICES, *_WEIGHTS, "meta"))
     for key in ("name", "s"):
         if key not in doc:
             raise TableauError(f"missing field {key!r}")
@@ -324,14 +338,13 @@ def parse_tableau(text: str) -> CsrkTableau:
     if not (type(s) is int and s >= 1):
         raise TableauError(
             f"stage count s must be a positive integer, got {json.dumps(s)}")
-    mats = {k: _parse_matrix(doc, k, s) for k in ("A0", "A1", "A2", "B0", "B1", "B2")}
-    weights = {
-        k: _parse_weights(doc, k, s)
-        for k in ("alpha", "beta1", "beta2", "beta3", "beta4")
-    }
+    mats = {k: _parse_matrix(doc, k, s) for k in _MATRICES}
+    weights = {k: _parse_weights(doc, k, s) for k in _WEIGHTS}
     meta_doc = doc.get("meta", {})
     if not isinstance(meta_doc, dict):
         raise TableauError("meta must be a JSON object")
+    _refuse_unknown_fields(
+        meta_doc, ("p_deterministic", "p_stochastic", "conditions"), "meta.")
     conditions = meta_doc.get("conditions", [])
     if not isinstance(conditions, list):
         raise TableauError("meta.conditions must be a list of condition ids")

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import pytest
@@ -168,6 +169,38 @@ class TestCheck:
         code, err = usage_error(capsys, "check", "--scheme-file", str(f))
         assert (code, err) == (2, [f"csrk: error: {message}"])
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(Alpha=doc.pop("alpha")),
+         "unknown field 'Alpha'; expected one of name, s, A0, A1, A2, B0, "
+         "B1, B2, alpha, beta1, beta2, beta3, beta4, meta"),
+        (lambda doc: doc["meta"].update(condition=doc["meta"].pop(
+            "conditions")),
+         "unknown field 'meta.condition'; expected one of "
+         "meta.p_deterministic, meta.p_stochastic, meta.conditions"),
+    ], ids=["top-level", "meta"])
+    def test_unknown_field_is_one_line(self, capsys, tmp_path, edit, message):
+        # a misspelled field would otherwise take its default silently
+        doc = json.loads(_DOCUMENTS["CRDI1WM"])
+        edit(doc)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, err = usage_error(capsys, "check", "--scheme-file", str(f))
+        assert (code, err) == (2, [f"csrk: error: {message}"])
+
+    @pytest.mark.parametrize("meta", [
+        {"p_stochastic": 1.0}, {"p_stochastic": 1.0, "conditions": []},
+    ], ids=["missing", "empty"])
+    def test_no_declared_conditions_is_one_line(self, capsys, tmp_path, meta):
+        # an empty set would print no rows and "# overall = pass"
+        doc = json.loads(_DOCUMENTS["CRDI1WM"])
+        doc["meta"] = meta
+        f = tmp_path / "none.json"
+        f.write_text(json.dumps(doc))
+        code, err = usage_error(capsys, "check", "--scheme-file", str(f))
+        assert (code, err) == (2, [
+            "csrk: error: scheme 'CRDI1WM' declares no conditions to check "
+            "(meta.conditions)"])
+
     def test_document_not_an_object_is_one_line(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("[]")
@@ -213,6 +246,22 @@ class TestSimulate:
         _, b, _ = run(capsys, "simulate", "--scheme", "CRDI3WM", "--problem",
                       "linear", "--h", "0.25", "--seed", "1")
         assert a == b
+
+    def test_memory_grows_by_the_rows_only(self, tmp_path):
+        # a step's cache takes about 2.1 kB on linear; one CSV row, held as
+        # a tuple and as text until written, about 0.3 kB
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                main(["simulate", "--scheme", "CRDI3WM", "--problem",
+                      "linear", "--h", repr(2.0 / steps), "--dense-per-step",
+                      "1", "--output", str(tmp_path / f"{steps}.csv")])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 1,000 more steps: 2,000 more rows
+        assert peak(1100) - peak(100) < 1000 * 2 * 500
 
     @pytest.mark.parametrize("T", ["2", "4"])
     def test_overflowing_state_names_path_and_step(self, capsys, T):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -187,6 +188,21 @@ class TestMonteCarlo:
         e3 = mc_expectation(t, LIN, grid, FX, 2.0, **kw, threads=8)
         assert e1.mean == e2.mean == e3.mean
         assert e1.variance_of_mean == e2.variance_of_mean == e3.variance_of_mean
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        grid, t = grid_for_step(LIN, 0.25), builtin_scheme("CRDI2WM")
+        kw = dict(M=30000, seed=5, confidence=0.9)
+        e1 = mc_expectation(t, LIN, grid, FX, 2.0, **kw, threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool on one usable CPU")
+
+        # one CPU: the chunks run inline, as on one thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(csrk.stats, "ThreadPoolExecutor", no_pool)
+        e8 = mc_expectation(t, LIN, grid, FX, 2.0, **kw, threads=8)
+        assert (e8.mean, e8.variance_of_mean) == (e1.mean, e1.variance_of_mean)
 
     def test_same_seed_bit_identical(self):
         grid = grid_for_step(LIN, 0.5)
@@ -498,7 +514,7 @@ class TestExactExpectation:
         want = per_path_expectation(t, problem, grid, f, theta)
         assert got == pytest.approx(want, rel=1e-13)
 
-    @pytest.mark.parametrize("slice_rows", (5, 7))
+    @pytest.mark.parametrize("slice_rows", (1, 3, 5, 7))
     @pytest.mark.parametrize("theta", (1.0, 0.3))
     @pytest.mark.parametrize("name,problem,n_max,f", [
         ("CRDI3WM", LIN, 6, FX2),
@@ -506,7 +522,9 @@ class TestExactExpectation:
     ], ids=["CRDI3WM-linear", "CRDI2WM-system2d"])
     def test_bit_identical_to_listed_levels(self, monkeypatch, slice_rows,
                                             theta, name, problem, n_max, f):
-        # slices of 5 or 7 rows span outcome blocks of 3^j or 18^j rows
+        # outcome blocks have 3^j or 18^j rows: slices of 1 or 3 rows write
+        # each outcome's rows into whole row blocks, slices of 5 or 7 rows
+        # straddle two blocks and span outcome blocks
         monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", slice_rows)
         t = builtin_scheme(name)
         for N in range(1, n_max + 1):
@@ -515,8 +533,9 @@ class TestExactExpectation:
             assert got == listed_expectation(t, problem, grid, f, theta), N
 
     def test_peak_memory_below_listed_levels(self, monkeypatch):
-        monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", 2048)
-        t, grid = builtin_scheme("CRDI3WM"), TimeGrid.uniform(0.0, 2.0, 12)
+        slice_rows, N = 2048, 12
+        monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", slice_rows)
+        t, grid = builtin_scheme("CRDI3WM"), TimeGrid.uniform(0.0, 2.0, N)
 
         def traced(expectation):
             tracemalloc.start()
@@ -529,9 +548,33 @@ class TestExactExpectation:
         got, peak = traced(exact_weak_expectation)
         want, listed_peak = traced(listed_expectation)
         assert got == want
-        # one level of states and the previous level's probabilities, against
-        # two copies of the level and of its probabilities
-        assert peak <= 0.6 * listed_peak, (peak, listed_peak)
+        # the largest stored level (level N-1, 3^(N-1) states of d = 1), the
+        # probabilities two levels below it (level N-3), and 20 slices for
+        # a step's temporaries and the blocks in flight (about 14 measured);
+        # the levels N-2 and N-1 held at once with level N-2's
+        # probabilities, as stored before, take about 60
+        level, probs, one_slice = 8 * 3**(N - 1), 8 * 3**(N - 3), 8 * slice_rows
+        assert peak <= level + probs + 20 * one_slice, (peak, level)
+        assert peak <= 0.35 * listed_peak, (peak, listed_peak)
+
+    def test_blowup_in_a_level_of_several_slices(self, monkeypatch):
+        # from t = 0.4 states of 1.5 or more blow up: the 9 states of level
+        # 2 are read in five 2-row slices, and rows 5, 7 and 8 fail, so the
+        # first failing slice is the third
+        monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", 2)
+        late = SdeProblem(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x: np.where((t < 0.4) | (x < 1.5), x,
+                                        np.inf * x),
+            diffusion=lambda t, x: 0.1 * x[..., :, None],
+            x0=[1.0], t0=0.0, T=1.0, label="late-blowup",
+        )
+        with pytest.raises(BlowupError) as ei:
+            exact_weak_expectation(builtin_scheme("EULER_OPT"), late,
+                                   TimeGrid.uniform(0.0, 1.0, 5), FX)
+        assert (ei.value.step, ei.value.path) == (2, None)
+        assert str(ei.value) == ("enumeration blew up at step 2: non-finite "
+                                 "drift value at t=0.4, stage 1")
 
     def test_one_step_euler_by_hand(self):
         # E[x0 (1 + a h + b dW)] = x0 (1 + a h)
