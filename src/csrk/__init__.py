@@ -37,7 +37,6 @@ from .sde import (
     system2d_problem,
 )
 from .stats import (
-    DEFAULT_CHUNK_SIZE,
     ContinuousPath,
     ErrorRecord,
     MonteCarloEstimate,
@@ -110,7 +109,6 @@ __all__ = [
     "empirical_order",
     "dense_error_profile",
     "grid_for_step",
-    "DEFAULT_CHUNK_SIZE",
     "stream_keys",
     "uniforms",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -28,21 +27,19 @@ from .increments import CapacityError
 from .integrator import BlowupError, TimeGrid
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
 from .stats import (
-    DEFAULT_CHUNK_SIZE,
+    _MAX_STEPS,
     check_fit_steps,
     check_outcome_count,
     check_step,
     dense_error_profile,
     empirical_order,
     error_table,
-    exact_grid,
     exact_weak_expectation,
+    grid_for_step,
     _dense_value,
     _path_steps,
 )
 from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names
-
-_ENV_THREADS = "CSRK_THREADS"
 
 # the options an output header records, in header order, where its command
 # takes them; a problem's own options are recorded as problem_params.
@@ -51,9 +48,8 @@ _ENV_THREADS = "CSRK_THREADS"
 _RECORDED = (
     "command", "scheme", "scheme_file", "problem", "problem_params", "f",
     "h", "h_list", "n_list", "t_eval", "theta_list", "theta_eval",
-    "m_samples", "seed", "confidence", "chunk_size", "allow_shortened",
-    "dense_per_step", "reference", "grid_points", "tol", "output_format",
-    "output",
+    "m_samples", "seed", "confidence", "dense_per_step", "reference",
+    "grid_points", "tol", "output_format", "output",
 )
 
 
@@ -202,13 +198,8 @@ def _add_mc_args(p):
                    default=10**5, help="sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--confidence", type=float, default=0.9)
-    # a string default goes through type=, so a bad CSRK_THREADS is a usage
-    # error of the commands that take --threads and of no other
-    p.add_argument("--threads", type=_positive_int,
-                   default=os.environ.get(_ENV_THREADS, "1"),
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads (does not affect results)")
-    p.add_argument("--chunk-size", type=_positive_int,
-                   default=DEFAULT_CHUNK_SIZE)
 
 
 def _add_output_args(p):
@@ -262,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_estimate_args(p)
         p.add_argument("--t-eval", type=float, required=True)
         p.add_argument("--h-list", type=_floats, required=True)
-        p.add_argument("--allow-shortened", action="store_true",
-                       help="accept step sizes that do not divide the horizon")
         _add_mc_args(p)
         _add_output_args(p)
 
@@ -278,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local-order", help="one-step exact weak errors")
     _add_estimate_args(p)
     p.add_argument("--h-list", type=_floats, required=True)
-    p.add_argument("--outcome-cap", type=int, default=10**7)
+    p.add_argument("--outcome-cap", type=_positive_int, default=10**7)
     _add_output_args(p)
 
     p = sub.add_parser("exact-order", help="full-grid exact weak errors")
     _add_estimate_args(p)
     p.add_argument("--N-list", dest="n_list", type=_ints, required=True)
     p.add_argument("--theta-eval", type=float, default=1.0)
-    p.add_argument("--outcome-cap", type=int, default=10**7)
+    p.add_argument("--outcome-cap", type=_positive_int, default=10**7)
     _add_output_args(p)
 
     return ap
@@ -320,30 +309,28 @@ def _cmd_check(args):
 def _cmd_simulate(args):
     scheme = _load_scheme(args)
     problem = _build_problem(args)
-    grid = exact_grid(problem, args.h)
+    grid = grid_for_step(problem, args.h)
     sub = args.dense_per_step
-    # path 0 of the seed, streamed from the path loop: step n's rows go out
-    # once step n + 1 is taken, since grid.locate may place a sub-step of
-    # step n on the next node, and then step n's cache is dropped
-    caches, nodes, rows = {}, {0: problem.x0}, []
-
-    def emit(n):
+    # every row is held until the table is written
+    n_rows = grid.n_steps * (sub + 1) + 1
+    if n_rows > _MAX_STEPS:
+        raise ValueError(f"--dense-per-step {sub} on {grid.n_steps} steps "
+                         f"asks for {n_rows} rows, above the limit "
+                         f"{_MAX_STEPS}")
+    # path 0 of the seed, from the path loop: a step's rows need only its
+    # own cache, so no cache outlives its step
+    rows, y = [], problem.x0
+    for n, cache, y_next in _path_steps(scheme, problem, grid, args.seed,
+                                        np.uint64(0), grid.n_steps,
+                                        scheme.dense_weights(1.0)):
         t_n, h_n = grid.step(n)
-        rows.append((t_n, 0.0, *nodes.pop(n)))
+        rows.append((t_n, 0.0, *y))
         for j in range(1, sub + 1):
             th = j / (sub + 1)
-            rows.append((t_n + th * h_n, th, *_dense_value(
-                scheme, grid, caches, t_n + th * h_n)))
-        del caches[n]
-
-    for n, cache, y in _path_steps(scheme, problem, grid, args.seed,
-                                   np.uint64(0), grid.n_steps,
-                                   scheme.dense_weights(1.0)):
-        caches[n], nodes[n + 1] = cache, y
-        if n:
-            emit(n - 1)
-    emit(grid.n_steps - 1)
-    rows.append((grid.T, 1.0, *nodes.pop(grid.n_steps)))
+            rows.append((t_n + th * h_n, th,
+                         *_dense_value(scheme, cache, t_n + th * h_n)))
+        y = y_next
+    rows.append((grid.T, 1.0, *y))
     _emit(args, ("t", "theta",
                  *[f"y{i + 1}" for i in range(problem.dim_state)]), rows)
     return 0
@@ -356,9 +343,7 @@ def _error_rows(args, with_order):
         check_fit_steps(args.h_list)
     records = error_table(
         scheme, problem, ref, args.t_eval, args.h_list, args.m_samples,
-        args.seed, confidence=args.confidence,
-        allow_shortened=args.allow_shortened, chunk_size=args.chunk_size,
-        threads=args.threads,
+        args.seed, confidence=args.confidence, threads=args.threads,
     )
     rows = [(r.h, r.mean_error, r.variance_of_mean, r.ci_low, r.ci_high)
             for r in records]
@@ -375,8 +360,7 @@ def _cmd_dense(args):
     scheme, problem, ref = _setup(args)
     profile = dense_error_profile(
         scheme, problem, ref, args.h, args.theta_list, args.m_samples,
-        args.seed, confidence=args.confidence, chunk_size=args.chunk_size,
-        threads=args.threads,
+        args.seed, confidence=args.confidence, threads=args.threads,
     )
     rows = [(t, th, r.mean_error, r.variance_of_mean, r.ci_low, r.ci_high)
             for t, th, r in profile]

@@ -8,10 +8,10 @@ in the states they step and where the increments come from:
   Carlo routine, ``mc_expectations_at``, runs it on fixed-size chunks of
   paths (states ``(B, d)``) and folds per-chunk mean/M2 statistics in
   ascending chunk order, so the result is bit-identical for any thread
-  count given (seed, M, chunk size).  Each worker thread writes the f-values
-  and their squared deviations of every chunk it runs into one statistics
-  block, allocated on its first chunk and sized by the largest chunk run,
-  so no chunk faults a fresh block in.  ``simulate_path`` runs it on one path
+  count given (seed, M).  Each worker thread writes the f-values and their
+  squared deviations of every chunk it runs into one statistics block,
+  allocated on its first chunk and sized by the largest chunk run, so no
+  chunk faults a fresh block in.  ``simulate_path`` runs it on one path
   (state ``(d,)``), so simulated path p is Monte Carlo path p, and keeps
   each step's cache for dense queries;
 * the enumeration oracle expands the joint outcome tree level by level, in
@@ -76,15 +76,15 @@ __all__ = [
     "empirical_order",
     "dense_error_profile",
     "grid_for_step",
-    "exact_grid",
     "check_step",
     "check_outcome_count",
     "check_fit_steps",
-    "DEFAULT_CHUNK_SIZE",
 ]
 
-DEFAULT_CHUNK_SIZE = 4096
-# a grid stores every node, and a simulated path every step's cache
+# paths per Monte Carlo chunk; fixed, since the chunks partition the Welford
+# reduction and another size moves the last bits of every estimate
+_CHUNK = 4096
+# a grid stores every node, and csrk simulate every output row
 _MAX_STEPS = 10**7
 _ENUM_SLICE = 1 << 20
 
@@ -135,8 +135,8 @@ def check_step(h: float) -> None:
         raise ValueError(f"step h must be positive and finite, got {h}")
 
 
-def _dividing_grid(problem: SdeProblem, h: float) -> TimeGrid | None:
-    """Uniform grid with step h, or None if h does not divide the horizon."""
+def grid_for_step(problem: SdeProblem, h: float) -> TimeGrid:
+    """Uniform grid with step h, which must divide the horizon."""
     check_step(h)
     span = problem.T - problem.t0
     n_exact = span / h
@@ -146,39 +146,9 @@ def _dividing_grid(problem: SdeProblem, h: float) -> TimeGrid | None:
     if n > _MAX_STEPS:
         raise ValueError(f"step {h} on the horizon {span} asks for "
                          f"{n_exact:.6g} steps, above the limit {_MAX_STEPS}")
-    if n >= 1 and abs(n_exact - n) <= 1e-9 * max(1.0, n):
-        return TimeGrid.uniform(problem.t0, problem.T, n)
-    return None
-
-
-def exact_grid(problem: SdeProblem, h: float) -> TimeGrid:
-    """Uniform grid with step h, which must divide the horizon."""
-    grid = _dividing_grid(problem, h)
-    if grid is None:
-        raise ValueError(
-            f"step {h} does not divide the horizon {problem.T - problem.t0}")
-    return grid
-
-
-def grid_for_step(problem: SdeProblem, h: float,
-                  allow_shortened: bool = False) -> TimeGrid:
-    """Uniform grid with step h; h must divide the horizon unless the caller
-    explicitly allows a shortened final step."""
-    grid = _dividing_grid(problem, h)
-    if grid is not None:
-        return grid
-    span = problem.T - problem.t0
-    if not allow_shortened:
-        raise ValueError(
-            f"step {h} does not divide the horizon {span}; pass "
-            "allow_shortened (--allow-shortened on the command line) to "
-            "accept a shortened final step"
-        )
-    n = math.floor(span / h)
-    times = list(problem.t0 + h * np.arange(n + 1))
-    if times[-1] < problem.T:
-        times.append(problem.T)
-    return TimeGrid(np.array(times))
+    if n < 1 or abs(n_exact - n) > 1e-9 * max(1.0, n):
+        raise ValueError(f"step {h} does not divide the horizon {span}")
+    return TimeGrid.uniform(problem.t0, problem.T, n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +179,15 @@ class ContinuousPath:
 
     def value(self, t: float):
         """Y(t); at a node, the same bits as ``nodes``."""
-        return _dense_value(self.scheme, self.grid, self.caches, t)
+        n = self.grid.locate(t)[0]
+        return _dense_value(self.scheme, self.caches[n], t)
 
 
-def _dense_value(scheme, grid, caches, t):
-    """Y(t) from ``caches[n]``, for the step n that ``grid.locate`` names."""
-    n, theta = grid.locate(t)
-    return evaluate_dense(caches[n], scheme.dense_weights(theta))
+def _dense_value(scheme, cache, t):
+    """Y(t) from the cache of the step that starts at or before t; at that
+    step's end theta is exactly 1, so this gives the node's value."""
+    theta = (t - cache.t_n) / cache.h
+    return evaluate_dense(cache, scheme.dense_weights(theta))
 
 
 def simulate_path(
@@ -293,7 +265,6 @@ def mc_expectations_at(
     M: int,
     seed: int,
     confidence: float = 0.9,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> list[MonteCarloEstimate]:
     """Estimates of E f(Y(t)) at several times, sharing one set of paths.
@@ -306,8 +277,6 @@ def mc_expectations_at(
         raise ValueError("need at least one evaluation time")
     if M < 2:
         raise ValueError("need at least M = 2 samples")
-    if chunk_size < 1:
-        raise ValueError("need chunk_size >= 1")
     # the dense weights and the eval points of each step are built here,
     # not on every chunk and step
     step_weights = scheme.dense_weights(1.0)
@@ -316,13 +285,13 @@ def mc_expectations_at(
         by_step.setdefault(n, []).append(
             (idx, theta, scheme.dense_weights(theta)))
 
-    n_eval, rows = len(eval_points), min(chunk_size, M)
+    n_eval, rows = len(eval_points), min(_CHUNK, M)
     # one statistics block per worker thread and run, sized by the largest
     # chunk: a fresh block per chunk is page-faulted in again every time
     worker = threading.local()
 
     def chunk(start):
-        count = min(chunk_size, M - start)
+        count = min(_CHUNK, M - start)
         # the stream keys of the chunk's paths, computed once for all steps
         paths = KeyedPaths(seed,
                            np.arange(start, start + count, dtype=np.uint64))
@@ -347,7 +316,7 @@ def mc_expectations_at(
         np.square(vals, out=vals)
         return count, mean, vals.sum(axis=1)
 
-    starts = range(0, M, chunk_size)
+    starts = range(0, M, _CHUNK)
     # more workers than usable CPUs only pass the GIL back and forth
     workers = min(threads, _usable_cpus())
     # both maps yield in ascending chunk order, which fixes the reduction
@@ -376,12 +345,10 @@ def mc_expectations_at(
 def mc_expectation(
     scheme, problem, grid, f, t_eval, M, seed,
     confidence: float = 0.9,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> MonteCarloEstimate:
     return mc_expectations_at(
-        scheme, problem, grid, f, [t_eval], M, seed, confidence, chunk_size,
-        threads,
+        scheme, problem, grid, f, [t_eval], M, seed, confidence, threads,
     )[0]
 
 
@@ -527,8 +494,6 @@ def _row_probs(ps, parent, lo, hi):
 def error_table(
     scheme, problem, reference, t_eval, h_list, M, seed,
     confidence: float = 0.9,
-    allow_shortened: bool = False,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> list[ErrorRecord]:
     """One MC estimate of ``reference.functional`` per step size, less the
@@ -537,11 +502,11 @@ def error_table(
         raise ValueError("need at least one step size")
     exact = reference.at(t_eval)
     # every step size is checked before the first estimate is run
-    grids = [grid_for_step(problem, h, allow_shortened) for h in h_list]
+    grids = [grid_for_step(problem, h) for h in h_list]
     records = []
     for h, grid in zip(h_list, grids):
         est = mc_expectation(scheme, problem, grid, reference.functional,
-                             t_eval, M, seed, confidence, chunk_size, threads)
+                             t_eval, M, seed, confidence, threads)
         records.append(_error_record(h, est, exact))
     return records
 
@@ -582,7 +547,6 @@ def empirical_order(errors) -> OrderEstimate:
 def dense_error_profile(
     scheme, problem, reference, h, theta_list, M, seed,
     confidence: float = 0.9,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ):
     """Errors of E f(Y(t_n + theta h)) against the reference, for f its
@@ -596,7 +560,7 @@ def dense_error_profile(
             raise ValueError("theta values must lie in [0, 1)")
     if len(set(theta_list)) < len(theta_list):
         raise ValueError(f"theta values must be distinct, got {theta_list}")
-    grid = exact_grid(problem, h)
+    grid = grid_for_step(problem, h)
     times, thetas = [], []
     for n in range(grid.n_steps):
         t_n, h_n = grid.step(n)
@@ -605,7 +569,7 @@ def dense_error_profile(
             thetas.append(th)
     ests = mc_expectations_at(
         scheme, problem, grid, reference.functional, times, M, seed,
-        confidence, chunk_size, threads,
+        confidence, threads,
     )
     return [(t, th, _error_record(h, est, reference.at(t)))
             for t, th, est in zip(times, thetas, ests)]

@@ -46,9 +46,15 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(seed: int, path_indices) -> np.ndarray:
-    """Per-path 64-bit keys; distinct for distinct (seed, path)."""
+    """Per-path 64-bit keys; distinct for distinct (seed, path).
+
+    The seed must lie in [0, 2**64): a seed outside would be taken modulo
+    2**64 and alias one inside.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     p = np.asarray(path_indices, dtype=np.uint64)
-    s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    s = _mix64(np.uint64(seed))
     with np.errstate(over="ignore"):
         return _mix64(s ^ (p + np.uint64(1)) * _GAMMA1)
 

@@ -308,8 +308,7 @@ class TestErrorTableAndConverge:
             "linear", "--t-eval", "2.0", "--h-list", "0.3", "--M", "100",
         )
         assert code == 2
-        assert "allow_shortened" in err
-        assert "--allow-shortened" in err  # the option that accepts it
+        assert err == "csrk: error: step 0.3 does not divide the horizon 2.0\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "error-table", *self.ARGS,
@@ -402,8 +401,7 @@ class TestUsageErrors:
         ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
          "--t-eval", "2.0", "--h-list", "0,0.5", "--M", "100"),
         ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
-         "--t-eval", "2.0", "--h-list=-0.5", "--allow-shortened",
-         "--M", "100"),
+         "--t-eval", "2.0", "--h-list=-0.5", "--M", "100"),
         ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
          "--h", "nan"),
         ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.5",
@@ -436,15 +434,19 @@ class TestUsageErrors:
          "--h", "1", "--f", "json"),
         ("dense", "--scheme", "CRDI2WM", "--problem", "linear", "--h", "0.5",
          "--theta", "0.5", "--M", "100"),
+        ("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--N-list", "2,4", "--outcome-cap", "-1"),
+        LOCAL + ("--h-list", "0.5,0.25", "--outcome-cap", "0"),
     ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
             "N-list-0", "no-scheme", "dense-h-0", "h-list-0",
-            "h-list-negative-shortened", "simulate-h-nan",
+            "h-list-negative", "simulate-h-nan",
             "theta-list-empty", "local-h-nan", "local-h-inf",
             "local-h-negative", "dense-per-step-negative",
             "theta-list-duplicate", "tol-nan", "tol-inf", "h-list-empty",
             "overflow-drift", "overflow-diffusion-threads",
             "overflow-functional", "T-inf", "x0-nan", "scheme-and-file",
-            "f-is-not-format", "theta-is-not-theta-list"])
+            "f-is-not-format", "theta-is-not-theta-list",
+            "outcome-cap-negative", "local-outcome-cap-0"])
     def test_one_line_exit_2(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -500,11 +502,64 @@ class TestUsageErrors:
          "--M", "100"),
     ], ids=["simulate", "dense"])
     def test_non_dividing_step_offers_no_missing_option(self, capsys, argv):
-        # neither command has --allow-shortened, so the message offers none
+        # no command takes a shortened final step, so the message offers no
+        # option (error-table: TestErrorTableAndConverge)
         code, err = usage_error(capsys, *argv)
         assert code == 2
         assert err == ["csrk: error: step 0.3 does not divide the horizon "
                        "2.0"]
+
+    @pytest.mark.parametrize("option", [
+        ("--chunk-size", "700"), ("--allow-shortened",),
+    ], ids=["chunk-size", "allow-shortened"])
+    def test_removed_option_unrecognized(self, capsys, option):
+        # the chunk size and the grid are not the caller's to choose
+        code, err = usage_error(capsys, *self.MC, *option)
+        assert code == 2
+        assert err == [f"csrk: error: unrecognized arguments: "
+                       f"{' '.join(option)}"]
+
+    @pytest.mark.parametrize("seed", [
+        "18446744073709551616", "-18446744073709551616", "-1",
+    ])
+    @pytest.mark.parametrize("command", [
+        ("converge", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--t-eval", "2.0", "--h-list", "0.5,0.25", "--M", "100",
+         "--threads", "2"),
+        ("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
+         "--h", "0.5"),
+    ], ids=["converge", "simulate"])
+    def test_seed_outside_64_bits_refused(self, capsys, monkeypatch, command,
+                                          seed):
+        # taken modulo 2^64, such a seed would repeat the rows of another
+        calls = []
+        step_arrays = csrk.stats.compute_step_arrays
+
+        def step(*args):
+            calls.append(args)
+            return step_arrays(*args)
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays", step)
+        code, err = usage_error(capsys, *command, "--seed", seed)
+        assert code == 2
+        assert err == [f"csrk: error: seed must lie in [0, 2**64), got {seed}"]
+        assert calls == []
+
+    @pytest.mark.parametrize("h,sub,rows", [
+        ("2", "100000000", 100000002), ("0.5", "2499999", 10000001),
+    ])
+    def test_simulate_rows_limited(self, capsys, monkeypatch, h, sub, rows):
+        # every row is held until the table is written: refused before the
+        # first step
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays",
+                            lambda *args: pytest.fail("stepped"))
+        code, err = usage_error(capsys, "simulate", "--scheme", "CRDI2WM",
+                                "--problem", "linear", "--h", h,
+                                "--dense-per-step", sub)
+        assert code == 2
+        assert err == [f"csrk: error: --dense-per-step {sub} on "
+                       f"{round(2 / float(h))} steps asks for {rows} rows, "
+                       "above the limit 10000000"]
 
     @pytest.mark.parametrize("argv,message", [
         (("simulate", "--scheme", "CRDI3WM", "--problem", "linear",
@@ -625,21 +680,6 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("csrk: error: step 0.3")
         assert steps == []
 
-    def test_bad_threads_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("CSRK_THREADS", "abc")
-        code, _, _ = run(capsys, "schemes")
-        assert code == 0
-        code, err = usage_error(capsys, *self.MC)
-        assert code == 2
-        assert err == ["csrk: error: argument --threads: expected a positive "
-                       "integer, got 'abc'"]
-
-    def test_threads_environment_default(self, capsys, monkeypatch):
-        _, one, _ = run(capsys, *self.MC)
-        monkeypatch.setenv("CSRK_THREADS", "2")
-        _, two, _ = run(capsys, *self.MC)
-        assert body_lines(one) == body_lines(two)
-
 
 class TestHeader:
     @pytest.mark.parametrize("argv,config", [
@@ -653,21 +693,19 @@ class TestHeader:
           "problem_params": {"lam": 1.0, "x0": 0.1, "T": 2.0}, "h": 0.5,
           "seed": 0, "dense_per_step": 3, "output_format": "csv"}),
         (("converge", "--scheme", "CRDI2WM", "--problem", "linear",
-          "--t-eval", "2.0", "--h-list", "0.5,0.3", "--M", "100",
-          "--chunk-size", "70", "--allow-shortened", "--threads", "2"),
+          "--t-eval", "2.0", "--h-list", "0.5,0.25", "--M", "100",
+          "--threads", "2"),
          {"command": "converge", "scheme": "CRDI2WM", "problem": "linear",
           "problem_params": {"a": 1.5, "b": 0.1, "x0": 0.1, "T": 2.0},
-          "f": "x", "h_list": [0.5, 0.3], "t_eval": 2.0, "m_samples": 100,
-          "seed": 0, "confidence": 0.9, "chunk_size": 70,
-          "allow_shortened": True, "output_format": "csv"}),
+          "f": "x", "h_list": [0.5, 0.25], "t_eval": 2.0, "m_samples": 100,
+          "seed": 0, "confidence": 0.9, "output_format": "csv"}),
         (("dense", "--scheme", "CRDI3WM", "--problem", "system2d", "--f",
           "x2", "--reference", "derived", "--h", "2.0", "--theta-list", "0.5",
           "--M", "100"),
          {"command": "dense", "scheme": "CRDI3WM", "problem": "system2d",
           "problem_params": {}, "f": "x2", "h": 2.0, "theta_list": [0.5],
           "m_samples": 100, "seed": 0, "confidence": 0.9,
-          "chunk_size": 4096, "reference": "derived",
-          "output_format": "csv"}),
+          "reference": "derived", "output_format": "csv"}),
         (("exact-order", "--scheme", "CRDI2WM", "--problem", "linear", "--f",
           "x2", "--N-list", "2,4", "--theta-eval", "0.5", "--outcome-cap",
           "1000"),
@@ -743,11 +781,12 @@ class TestTracingHooks:
                                   problem, f, extra, t_eval, h_list, m):
         calls = self.install(monkeypatch, counting)
         M, chunk = 1000, 256  # serial: the counters are not thread-safe
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         code, _, _ = run(
             capsys, "converge", "--scheme", "CRDI3WM", "--problem", problem,
             "--f", f, *extra, "--t-eval", t_eval,
             "--h-list", ",".join(map(str, h_list)), "--M", str(M),
-            "--chunk-size", str(chunk), "--threads", "1",
+            "--threads", "1",
         )
         assert code == 0
         n_chunks = -(-M // chunk)
@@ -779,10 +818,10 @@ class TestTracingHooks:
         calls = self.install(monkeypatch, counting)
         M, chunk, h, T = 1000, 256, 0.5, 2.0
         thetas = 9  # the default --theta-list, 0.1 to 0.9
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         code, _, _ = run(
             capsys, "dense", "--scheme", "CRDI3WM", "--problem", "linear",
-            "--h", str(h), "--T", str(T), "--M", str(M),
-            "--chunk-size", str(chunk), "--threads", "1",
+            "--h", str(h), "--T", str(T), "--M", str(M), "--threads", "1",
         )
         assert code == 0
         steps = -(-M // chunk) * round(T / h)
@@ -852,22 +891,21 @@ class TestGoldenOutput:
     step or a dense evaluation, or to the draws, shows up here.  The steps
     are not powers of two, so multiplying by h rounds."""
 
-    MC = ("--chunk-size", "1024")
     SYSTEM2D = ("converge", "--scheme", "CRDI3WM", "--problem", "system2d",
                 "--f", "x2", "--reference", "derived", "--t-eval", "3.8",
-                "--h-list", "0.8,0.4", "--M", "3000", "--seed", "2") + MC
+                "--h-list", "0.8,0.4", "--M", "3000", "--seed", "2")
 
     @pytest.mark.parametrize("argv,digest", [
         (("converge", "--scheme", "CRDI3WM", "--problem", "linear", "--f",
           "x", "--T", "1.8", "--t-eval", "1.7", "--h-list", "0.3,0.2",
-          "--M", "3000", "--seed", "5") + MC,
+          "--M", "3000", "--seed", "5"),
          "454c359dcbe5b1f71b67b209953941a80aeaedd2cca2f03eb8f4e058f87eecfc"),
         (SYSTEM2D + ("--threads", "1"),
          "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
         (SYSTEM2D + ("--threads", "2"),
          "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
         (("dense", "--scheme", "CRDI3WM", "--problem", "linear", "--h", "0.3",
-          "--T", "1.5", "--M", "2000", "--seed", "1") + MC,
+          "--T", "1.5", "--M", "2000", "--seed", "1"),
          "80a54f8a3bea805aa2233d8d3f4ab6311bdbb30c2a8e276ff912f949e29650f7"),
         (("exact-order", "--scheme", "CRDI2WM", "--problem", "system2d",
           "--f", "x2", "--N-list", "2,3", "--theta-eval", "0.3"),
@@ -878,7 +916,10 @@ class TestGoldenOutput:
     ], ids=["converge-linear", "converge-system2d-threads-1",
             "converge-system2d-threads-2", "dense", "exact-order-theta",
             "simulate-dense-per-step"])
-    def test_data_rows(self, capsys, argv, digest):
+    def test_data_rows(self, capsys, monkeypatch, argv, digest):
+        # Monte Carlo runs of several chunks at small M: the digests were
+        # recorded with 1024-path chunks
+        monkeypatch.setattr(csrk.stats, "_CHUNK", 1024)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert rows_sha256(out) == digest

@@ -58,49 +58,57 @@ class TestQuantile:
             normal_quantile(1.0)
 
 
+def build_grid(h, through_profile):
+    """grid_for_step(LIN, h), directly or through dense_error_profile, which
+    builds its grid with it."""
+    if through_profile:
+        return dense_error_profile(builtin_scheme("CRDI2WM"), LIN,
+                                   LIN.reference_for(FX), h, [0.5], 100, 0)
+    return grid_for_step(LIN, h)
+
+
 class TestGridForStep:
     def test_divisible(self):
         g = grid_for_step(LIN, 0.25)
         assert g.n_steps == 8 and g.T == 2.0
 
     def test_non_divisible_rejected(self):
-        with pytest.raises(ValueError, match="allow_shortened"):
-            grid_for_step(LIN, 0.3)
-
-    def test_shortened_final_step(self):
-        g = grid_for_step(LIN, 0.3, allow_shortened=True)
-        assert g.T == 2.0
-        assert g.step(g.n_steps - 1)[1] == pytest.approx(0.2)
+        # one message for every caller: the dense output reads an error off
+        # the grid, so no caller needs a shortened final step
+        for through_profile in (False, True):
+            with pytest.raises(ValueError) as ei:
+                build_grid(0.3, through_profile)
+            assert str(ei.value) == "step 0.3 does not divide the horizon 2.0"
 
     @pytest.mark.parametrize("h", [0.0, -0.5, math.nan, math.inf])
-    @pytest.mark.parametrize("allow_shortened", [False, True])
-    def test_bad_step_refused(self, h, allow_shortened):
+    @pytest.mark.parametrize("through_profile", [False, True])
+    def test_bad_step_refused(self, h, through_profile):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before dividing
             with pytest.raises(ValueError, match="positive and finite"):
-                grid_for_step(LIN, h, allow_shortened)
+                build_grid(h, through_profile)
 
     @pytest.mark.parametrize("h", [1e-320, 5e-324])
-    @pytest.mark.parametrize("allow_shortened", [False, True])
-    def test_step_count_overflow_refused(self, h, allow_shortened):
+    @pytest.mark.parametrize("through_profile", [False, True])
+    def test_step_count_overflow_refused(self, h, through_profile):
         # 2 / h is inf: no step count exists to round
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as ei:
-                grid_for_step(LIN, h, allow_shortened)
+                build_grid(h, through_profile)
         assert str(ei.value) == f"step {h} is too small for the horizon 2.0"
 
-    @pytest.mark.parametrize("h,allow_shortened,count", [
+    @pytest.mark.parametrize("h,through_profile,count", [
         (1e-300, False, "2e+300"), (1e-300, True, "2e+300"),
         (1e-9, False, "2e+09"), (1e-9, True, "2e+09"),
         (1.9e-7, False, "1.05263e+07"),
     ])
-    def test_step_count_limit(self, monkeypatch, h, allow_shortened, count):
+    def test_step_count_limit(self, monkeypatch, h, through_profile, count):
         # refused before a single node is built
         monkeypatch.setattr(TimeGrid, "uniform",
                             lambda *args: pytest.fail("grid built"))
         with pytest.raises(ValueError) as ei:
-            grid_for_step(LIN, h, allow_shortened)
+            build_grid(h, through_profile)
         assert str(ei.value) == (f"step {h} on the horizon 2.0 asks for "
                                  f"{count} steps, above the limit 10000000")
 
@@ -139,10 +147,11 @@ class TestMonteCarlo:
         (LIN, FX, [1.3, 0.5, 2.0, 0.1, 1.75]),
         (system2d_problem(), FX2, [3.8, 0.3, 2.0, 1.1]),
     ], ids=("linear", "system2d"))
-    def test_reused_block_matches_fresh_arrays(self, threads, problem, f,
-                                               times):
+    def test_reused_block_matches_fresh_arrays(self, monkeypatch, threads,
+                                               problem, f, times):
         # the last chunk is partial, so it uses a prefix of the block
         chunk = 256
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         M, seed, t = 3 * chunk + 17, 4, builtin_scheme("CRDI3WM")
         grid = grid_for_step(problem, 0.5)
         assert any(grid.locate(x)[1] < 1.0 for x in times)
@@ -154,7 +163,7 @@ class TestMonteCarlo:
         sys.setswitchinterval(1e-5)
         try:
             ests = mc_expectations_at(t, problem, grid, f, times, M, seed,
-                                      chunk_size=chunk, threads=threads)
+                                      threads=threads)
         finally:
             sys.setswitchinterval(interval)
         assert [e.samples for e in ests] == [n] * len(times)
@@ -163,21 +172,21 @@ class TestMonteCarlo:
         got = np.array([e.variance_of_mean for e in ests])
         assert got.tobytes() == (m2 / (n - 1) / n).tobytes()
 
-    def test_block_sized_by_the_paths_run(self):
-        # a block sized by chunk_size would take 8 GB per eval point
+    def test_block_sized_by_the_paths_run(self, monkeypatch):
+        # a block sized by the chunk would take 8 GB per eval point
         grid = grid_for_step(LIN, 0.25)
         t, times = builtin_scheme("CRDI3WM"), [0.25 * k for k in range(1, 9)]
+        monkeypatch.setattr(csrk.stats, "_CHUNK", 10**9)
         tracemalloc.start()
         try:
-            huge = mc_expectations_at(t, LIN, grid, FX, times, 100, 2,
-                                      chunk_size=10**9)
+            huge = mc_expectations_at(t, LIN, grid, FX, times, 100, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the 8 x 100 block takes 6.4 kB
         assert peak < 10**6
-        assert huge == mc_expectations_at(t, LIN, grid, FX, times, 100, 2,
-                                          chunk_size=100)
+        monkeypatch.setattr(csrk.stats, "_CHUNK", 100)
+        assert huge == mc_expectations_at(t, LIN, grid, FX, times, 100, 2)
 
     def test_bit_identical_across_thread_counts(self):
         grid = grid_for_step(LIN, 0.25)
@@ -211,15 +220,15 @@ class TestMonteCarlo:
         b = mc_expectation(t, LIN, grid, FX, 1.7, 5000, 9)
         assert a == b
 
-    def test_chunk_partition_changes_nothing_but_order(self):
+    def test_chunk_partition_changes_nothing_but_order(self, monkeypatch):
         # M not a multiple of the chunk size still uses every path once
         grid = grid_for_step(LIN, 0.5)
         t = builtin_scheme("CRDI2WM")
-        est = mc_expectation(t, LIN, grid, FX, 2.0, 5000, 1, chunk_size=1024)
+        monkeypatch.setattr(csrk.stats, "_CHUNK", 1024)
+        est = mc_expectation(t, LIN, grid, FX, 2.0, 5000, 1)
         assert est.samples == 5000
-        est_small = mc_expectation(
-            t, LIN, grid, FX, 2.0, 5000, 1, chunk_size=617
-        )
+        monkeypatch.setattr(csrk.stats, "_CHUNK", 617)
+        est_small = mc_expectation(t, LIN, grid, FX, 2.0, 5000, 1)
         # same paths, same draws; only the reduction grouping differs
         assert est_small.mean == pytest.approx(est.mean, rel=1e-12)
 
@@ -255,9 +264,9 @@ class TestMonteCarlo:
             return build(self, theta)
 
         monkeypatch.setattr(CsrkTableau, "dense_weights", counting)
+        monkeypatch.setattr(csrk.stats, "_CHUNK", 1000)
         grid = grid_for_step(LIN, 0.25)
-        mc_expectations_at(t, LIN, grid, FX, [0.3, 1.0, 1.7, 2.0], 5000, 3,
-                           chunk_size=1000)
+        mc_expectations_at(t, LIN, grid, FX, [0.3, 1.0, 1.7, 2.0], 5000, 3)
         assert built == [1.0] + [grid.locate(x)[1]
                                  for x in (0.3, 1.0, 1.7, 2.0)]
         built.clear()
@@ -305,10 +314,11 @@ BLOWS_UP = SdeProblem(
 
 class TestBlowup:
     @pytest.mark.parametrize("threads", (1, 2))
-    def test_mc_names_first_failing_path(self, threads):
+    def test_mc_names_first_failing_path(self, monkeypatch, threads):
         t = builtin_scheme("CRDI2WM")
         grid = TimeGrid.uniform(0.0, 1.0, 4)
         M, chunk, seed = 256, 64, 3
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         failures = []
         for p in range(M):
             try:
@@ -320,17 +330,17 @@ class TestBlowup:
         assert path >= chunk  # the failing chunk does not start at path 0
         with pytest.raises(BlowupError) as ei:
             mc_expectation(t, BLOWS_UP, grid, FX, 1.0, M, seed,
-                           chunk_size=chunk, threads=threads)
+                           threads=threads)
         assert (ei.value.step, ei.value.path) == (step, path)
 
-    def test_overflowing_state_names_first_path(self):
+    def test_overflowing_state_names_first_path(self, monkeypatch):
         M, chunk, seed = 256, 64, 3
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
         first = int(np.argmax(dW[:, 0] != 0.0))
         with np.errstate(over="ignore"), pytest.raises(BlowupError) as ei:
             mc_expectation(builtin_scheme("EULER_OPT"), OVERFLOWS,
-                           TimeGrid.uniform(0.0, 1.0, 2), FX, 1.0, M, seed,
-                           chunk_size=chunk)
+                           TimeGrid.uniform(0.0, 1.0, 2), FX, 1.0, M, seed)
         assert (ei.value.step, ei.value.path) == (0, first)
 
     def test_simulate_names_its_path_and_step(self):
@@ -381,8 +391,9 @@ class TestBlowup:
                                  "drift value at t=0.4, stage 1")
 
     @pytest.mark.parametrize("threads", (1, 2))
-    def test_mc_names_first_non_finite_f_value(self, threads):
+    def test_mc_names_first_non_finite_f_value(self, monkeypatch, threads):
         M, chunk, seed = 256, 64, 3
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
         first = int(np.argmax(dW[:, 0] > 0.0))
         assert first > 0
@@ -391,16 +402,17 @@ class TestBlowup:
             warnings.simplefilter("ignore", RuntimeWarning)
             mc_expectation(builtin_scheme("EULER_OPT"), SQUARE_OVERFLOWS,
                            TimeGrid.uniform(0.0, 0.5, 1), FX2, 0.5, M, seed,
-                           chunk_size=chunk, threads=threads)
+                           threads=threads)
         assert (ei.value.step, ei.value.path) == (0, first)
         assert str(ei.value) == (f"path {first} blew up at step 0: "
                                  "non-finite f value at t=0.5")
 
     @pytest.mark.parametrize("threads", (1, 2))
-    def test_non_finite_f_value_in_a_later_chunk(self, threads):
+    def test_non_finite_f_value_in_a_later_chunk(self, monkeypatch, threads):
         # on one thread chunks 0 and 1 leave their values in the block that
         # chunk 2 fills before its first path fails
         M, chunk, seed = 40, 4, 11
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
         first = int(np.argmax(dW[:, 0] > 0.0))
         assert first // chunk == 2
@@ -408,8 +420,7 @@ class TestBlowup:
             warnings.simplefilter("ignore", RuntimeWarning)
             mc_expectations_at(builtin_scheme("EULER_OPT"), SQUARE_OVERFLOWS,
                                TimeGrid.uniform(0.0, 0.5, 1), FX2,
-                               [0.5, 0.25], M, seed, chunk_size=chunk,
-                               threads=threads)
+                               [0.5, 0.25], M, seed, threads=threads)
         assert (ei.value.step, ei.value.path) == (0, first)
         assert str(ei.value) == (f"path {first} blew up at step 0: "
                                  "non-finite f value at t=0.5")

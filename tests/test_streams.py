@@ -45,6 +45,17 @@ class TestPathStream:
         keys = stream_keys(0, np.arange(10**5))
         assert len(np.unique(keys)) == 10**5
 
+    @pytest.mark.parametrize("seed", [2**64, -2**64, -(2**64) + 5, -1])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # taken modulo 2^64, each would alias a seed in range (0, 0, 5, max)
+        for draw in (lambda: stream_keys(seed, np.arange(3)),
+                     lambda: KeyedPaths(seed, np.arange(3)),
+                     lambda: uniforms(seed, np.arange(3), 0, 2)):
+            with pytest.raises(ValueError) as ei:
+                draw()
+            assert str(ei.value) == (f"seed must lie in [0, 2**64), got "
+                                     f"{seed}")
+
 
 class TestKeyedPaths:
     """Keys computed once per chunk change where they come from, not one
