@@ -57,7 +57,7 @@ def _from_uniforms(m: int, h: float, u: np.ndarray):
     up = (uw >= 5.0 / 6.0).view(np.int8)
     down = (uw < 1.0 / 6.0).view(np.int8)
     dW = (up - down) * r3h
-    V = np.empty(u.shape[:-1] + (m, m))
+    V = np.empty(u.shape[:-1] + (m, m), order="F")
     for k in range(m):
         V[..., k, k] = -h
     pos = m

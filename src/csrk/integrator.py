@@ -14,6 +14,15 @@ routine that takes a step, ``stats._advance``, calls ``compute_step_arrays``
 and ``evaluate_dense`` for its three callers: the path simulator, the Monte
 Carlo engine and the enumeration oracle.
 
+Batches are path-fastest in memory (Fortran order for ``(B, ...)``): the
+engines make their states and increments that way, every element-wise
+operation here keeps its operands' layout, and the cached I2 and dense
+output are made that way, so each column such as ``dW[..., k]`` or
+``b_vals[i][k][l]`` is one contiguous run and NumPy's inner loops run over
+the B paths, not over d or m.  The arithmetic is element-wise, so the
+layout moves no bit: C-ordered states or callable returns give the same
+numbers, only more slowly.
+
 A step reads the scheme's nodes and nonzero couplings as Python floats from
 ``CsrkTableau.stage_plan``, built once per tableau.  The two diffusion
 families share one loop and one m x m table per stage: b^k at H_i^(k) on the
@@ -213,7 +222,8 @@ def compute_step_arrays(
 
     return StageCache(
         t_n=t_n, h=h, sqrt_h=sqrt_h, y_n=y_n, dW=dW, V=V,
-        I2=0.5 * (dW[..., :, None] * dW[..., None, :] + V),
+        I2=0.5 * (np.multiply(dW[..., :, None], dW[..., None, :], order="F")
+                  + V),
         a_vals=tuple(a_vals), b_vals=tuple(b_vals),
     )
 
@@ -235,7 +245,8 @@ def evaluate_dense(cache: StageCache, weights):
         families.append((b3, b4, [(k, l) for k in range(m)
                                   for l in range(m) if k != l]))
 
-    y = cache.y_n.copy()
+    # order="K" keeps the states' layout; a plain copy() is C order
+    y = cache.y_n.copy(order="K")
     for i in range(s):
         if al[i] != 0.0:
             y += (al[i] * h) * cache.a_vals[i]

@@ -5,6 +5,14 @@ arrays of shape ``(..., d)`` the drift returns ``(..., d)`` and the diffusion
 ``(..., d, m)``.  Callables must be pure; they are evaluated concurrently
 from many paths.  Lipschitz/linear-growth hypotheses are the caller's
 obligation and are not checked.
+
+Batched states arrive path-fastest in memory (Fortran order for
+``(B, d)``).  A callable should return that layout too: compute element-wise
+from ``x`` or write into ``np.empty_like(x)`` for the drift, and into
+``np.empty(..., order="F")`` for the diffusion.  A C-ordered return gives
+the same numbers and only runs slower.  The builtin problems do so, and
+compute the system2d drift as explicit component sums rather than a BLAS
+product, so a batch row rounds exactly like a single path.
 """
 
 from __future__ import annotations
@@ -153,17 +161,34 @@ def linear_problem(a: float, b: float, x0: float, T: float) -> SdeProblem:
     )
 
 
-_SYS2D_DRIFT = np.array([[-273.0 / 512.0, 0.0], [-1.0 / 160.0, -785.0 / 512.0]])
+_SYS2D_DRIFT = ((-273.0 / 512.0, 0.0), (-1.0 / 160.0, -785.0 / 512.0))
 _SYS2D_C = (1.0 - 2.0 * math.sqrt(2.0)) / 4.0
 
 
-def _sys2d_diffusion(t, x):
+def _sys2d_drift(t, x):
+    """``x @ A.T`` as explicit component sums, in the order of the unbatched
+    product: a batch row rounds like a single path, with no BLAS call."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (2, 2))
-    out[..., 0, 0] = x[..., 0] / 16.0
-    out[..., 1, 0] = _SYS2D_C * x[..., 1]
-    out[..., 0, 1] = x[..., 0] / 16.0
-    out[..., 1, 1] = x[..., 0] / 10.0 + x[..., 1] / 16.0
+    x0, x1 = x[..., 0], x[..., 1]
+    out = np.empty_like(x)
+    for j, (a0, a1) in enumerate(_SYS2D_DRIFT):
+        # each product rounded, then their sum: x0 * a0 + x1 * a1
+        np.multiply(x0, a0, out=out[..., j])
+        out[..., j] += x1 * a1
+    return out
+
+
+def _sys2d_diffusion(t, x):
+    # written in place, column by column: these columns are contiguous
+    # when x and out are path-fastest
+    x = np.asarray(x, dtype=float)
+    x0, x1 = x[..., 0], x[..., 1]
+    out = np.empty(x.shape[:-1] + (2, 2), order="F")
+    np.divide(x0, 16.0, out=out[..., 0, 0])
+    np.multiply(_SYS2D_C, x1, out=out[..., 1, 0])
+    out[..., 0, 1] = out[..., 0, 0]
+    np.divide(x0, 10.0, out=out[..., 1, 1])
+    out[..., 1, 1] += x1 / 16.0
     return out
 
 
@@ -186,7 +211,7 @@ def system2d_problem() -> SdeProblem:
     return SdeProblem(
         dim_state=2,
         dim_noise=2,
-        drift=lambda t, x: x @ _SYS2D_DRIFT.T,
+        drift=_sys2d_drift,
         diffusion=_sys2d_diffusion,
         x0=[1.0, 1.0],
         t0=0.0,

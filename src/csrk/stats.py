@@ -222,7 +222,8 @@ def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
     weights at theta = 1.  A BlowupError leaves with its step and path set.
     """
     m = problem.dim_noise
-    y = np.broadcast_to(problem.x0, paths.shape + (problem.dim_state,)).copy()
+    y = np.broadcast_to(problem.x0, paths.shape + (problem.dim_state,)
+                        ).copy(order="F")
     for n in range(n_steps):
         dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
         try:
@@ -458,7 +459,7 @@ def _store(blocks, rows, start, y):
         b, r = divmod(start, _ENUM_SLICE)
         if blocks[b] is None:
             size = min(_ENUM_SLICE, rows - b * _ENUM_SLICE)
-            blocks[b] = np.empty((size, y.shape[1]))
+            blocks[b] = np.empty((size, y.shape[1]), order="F")
         k = min(y.shape[0], _ENUM_SLICE - r)
         blocks[b][r:r + k] = y[:k]
         start, y = start + k, y[k:]

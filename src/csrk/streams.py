@@ -80,7 +80,9 @@ class KeyedPaths(np.ndarray):
 def uniforms(seed: int, path_indices, start: int, count: int) -> np.ndarray:
     """Uniform(0,1) draws with indices start..start+count-1 for each path.
 
-    Returns shape ``path_indices.shape + (count,)``.
+    Returns shape ``path_indices.shape + (count,)`` in Fortran order, which
+    is draw-major: the paths are on the contiguous axis, so one draw of a
+    whole batch is one contiguous run.
     """
     if isinstance(path_indices, KeyedPaths) and path_indices.seed == seed:
         keys = path_indices.keys
@@ -88,5 +90,6 @@ def uniforms(seed: int, path_indices, start: int, count: int) -> np.ndarray:
         keys = stream_keys(seed, path_indices)
     ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        vals = _mix64(keys[..., None] + ctr * _GAMMA2)
+        # every later operation keeps the layout of this first one
+        vals = _mix64(np.add(keys[..., None], ctr * _GAMMA2, order="F"))
     return (vals >> np.uint64(11)).astype(np.float64) * _INV_2_53

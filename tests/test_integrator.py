@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csrk.increments
 from csrk.increments import enumerate_outcomes, sample_batch
 from csrk.integrator import (
     BlowupError,
@@ -15,7 +17,8 @@ from csrk.integrator import (
     evaluate_dense,
 )
 from csrk.sde import SdeProblem, linear_problem, ode_problem, system2d_problem
-from csrk.stats import empirical_order, simulate_path
+from csrk.stats import _path_steps, empirical_order, simulate_path
+from csrk.streams import KeyedPaths, uniforms
 from csrk.tableau import builtin_scheme, scheme_names
 
 LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
@@ -232,14 +235,16 @@ class TestCheckFinite:
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     @pytest.mark.parametrize("row", (0, 3, 6))
     def test_names_first_bad_row(self, bad, row):
-        arr = np.ones((7, 2, 2))
-        arr[row, 1, 0] = bad
-        arr[6, 0, 1] = bad  # a later row is not reported
-        with pytest.raises(BlowupError) as ei:
-            _check_finite(arr, 0.5, 2, "cross diffusion", True)
-        e = ei.value
-        assert (e.path, e.stage, e.family, e.t_n) == (
-            row, 2, "cross diffusion", 0.5)
+        # batches are path-fastest in memory; the row is the logical one
+        for order in "CF":
+            arr = np.ones((7, 2, 2), order=order)
+            arr[row, 1, 0] = bad
+            arr[6, 0, 1] = bad  # a later row is not reported
+            with pytest.raises(BlowupError) as ei:
+                _check_finite(arr, 0.5, 2, "cross diffusion", True)
+            e = ei.value
+            assert (e.path, e.stage, e.family, e.t_n) == (
+                row, 2, "cross diffusion", 0.5)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_step_names_row_stage_and_family(self, bad):
@@ -262,6 +267,68 @@ class TestCheckFinite:
                                 0.25, dW, V)
         e = ei.value
         assert (e.path, e.stage, e.family) == (row, 1, "diffusion")
+
+
+def with_layout(problem, order):
+    """The problem with its drift and diffusion returns copied to
+    ``order`` ("C" or "F")."""
+    drift, diffusion = problem.drift, problem.diffusion
+    return dataclasses.replace(
+        problem,
+        drift=lambda t, x: np.array(drift(t, x), order=order),
+        diffusion=lambda t, x: np.array(diffusion(t, x), order=order),
+    )
+
+
+class TestLayout:
+    """Batches are path-fastest in memory (Fortran order for (B, ...)), so
+    the element-wise loops of a step run over the paths, not over d or m;
+    the layout moves no bit."""
+
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_bits_independent_of_layout(self, name):
+        problem, scheme, h, t_n = system2d_problem(), builtin_scheme(name), \
+            0.3, 0.7
+        y = np.random.default_rng(5).uniform(-2, 2, (64, 2))
+        dW, V = sample_batch(2, h, 7, np.arange(64, dtype=np.uint64), 0)
+        outs = {}
+        # None: the problem as given, on the increments sample_batch makes
+        for order in (None, "C", "F"):
+            p, args = problem, (y, dW, V)
+            if order is not None:
+                p = with_layout(problem, order)
+                args = [np.array(a, order=order) for a in args]
+            cache = compute_step_arrays(scheme, p, t_n, args[0], h, *args[1:])
+            if order is not None:
+                for a in (cache.y_n, cache.dW, cache.V, *cache.a_vals):
+                    assert a.flags[f"{order}_CONTIGUOUS"]
+            arrays = [cache.I2, *cache.a_vals, *flat_arrays(cache.b_vals)]
+            arrays += [evaluate_dense(cache, scheme.dense_weights(theta))
+                       for theta in (0.4, 1.0)]
+            outs[order] = [None if a is None else a.tobytes()
+                           for a in arrays]
+        assert outs["C"] == outs[None]
+        assert outs["F"] == outs[None]
+
+    def test_path_loop_is_path_fastest(self, monkeypatch):
+        drawn = []
+
+        def recording(*args):
+            drawn.append(uniforms(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(csrk.increments, "uniforms", recording)
+        problem, scheme = system2d_problem(), builtin_scheme("CRDI3WM")
+        grid = TimeGrid.uniform(problem.t0, problem.T, 8)
+        paths = KeyedPaths(3, np.arange(4096, dtype=np.uint64))
+        _, cache, y = next(_path_steps(scheme, problem, grid, 3, paths, 1,
+                                       scheme.dense_weights(1.0)))
+        b_vals = flat_arrays(cache.b_vals)
+        assert all(b is not None for b in b_vals)  # the cross family ran
+        assert len(drawn) == 1
+        for a in (*drawn, cache.dW, cache.V, cache.y_n, cache.I2, y,
+                  *cache.a_vals, *b_vals):
+            assert a.shape[0] == 4096 and a.flags.f_contiguous
 
 
 class TestDenseOutput:
