@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -89,28 +91,52 @@ def _strict_json(v):
 
 
 def _emit(args, columns, rows, header=(), footer=()):
-    """Write one table, headed by the recorded options, as CSV or JSON."""
+    """Write one table, headed by the recorded options, as CSV or JSON.
+
+    ``rows`` is any iterable of rows.  Each row goes to a temporary file as
+    it arrives, and the file is copied to the output only once the last row
+    is in, so a command that fails on the way writes nothing.
+    """
     given = vars(args)
     if "problem" in given:
         given = {**given, "problem_params": _problem_params(args)}
     config = {k: given[k] for k in _RECORDED if given.get(k) is not None}
-    if args.output_format == "json":
-        doc = {"version": __version__, "config": config, **dict(header),
-               "columns": columns, "rows": rows, **dict(footer)}
-        text = json.dumps(_strict_json(doc), indent=2, default=_fmt) + "\n"
-    else:
-        lines = [f"# csrk {__version__}",
-                 "# config = " + json.dumps(config, default=_fmt)]
-        lines += [f"# {key} = {value}" for key, value in header]
-        lines.append(",".join(columns))
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        lines += [f"# {key} = {_fmt(value)}" for key, value in footer]
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with tempfile.TemporaryFile("w+") as tmp:
+        if args.output_format == "json":
+            _write_json(tmp, config, columns, rows, header, footer)
+        else:
+            tmp.write(f"# csrk {__version__}\n"
+                      f"# config = {json.dumps(config, default=_fmt)}\n")
+            tmp.writelines(f"# {key} = {value}\n" for key, value in header)
+            tmp.write(",".join(columns) + "\n")
+            tmp.writelines(",".join(_fmt(v) for v in row) + "\n"
+                           for row in rows)
+            tmp.writelines(f"# {key} = {_fmt(value)}\n"
+                           for key, value in footer)
+        tmp.seek(0)
+        if args.output:
+            with open(args.output, "w") as fh:
+                shutil.copyfileobj(tmp, fh)
+        else:
+            shutil.copyfileobj(tmp, sys.stdout)
+
+
+def _write_json(fh, config, columns, rows, header, footer):
+    """The document json.dumps(..., indent=2) writes, one row at a time."""
+    doc = {"version": __version__, "config": config, **dict(header),
+           "columns": columns, "rows": [], **dict(footer)}
+    text = json.dumps(_strict_json(doc), indent=2, default=_fmt) + "\n"
+    # "rows" is a key of the top-level object only, and a string value
+    # holding these characters has its quotes escaped
+    head, _, tail = text.partition('"rows": []')
+    fh.write(head + '"rows": [')
+    sep, end = "\n    ", "]"
+    for row in rows:
+        # a row sits two levels deep: its lines are indented by 4 more
+        item = json.dumps(_strict_json(row), indent=2, default=_fmt)
+        fh.write(sep + item.replace("\n", "\n    "))
+        sep, end = ",\n    ", "\n  ]"
+    fh.write(end + tail)
 
 
 def _load_scheme(args):
@@ -311,28 +337,32 @@ def _cmd_simulate(args):
     problem = _build_problem(args)
     grid = grid_for_step(problem, args.h)
     sub = args.dense_per_step
-    # every row is held until the table is written
+    # the temporary file of _emit holds every row until the table is
+    # written, so their count is limited
     n_rows = grid.n_steps * (sub + 1) + 1
     if n_rows > _MAX_STEPS:
         raise ValueError(f"--dense-per-step {sub} on {grid.n_steps} steps "
                          f"asks for {n_rows} rows, above the limit "
                          f"{_MAX_STEPS}")
-    # path 0 of the seed, from the path loop: a step's rows need only its
-    # own cache, so no cache outlives its step
-    rows, y = [], problem.x0
-    for n, cache, y_next in _path_steps(scheme, problem, grid, args.seed,
-                                        np.uint64(0), grid.n_steps,
-                                        scheme.dense_weights(1.0)):
-        t_n, h_n = grid.step(n)
-        rows.append((t_n, 0.0, *y))
-        for j in range(1, sub + 1):
-            th = j / (sub + 1)
-            rows.append((t_n + th * h_n, th,
-                         *_dense_value(scheme, cache, t_n + th * h_n)))
-        y = y_next
-    rows.append((grid.T, 1.0, *y))
+
+    def rows():
+        # path 0 of the seed, from the path loop: a step's rows need only
+        # its own cache, so no cache outlives its step
+        y = problem.x0
+        for n, cache, y_next in _path_steps(scheme, problem, grid, args.seed,
+                                            np.uint64(0), grid.n_steps,
+                                            scheme.dense_weights(1.0)):
+            t_n, h_n = grid.step(n)
+            yield (t_n, 0.0, *y)
+            for j in range(1, sub + 1):
+                th = j / (sub + 1)
+                yield (t_n + th * h_n, th,
+                       *_dense_value(scheme, cache, t_n + th * h_n))
+            y = y_next
+        yield (grid.T, 1.0, *y)
+
     _emit(args, ("t", "theta",
-                 *[f"y{i + 1}" for i in range(problem.dim_state)]), rows)
+                 *[f"y{i + 1}" for i in range(problem.dim_state)]), rows())
     return 0
 
 

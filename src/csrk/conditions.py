@@ -3,7 +3,8 @@
 The catalog holds every condition as a first-class expression over the
 tableau's weight vectors and coefficient matrices (products of vectors taken
 componentwise), so user-supplied tableaus run through exactly the same
-verification path as the builtin schemes.
+verification path as the builtin schemes.  Inner products are ufunc sums,
+not BLAS calls, so a residual has the same bits on every CPU.
 
 Families:
 
@@ -80,58 +81,78 @@ def _weights(r):
 _al, _b1, _b2, _b3, _b4 = map(_weights, range(5))
 
 
+def _dot(u, v):
+    """u @ v as a ufunc sum: a BLAS dot product adds in an order that
+    depends on the kernel OpenBLAS picks for the CPU."""
+    return np.add.reduce(u * v)
+
+
+def _mv(M, v):
+    """M @ v as ufunc sums, one a row, for the same reason."""
+    return np.add.reduce(M * v, axis=1)
+
+
 # left-hand sides of conditions 1..50; vector products are componentwise
 _LHS = {
-    1: lambda t, w: _al(t, w) @ _e(t),
-    2: lambda t, w: _b4(t, w) @ _e(t),
-    3: lambda t, w: _b3(t, w) @ _e(t),
-    4: lambda t, w: (_b1(t, w) @ _e(t)) ** 2,
-    5: lambda t, w: _b2(t, w) @ _e(t),
-    6: lambda t, w: _b1(t, w) @ (t.B1 @ _e(t)),
-    7: lambda t, w: _b3(t, w) @ (t.B2 @ _e(t)),
-    8: lambda t, w: _al(t, w) @ (t.A0 @ _e(t)),
-    9: lambda t, w: _al(t, w) @ (t.B0 @ _e(t)) ** 2,
-    10: lambda t, w: (_b1(t, w) @ _e(t)) * (_al(t, w) @ (t.B0 @ _e(t))),
-    11: lambda t, w: (_b1(t, w) @ _e(t)) * (_b1(t, w) @ (t.A1 @ _e(t))),
-    12: lambda t, w: _b3(t, w) @ (t.A2 @ _e(t)),
-    13: lambda t, w: _b2(t, w) @ (t.B1 @ _e(t)),
-    14: lambda t, w: _b4(t, w) @ (t.B2 @ _e(t)),
-    15: lambda t, w: (_b1(t, w) @ _e(t)) * (_b1(t, w) @ (t.B1 @ _e(t)) ** 2),
-    16: lambda t, w: (_b1(t, w) @ _e(t)) * (_b3(t, w) @ (t.B2 @ _e(t)) ** 2),
-    17: lambda t, w: _b1(t, w) @ (t.B1 @ (t.B1 @ _e(t))),
-    18: lambda t, w: _b3(t, w) @ (t.B2 @ (t.B1 @ _e(t))),
-    19: lambda t, w: _b3(t, w) @ (t.A2 @ (t.B0 @ _e(t))),
-    20: lambda t, w: _b1(t, w) @ (t.A1 @ (t.B0 @ _e(t))),
-    21: lambda t, w: _al(t, w) @ (t.B0 @ (t.B1 @ _e(t))),
-    22: lambda t, w: _b2(t, w) @ (t.A1 @ _e(t)),
-    23: lambda t, w: _b4(t, w) @ (t.A2 @ _e(t)),
-    24: lambda t, w: _b1(t, w) @ ((t.A1 @ _e(t)) * (t.B1 @ _e(t))),
-    25: lambda t, w: _b3(t, w) @ ((t.A2 @ _e(t)) * (t.B2 @ _e(t))),
-    26: lambda t, w: _b4(t, w) @ (t.A2 @ (t.B0 @ _e(t))),
-    27: lambda t, w: _b2(t, w) @ (t.A1 @ (t.B0 @ _e(t))),
-    28: lambda t, w: _b2(t, w) @ (t.A1 @ (t.B0 @ _e(t)) ** 2),
-    29: lambda t, w: _b4(t, w) @ (t.A2 @ (t.B0 @ _e(t)) ** 2),
-    30: lambda t, w: _b3(t, w) @ (t.B2 @ (t.A1 @ _e(t))),
-    31: lambda t, w: _b1(t, w) @ (t.B1 @ (t.A1 @ _e(t))),
-    32: lambda t, w: _b2(t, w) @ (t.B1 @ _e(t)) ** 2,
-    33: lambda t, w: _b4(t, w) @ (t.B2 @ _e(t)) ** 2,
-    34: lambda t, w: _b4(t, w) @ (t.B2 @ (t.B1 @ _e(t))),
-    35: lambda t, w: _b2(t, w) @ (t.B1 @ (t.B1 @ _e(t))),
-    36: lambda t, w: _b1(t, w) @ (t.B1 @ _e(t)) ** 3,
-    37: lambda t, w: _b3(t, w) @ (t.B2 @ _e(t)) ** 3,
-    38: lambda t, w: _b1(t, w) @ (t.B1 @ (t.B1 @ _e(t)) ** 2),
-    39: lambda t, w: _b3(t, w) @ (t.B2 @ (t.B1 @ _e(t)) ** 2),
-    40: lambda t, w: _al(t, w) @ ((t.B0 @ _e(t)) * (t.B0 @ (t.B1 @ _e(t)))),
-    41: lambda t, w: _b1(t, w) @ ((t.A1 @ (t.B0 @ _e(t))) * (t.B1 @ _e(t))),
-    42: lambda t, w: _b3(t, w) @ ((t.A2 @ (t.B0 @ _e(t))) * (t.B2 @ _e(t))),
-    43: lambda t, w: _b1(t, w) @ (t.A1 @ (t.B0 @ (t.B1 @ _e(t)))),
-    44: lambda t, w: _b3(t, w) @ (t.A2 @ (t.B0 @ (t.B1 @ _e(t)))),
-    45: lambda t, w: _b1(t, w) @ (t.B1 @ (t.A1 @ (t.B0 @ _e(t)))),
-    46: lambda t, w: _b3(t, w) @ (t.B2 @ (t.A1 @ (t.B0 @ _e(t)))),
-    47: lambda t, w: _b1(t, w) @ ((t.B1 @ _e(t)) * (t.B1 @ (t.B1 @ _e(t)))),
-    48: lambda t, w: _b3(t, w) @ ((t.B2 @ _e(t)) * (t.B2 @ (t.B1 @ _e(t)))),
-    49: lambda t, w: _b1(t, w) @ (t.B1 @ (t.B1 @ (t.B1 @ _e(t)))),
-    50: lambda t, w: _b3(t, w) @ (t.B2 @ (t.B1 @ (t.B1 @ _e(t)))),
+    1: lambda t, w: _dot(_al(t, w), _e(t)),
+    2: lambda t, w: _dot(_b4(t, w), _e(t)),
+    3: lambda t, w: _dot(_b3(t, w), _e(t)),
+    4: lambda t, w: _dot(_b1(t, w), _e(t)) ** 2,
+    5: lambda t, w: _dot(_b2(t, w), _e(t)),
+    6: lambda t, w: _dot(_b1(t, w), _mv(t.B1, _e(t))),
+    7: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _e(t))),
+    8: lambda t, w: _dot(_al(t, w), _mv(t.A0, _e(t))),
+    9: lambda t, w: _dot(_al(t, w), _mv(t.B0, _e(t)) ** 2),
+    10: lambda t, w: (_dot(_b1(t, w), _e(t))
+                      * _dot(_al(t, w), _mv(t.B0, _e(t)))),
+    11: lambda t, w: (_dot(_b1(t, w), _e(t))
+                      * _dot(_b1(t, w), _mv(t.A1, _e(t)))),
+    12: lambda t, w: _dot(_b3(t, w), _mv(t.A2, _e(t))),
+    13: lambda t, w: _dot(_b2(t, w), _mv(t.B1, _e(t))),
+    14: lambda t, w: _dot(_b4(t, w), _mv(t.B2, _e(t))),
+    15: lambda t, w: (_dot(_b1(t, w), _e(t))
+                      * _dot(_b1(t, w), _mv(t.B1, _e(t)) ** 2)),
+    16: lambda t, w: (_dot(_b1(t, w), _e(t))
+                      * _dot(_b3(t, w), _mv(t.B2, _e(t)) ** 2)),
+    17: lambda t, w: _dot(_b1(t, w), _mv(t.B1, _mv(t.B1, _e(t)))),
+    18: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _mv(t.B1, _e(t)))),
+    19: lambda t, w: _dot(_b3(t, w), _mv(t.A2, _mv(t.B0, _e(t)))),
+    20: lambda t, w: _dot(_b1(t, w), _mv(t.A1, _mv(t.B0, _e(t)))),
+    21: lambda t, w: _dot(_al(t, w), _mv(t.B0, _mv(t.B1, _e(t)))),
+    22: lambda t, w: _dot(_b2(t, w), _mv(t.A1, _e(t))),
+    23: lambda t, w: _dot(_b4(t, w), _mv(t.A2, _e(t))),
+    24: lambda t, w: _dot(_b1(t, w), _mv(t.A1, _e(t)) * _mv(t.B1, _e(t))),
+    25: lambda t, w: _dot(_b3(t, w), _mv(t.A2, _e(t)) * _mv(t.B2, _e(t))),
+    26: lambda t, w: _dot(_b4(t, w), _mv(t.A2, _mv(t.B0, _e(t)))),
+    27: lambda t, w: _dot(_b2(t, w), _mv(t.A1, _mv(t.B0, _e(t)))),
+    28: lambda t, w: _dot(_b2(t, w), _mv(t.A1, _mv(t.B0, _e(t)) ** 2)),
+    29: lambda t, w: _dot(_b4(t, w), _mv(t.A2, _mv(t.B0, _e(t)) ** 2)),
+    30: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _mv(t.A1, _e(t)))),
+    31: lambda t, w: _dot(_b1(t, w), _mv(t.B1, _mv(t.A1, _e(t)))),
+    32: lambda t, w: _dot(_b2(t, w), _mv(t.B1, _e(t)) ** 2),
+    33: lambda t, w: _dot(_b4(t, w), _mv(t.B2, _e(t)) ** 2),
+    34: lambda t, w: _dot(_b4(t, w), _mv(t.B2, _mv(t.B1, _e(t)))),
+    35: lambda t, w: _dot(_b2(t, w), _mv(t.B1, _mv(t.B1, _e(t)))),
+    36: lambda t, w: _dot(_b1(t, w), _mv(t.B1, _e(t)) ** 3),
+    37: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _e(t)) ** 3),
+    38: lambda t, w: _dot(_b1(t, w), _mv(t.B1, _mv(t.B1, _e(t)) ** 2)),
+    39: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _mv(t.B1, _e(t)) ** 2)),
+    40: lambda t, w: _dot(_al(t, w), (_mv(t.B0, _e(t))
+                                      * _mv(t.B0, _mv(t.B1, _e(t))))),
+    41: lambda t, w: _dot(_b1(t, w), (_mv(t.A1, _mv(t.B0, _e(t)))
+                                      * _mv(t.B1, _e(t)))),
+    42: lambda t, w: _dot(_b3(t, w), (_mv(t.A2, _mv(t.B0, _e(t)))
+                                      * _mv(t.B2, _e(t)))),
+    43: lambda t, w: _dot(_b1(t, w), _mv(t.A1, _mv(t.B0, _mv(t.B1, _e(t))))),
+    44: lambda t, w: _dot(_b3(t, w), _mv(t.A2, _mv(t.B0, _mv(t.B1, _e(t))))),
+    45: lambda t, w: _dot(_b1(t, w), _mv(t.B1, _mv(t.A1, _mv(t.B0, _e(t))))),
+    46: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _mv(t.A1, _mv(t.B0, _e(t))))),
+    47: lambda t, w: _dot(_b1(t, w), (_mv(t.B1, _e(t))
+                                      * _mv(t.B1, _mv(t.B1, _e(t))))),
+    48: lambda t, w: _dot(_b3(t, w), (_mv(t.B2, _e(t))
+                                      * _mv(t.B2, _mv(t.B1, _e(t))))),
+    49: lambda t, w: _dot(_b1(t, w), _mv(t.B1, _mv(t.B1, _mv(t.B1, _e(t))))),
+    50: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _mv(t.B1, _mv(t.B1, _e(t))))),
 }
 
 # right-hand sides at theta = 1 for conditions 8..50
@@ -156,12 +177,13 @@ _CONT_EXT = {
     8: (_LHS[8], lambda th: 0.5 * th**2),
     9: (_LHS[9], lambda th: 0.5 * th**2),
     10: (_LHS[10], lambda th: 0.5 * th**2),
-    11: (lambda t, w: _b1(t, w) @ (t.A1 @ _e(t)), lambda th: 0.5 * th**1.5),
+    11: (lambda t, w: _dot(_b1(t, w), _mv(t.A1, _e(t))),
+         lambda th: 0.5 * th**1.5),
     13: (_LHS[13], lambda th: th),
     14: (_LHS[14], lambda th: th),
-    15: (lambda t, w: _b1(t, w) @ (t.B1 @ _e(t)) ** 2,
+    15: (lambda t, w: _dot(_b1(t, w), _mv(t.B1, _e(t)) ** 2),
          lambda th: 0.5 * th**1.5),
-    16: (lambda t, w: _b3(t, w) @ (t.B2 @ _e(t)) ** 2,
+    16: (lambda t, w: _dot(_b3(t, w), _mv(t.B2, _e(t)) ** 2),
          lambda th: 0.5 * th**1.5),
     22: (_LHS[22], lambda th: 0.0),
     32: (_LHS[32], lambda th: 0.0),
@@ -169,9 +191,9 @@ _CONT_EXT = {
 }
 
 _DET3 = {
-    1: (lambda t, w: _al(t, w) @ (t.A0 @ _e(t)) ** 2, 1.0 / 3.0,
+    1: (lambda t, w: _dot(_al(t, w), _mv(t.A0, _e(t)) ** 2), 1.0 / 3.0,
         lambda th: th**3 / 3.0),
-    2: (lambda t, w: _al(t, w) @ (t.A0 @ (t.A0 @ _e(t))), 1.0 / 6.0,
+    2: (lambda t, w: _dot(_al(t, w), _mv(t.A0, _mv(t.A0, _e(t)))), 1.0 / 6.0,
         lambda th: th**3 / 6.0),
 }
 

@@ -22,11 +22,14 @@ in the states they step and where the increments come from:
   drops its block, so the level it reads shrinks as the next one fills.
   Probabilities stay behind the states: row ``o*R + i`` has probability
   ``ps[o] * parent[i]``, and a level's probabilities are formed only once
-  its states have been stepped, never for level N-2: the final step forms
-  ``ps[o] * (ps_prev[o'] * probs[i])`` once per slice, the two products of
-  a formed level in the same order, and adds the (outcome, slice) terms in
-  outcome-major order.  It is exact up to floating-point arithmetic: the
-  noise-free reference the MC machinery is validated against.
+  its states have been stepped, and only if the level has at most
+  ``_ENUM_SLICE`` rows.  A larger level stays a ``(ps, parent)`` link, so no
+  probability array is larger than one slice: the final step forms
+  ``ps[o] * (ps_prev[o'] * (... * probs[i]))`` once per slice, down to the
+  last level that was formed, the products of formed levels in the same
+  order, and adds the (outcome, slice) terms in outcome-major order.  It is
+  exact up to floating-point arithmetic: the noise-free reference the MC
+  machinery is validated against.
 
 A non-finite stage value, state, f-value or enumerated expectation raises a
 ``BlowupError``.  The tables measure the functional of the given
@@ -394,8 +397,9 @@ def exact_weak_expectation(
     # slice the next step reads, for S = _ENUM_SLICE
     rows, blocks = 1, [problem.x0[None, :].copy()]
     # row o*R + i has probability ps[o] * parent[i], where parent is the
-    # level before's probabilities; for the final step it is another such
-    # pair, so level N-2's probabilities are never formed
+    # level before's probabilities: an array if that level has at most one
+    # slice of rows, else another such pair, so no probability array is
+    # larger than one slice
     ps = parent = np.ones(1)
 
     def step(n, states, dW, V, weights):
@@ -419,9 +423,10 @@ def exact_weak_expectation(
             # every outcome has stepped this slice: the level shrinks as
             # the next one fills
             blocks[b] = None
-        # level n's probabilities, formed once its states are gone
-        parent = (ps, parent) if n == N - 2 else _row_probs(ps, parent, 0,
-                                                             rows)
+        # level n's probabilities, formed once its states are gone and
+        # only if they fit one slice
+        parent = (_row_probs(ps, parent, 0, rows) if rows <= _ENUM_SLICE
+                  else (ps, parent))
         ps, rows, blocks = outs[2], new_rows, new_blocks
     n = N - 1
     weights = scheme.dense_weights(theta_eval)
@@ -541,7 +546,13 @@ def empirical_order(errors) -> OrderEstimate:
     check_fit_steps([h for h, _ in pairs])
     x = np.log2([h for h, _ in pairs])
     y = np.log2([e for _, e in pairs])
-    slope, intercept = np.polyfit(x, y, 1)
+    # the normal equations about the means, in ufunc sums, whose bits
+    # depend neither on the CPU's BLAS kernel (as np.polyfit's do) nor on
+    # the Python version (as sum()'s do)
+    x_mean, y_mean = np.add.reduce(x) / x.size, np.add.reduce(y) / y.size
+    dx = x - x_mean
+    slope = np.add.reduce(dx * (y - y_mean)) / np.add.reduce(dx * dx)
+    intercept = y_mean - slope * x_mean
     return OrderEstimate(tuple(pairs), float(slope), float(intercept))
 
 

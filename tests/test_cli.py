@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -247,21 +251,40 @@ class TestSimulate:
                       "linear", "--h", "0.25", "--seed", "1")
         assert a == b
 
-    def test_memory_grows_by_the_rows_only(self, tmp_path):
-        # a step's cache takes about 2.1 kB on linear; one CSV row, held as
-        # a tuple and as text until written, about 0.3 kB
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path, fmt):
+        # each row goes to a temporary file as it is made, and the file is
+        # copied out in fixed-size chunks; a row held in memory until the
+        # table is written takes about 0.3 kB (CSV) or 0.6 kB (JSON), over
+        # 1 MB for the 4,000 rows between the two runs below
         def peak(steps):
             tracemalloc.start()
             try:
-                main(["simulate", "--scheme", "CRDI3WM", "--problem",
+                main(["simulate", "--scheme", "EULER_OPT", "--problem",
                       "linear", "--h", repr(2.0 / steps), "--dense-per-step",
-                      "1", "--output", str(tmp_path / f"{steps}.csv")])
+                      "9", "--format", fmt, "--output",
+                      str(tmp_path / f"{steps}.{fmt}")])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        # 1,000 more steps: 2,000 more rows
-        assert peak(1100) - peak(100) < 1000 * 2 * 500
+        peak(20)  # the first run fills the caches of the modules it uses
+        # 2,000 and 6,000 rows, both more than one copy chunk of output
+        assert peak(600) - peak(200) < 400_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blowup_after_some_rows_writes_nothing(self, capsys, tmp_path,
+                                                   fmt):
+        # the rows of steps 0 to 89 are made before step 90 blows up
+        argv = ("simulate", "--scheme", "EULER_OPT", "--problem", "linear",
+                "--a", "0", "--b", "1e6", "--x0", "1e200", "--h", "0.01",
+                "--format", fmt)
+        out_file = tmp_path / "out"
+        for output in ((), ("--output", str(out_file))):
+            code, out, err = run(capsys, *argv, *output)
+            assert (code, out) == (2, "")
+            assert err.startswith("csrk: error: path 0 blew up at step 90:")
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("T", ["2", "4"])
     def test_overflowing_state_names_path_and_step(self, capsys, T):
@@ -886,36 +909,44 @@ def rows_sha256(text):
     return hashlib.sha256(rows.encode()).hexdigest()
 
 
+_SYSTEM2D = ("converge", "--scheme", "CRDI3WM", "--problem", "system2d",
+             "--f", "x2", "--reference", "derived", "--t-eval", "3.8",
+             "--h-list", "0.8,0.4", "--M", "3000", "--seed", "2")
+
+# test id -> (argv, sha256 of the data rows)
+GOLDEN = {
+    "converge-linear": (
+        ("converge", "--scheme", "CRDI3WM", "--problem", "linear", "--f",
+         "x", "--T", "1.8", "--t-eval", "1.7", "--h-list", "0.3,0.2",
+         "--M", "3000", "--seed", "5"),
+        "454c359dcbe5b1f71b67b209953941a80aeaedd2cca2f03eb8f4e058f87eecfc"),
+    "converge-system2d-threads-1": (
+        _SYSTEM2D + ("--threads", "1"),
+        "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
+    "converge-system2d-threads-2": (
+        _SYSTEM2D + ("--threads", "2"),
+        "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
+    "dense": (
+        ("dense", "--scheme", "CRDI3WM", "--problem", "linear", "--h", "0.3",
+         "--T", "1.5", "--M", "2000", "--seed", "1"),
+        "80a54f8a3bea805aa2233d8d3f4ab6311bdbb30c2a8e276ff912f949e29650f7"),
+    "exact-order-theta": (
+        ("exact-order", "--scheme", "CRDI2WM", "--problem", "system2d",
+         "--f", "x2", "--N-list", "2,3", "--theta-eval", "0.3"),
+        "0b35a592b6c99ea293ced894a4ece4afe37bd86bbed2bb2a25748eb777449582"),
+    "simulate-dense-per-step": (
+        ("simulate", "--scheme", "CRDI5WM", "--problem", "system2d", "--h",
+         "0.4", "--seed", "7", "--dense-per-step", "3"),
+        "da968e6c0a798b0524d0901e3ff45911fd36690a954475562cf8de1d2568ee09"),
+}
+
+
 class TestGoldenOutput:
     """Data rows are pinned bit for bit; any change to the arithmetic of a
     step or a dense evaluation, or to the draws, shows up here.  The steps
     are not powers of two, so multiplying by h rounds."""
 
-    SYSTEM2D = ("converge", "--scheme", "CRDI3WM", "--problem", "system2d",
-                "--f", "x2", "--reference", "derived", "--t-eval", "3.8",
-                "--h-list", "0.8,0.4", "--M", "3000", "--seed", "2")
-
-    @pytest.mark.parametrize("argv,digest", [
-        (("converge", "--scheme", "CRDI3WM", "--problem", "linear", "--f",
-          "x", "--T", "1.8", "--t-eval", "1.7", "--h-list", "0.3,0.2",
-          "--M", "3000", "--seed", "5"),
-         "454c359dcbe5b1f71b67b209953941a80aeaedd2cca2f03eb8f4e058f87eecfc"),
-        (SYSTEM2D + ("--threads", "1"),
-         "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
-        (SYSTEM2D + ("--threads", "2"),
-         "7d021d83b7aff86cf3757f5390262c22639b0d09a6a99cd8235803b5b04363e0"),
-        (("dense", "--scheme", "CRDI3WM", "--problem", "linear", "--h", "0.3",
-          "--T", "1.5", "--M", "2000", "--seed", "1"),
-         "80a54f8a3bea805aa2233d8d3f4ab6311bdbb30c2a8e276ff912f949e29650f7"),
-        (("exact-order", "--scheme", "CRDI2WM", "--problem", "system2d",
-          "--f", "x2", "--N-list", "2,3", "--theta-eval", "0.3"),
-         "0b35a592b6c99ea293ced894a4ece4afe37bd86bbed2bb2a25748eb777449582"),
-        (("simulate", "--scheme", "CRDI5WM", "--problem", "system2d", "--h",
-          "0.4", "--seed", "7", "--dense-per-step", "3"),
-         "da968e6c0a798b0524d0901e3ff45911fd36690a954475562cf8de1d2568ee09"),
-    ], ids=["converge-linear", "converge-system2d-threads-1",
-            "converge-system2d-threads-2", "dense", "exact-order-theta",
-            "simulate-dense-per-step"])
+    @pytest.mark.parametrize("argv,digest", GOLDEN.values(), ids=GOLDEN)
     def test_data_rows(self, capsys, monkeypatch, argv, digest):
         # Monte Carlo runs of several chunks at small M: the digests were
         # recorded with 1024-path chunks
@@ -923,3 +954,53 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert rows_sha256(out) == digest
+
+
+# runs each command of the JSON list in argv[1] and writes its exit status
+# and its whole output, with the chunk size of the golden digests
+_CHILD = """
+import contextlib, io, json, sys
+import csrk.stats
+from csrk.cli import main
+csrk.stats._CHUNK = 1024
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    sys.stdout.write(f"{argv} exited {code}\\n{out.getvalue()}")
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+class TestPortableBits:
+    """No output depends on the kernel OpenBLAS picks for the CPU: the same
+    commands give the same bytes under the default kernel and under
+    Prescott, which every x86-64 can run and which has no FMA.
+
+    exact-order is left out: its final sum is still a BLAS dot product."""
+
+    COMMANDS = [("check", "--scheme", name)
+                for name in ("CRDI2WM", "CRDI3WM", "CRDI5WM")] + [
+        argv for key, (argv, _) in GOLDEN.items()
+        if key != "exact-order-theta"]
+
+    @staticmethod
+    def outputs(coretype):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        path = [os.path.dirname(os.path.dirname(csrk.__file__))]
+        if env.get("PYTHONPATH"):
+            path.append(env["PYTHONPATH"])
+        env["PYTHONPATH"] = os.pathsep.join(path)
+        return subprocess.run(
+            [sys.executable, "-c", _CHILD,
+             json.dumps(TestPortableBits.COMMANDS)],
+            env=env, capture_output=True, check=True).stdout
+
+    def test_same_bytes_under_the_default_kernel_and_prescott(self):
+        default = self.outputs(None)
+        assert default.count(b" exited 0\n") == len(self.COMMANDS)
+        assert self.outputs("Prescott") == default

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import csrk.stats
-from csrk.increments import CapacityError, enumerate_outcomes, sample_batch
+from csrk.increments import (
+    CapacityError,
+    enumerate_outcomes,
+    outcome_count,
+    sample_batch,
+)
 from csrk.integrator import (
     BlowupError,
     TimeGrid,
@@ -553,13 +558,41 @@ class TestExactExpectation:
         want, listed_peak = traced(listed_expectation)
         assert got == want
         # the largest stored level (level N-1, 3^(N-1) states of d = 1), the
-        # probabilities two levels below it (level N-3), and 20 slices for
-        # a step's temporaries and the blocks in flight (about 14 measured);
-        # the levels N-2 and N-1 held at once with level N-2's
-        # probabilities, as stored before, take about 60
-        level, probs, one_slice = 8 * 3**(N - 1), 8 * 3**(N - 3), 8 * slice_rows
+        # probabilities of the largest level of at most one slice of rows
+        # (level 6, 729 rows), and 20 slices for a step's temporaries and
+        # the blocks in flight; the levels N-2 and N-1 held at once with
+        # level N-2's probabilities, as stored before, take about 60
+        formed = max(3**j for j in range(N) if 3**j <= slice_rows)
+        level, probs, one_slice = 8 * 3**(N - 1), 8 * formed, 8 * slice_rows
         assert peak <= level + probs + 20 * one_slice, (peak, level)
         assert peak <= 0.35 * listed_peak, (peak, listed_peak)
+
+    @pytest.mark.parametrize("slice_rows", (2, 5))
+    @pytest.mark.parametrize("problem,N", [(LIN, 5), (system2d_problem(), 3)],
+                             ids=["linear", "system2d"])
+    def test_steps_run_in_level_order(self, monkeypatch, slice_rows, problem,
+                                      N):
+        # perfbench/spans.py derives stats.enum.rows_peak from these runs:
+        # it takes the calls of one step to be one run, in call order, and
+        # their rows to add up to the next level
+        monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", slice_rows)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return compute_step_arrays(*args)
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays", spy)
+        grid = TimeGrid.uniform(problem.t0, problem.T, N)
+        exact_weak_expectation(builtin_scheme("CRDI3WM"), problem, grid, FX)
+        starts = [grid.step(n)[0] for n in range(N)]
+        steps = [starts.index(args[2]) for args in calls]
+        assert steps == sorted(steps)
+        K = outcome_count(problem.dim_noise)
+        for n in range(N):
+            rows = sum(args[3].shape[0]
+                       for args, s in zip(calls, steps) if s == n)
+            assert rows == K * K**n, n
 
     def test_blowup_in_a_level_of_several_slices(self, monkeypatch):
         # from t = 0.4 states of 1.5 or more blow up: the 9 states of level
@@ -674,7 +707,7 @@ class TestOrderEstimation:
 
     def test_needs_two_distinct_steps(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # refused before np.polyfit
+            warnings.simplefilter("error")  # refused before the fit
             with pytest.raises(ValueError) as ei:
                 empirical_order([(0.25, 1e-3), (0.25, 2e-3)])
         assert str(ei.value) == ("order estimation needs nonzero errors at 2 "
