@@ -11,8 +11,9 @@ All state arithmetic broadcasts over leading batch axes, so the same code
 advances a single path (state shape ``(d,)``) or a whole chunk of paths
 (state shape ``(B, d)``, increments ``(B, m)``/``(B, m, m)``).  The one
 routine that takes a step, ``stats._advance``, calls ``compute_step_arrays``
-and ``evaluate_dense`` for its three callers: the path simulator, the Monte
-Carlo engine and the enumeration oracle.
+and ``evaluate_dense`` for the path loop, which serves the path simulator
+and the Monte Carlo engine, and for the enumeration oracle's level loop; it
+gives a ``BlowupError`` its step, and its path where the rows are paths.
 
 Batches are path-fastest in memory (Fortran order for ``(B, ...)``): the
 engines make their states and increments that way, every element-wise
@@ -61,7 +62,8 @@ class BlowupError(ArithmeticError):
     ``family`` names the value (None for a state): drift or diffusion in the
     step from ``t_n``, or an f-value or expectation at time ``t_n``.  For
     batched states ``path`` is the batch row of the first non-finite value;
-    the path loop of stats.py turns it into the path index.
+    ``stats._advance`` turns it into the path index, or into None where the
+    rows are not paths.
     """
 
     def __init__(self, t_n=None, stage=None, family=None, step=None,

@@ -8,10 +8,9 @@ in the states they step and where the increments come from:
   Carlo routine, ``mc_expectations_at``, runs it on fixed-size chunks of
   paths (states ``(B, d)``) and folds per-chunk mean/M2 statistics in
   ascending chunk order, so the result is bit-identical for any thread
-  count given (seed, M).  Each worker thread writes the f-values and their
-  squared deviations of every chunk it runs into one statistics block,
-  allocated on its first chunk and sized by the largest chunk run, so no
-  chunk faults a fresh block in.  ``simulate_path`` runs it on one path
+  count given (seed, M).  A chunk reduces each eval point's f-values to
+  its mean and M2 as soon as they exist, so it keeps two arrays of one
+  value per eval point.  ``simulate_path`` runs the loop on one path
   (state ``(d,)``), so simulated path p is Monte Carlo path p, and keeps
   each step's cache for dense queries;
 * the enumeration oracle expands the joint outcome tree level by level, in
@@ -20,19 +19,19 @@ in the states they step and where the increments come from:
   (row ``o*R + i`` is outcome ``o`` applied to row ``i``).  Each step takes
   each slice through every row of the ``enumerate_outcomes`` table, then
   drops its block, so the level it reads shrinks as the next one fills.
-  Probabilities stay behind the states: row ``o*R + i`` has probability
-  ``ps[o] * parent[i]``, and a level's probabilities are formed only once
-  its states have been stepped, and only if the level has at most
-  ``_ENUM_SLICE`` rows.  A larger level stays a ``(ps, parent)`` link, so no
+  Row ``o*R + i`` has probability ``ps[o]`` times that of row ``i``.  The
+  probabilities are two values: ``base``, those of the last level with at
+  most ``_ENUM_SLICE`` rows, formed once its states have been stepped, and
+  ``above``, the outcome probabilities ``ps`` of each step since.  So no
   probability array is larger than one slice: the final step forms
-  ``ps[o] * (ps_prev[o'] * (... * probs[i]))`` once per slice, down to the
-  last level that was formed, the products of formed levels in the same
-  order, and adds the (outcome, slice) terms in outcome-major order.  It is
-  exact up to floating-point arithmetic: the noise-free reference the MC
-  machinery is validated against.
+  ``ps[o] * (ps'[o'] * (... * base[i]))`` once per slice and adds the
+  (outcome, slice) terms in outcome-major order.  It is exact up to
+  floating-point arithmetic: the noise-free reference the MC machinery is
+  validated against.
 
 A non-finite stage value, state, f-value or enumerated expectation raises a
-``BlowupError``.  The tables measure the functional of the given
+``BlowupError``; ``_advance`` names the step of a stage value and, where the
+rows are paths, its path.  The tables measure the functional of the given
 ``ReferenceSolution``; which reference to use is the caller's choice.
 """
 
@@ -41,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -158,17 +156,21 @@ def grid_for_step(problem: SdeProblem, h: float) -> TimeGrid:
 # the step, and paths with dense output
 # ---------------------------------------------------------------------------
 
-def _advance(scheme, problem, grid, n, y, dW, V, weights):
+def _advance(scheme, problem, grid, n, y, dW, V, weights, paths=None):
     """Step n of the grid from states y: (cache, Y(t_n + theta h_n)), where
     ``weights`` is ``scheme.dense_weights(theta)``.
 
-    A BlowupError leaves with its step index set.
+    A BlowupError leaves with its step set, and with its path: the entry
+    of ``paths`` at the failing batch row, or None without ``paths``, whose
+    rows are not paths.
     """
     t_n, h_n = grid.step(n)
     try:
         cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, V)
     except BlowupError as exc:
         exc.step = n
+        # exc.path is the failing batch row, None for a single path
+        exc.path = None if paths is None else int(paths.flat[exc.path or 0])
         raise
     return cache, evaluate_dense(cache, weights)
 
@@ -229,13 +231,8 @@ def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
                         ).copy(order="F")
     for n in range(n_steps):
         dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
-        try:
-            cache, y = _advance(scheme, problem, grid, n, y, dW, V,
-                                step_weights)
-        except BlowupError as exc:
-            # exc.path is the failing batch row, None for a single path
-            exc.path = int(paths.flat[exc.path or 0])
-            raise
+        cache, y = _advance(scheme, problem, grid, n, y, dW, V, step_weights,
+                            paths)
         if not np.isfinite(y).all():
             path = int(paths.flat[np.argmin(np.isfinite(y).all(axis=-1))])
             raise BlowupError(step=n, path=path)
@@ -273,7 +270,9 @@ def mc_expectations_at(
 ) -> list[MonteCarloEstimate]:
     """Estimates of E f(Y(t)) at several times, sharing one set of paths.
 
-    A non-finite f-value raises a BlowupError naming its path and time.
+    A non-finite f-value raises a BlowupError once its chunk has taken its
+    last step, naming the time, step and first path of the lowest eval
+    index with one.
     """
     z = normal_quantile(confidence)
     eval_points = [grid.locate(t) for t in eval_times]
@@ -289,36 +288,36 @@ def mc_expectations_at(
         by_step.setdefault(n, []).append(
             (idx, theta, scheme.dense_weights(theta)))
 
-    n_eval, rows = len(eval_points), min(_CHUNK, M)
-    # one statistics block per worker thread and run, sized by the largest
-    # chunk: a fresh block per chunk is page-faulted in again every time
-    worker = threading.local()
+    n_eval = len(eval_points)
 
     def chunk(start):
         count = min(_CHUNK, M - start)
         # the stream keys of the chunk's paths, computed once for all steps
         paths = KeyedPaths(seed,
                            np.arange(start, start + count, dtype=np.uint64))
-        if not hasattr(worker, "block"):
-            worker.block = np.empty(n_eval * rows)
-        # the contiguous prefix has the layout of np.empty((n_eval, count))
-        vals = worker.block[:n_eval * count].reshape(n_eval, count)
+        mean, m2 = np.empty(n_eval), np.empty(n_eval)
+        # eval index -> first path with a non-finite f-value; raised after
+        # the last step, so a state blow-up at a later step comes first
+        bad = {}
         for n, cache, y in _path_steps(scheme, problem, grid, seed, paths,
                                        max(by_step) + 1, step_weights):
             for idx, theta, weights in by_step.get(n, ()):
-                v = y if theta == 1.0 else evaluate_dense(cache, weights)
-                vals[idx] = f(v)
-        if not np.isfinite(vals).all():
-            # the first eval point with a non-finite value, then its first path
-            idx, row = divmod(int(np.argmin(np.isfinite(vals))), count)
+                vals = f(y if theta == 1.0 else evaluate_dense(cache, weights))
+                # no mask outlives the test: one held across the steps let
+                # the C allocator hand the step temporaries back to the
+                # kernel after every chunk (70 page faults a chunk)
+                if not np.isfinite(vals).all():
+                    bad[idx] = start + int(np.argmin(np.isfinite(vals)))
+                    continue
+                # the bits of a row of a C-ordered (n_eval, count) reduction
+                mean[idx] = vals.mean()
+                dev = vals - mean[idx]
+                m2[idx] = np.square(dev, out=dev).sum()
+        if bad:
+            idx = min(bad)
             raise BlowupError(t_n=float(eval_times[idx]), family="f",
-                              step=eval_points[idx][0], path=start + row)
-        mean = vals.mean(axis=1)
-        # the deviations overwrite the values, by the ufuncs of
-        # (vals - mean[:, None]) ** 2, so M2 keeps its bits
-        np.subtract(vals, mean[:, None], out=vals)
-        np.square(vals, out=vals)
-        return count, mean, vals.sum(axis=1)
+                              step=eval_points[idx][0], path=bad[idx])
+        return count, mean, m2
 
     starts = range(0, M, _CHUNK)
     # more workers than usable CPUs only pass the GIL back and forth
@@ -396,21 +395,10 @@ def exact_weak_expectation(
     # the level's R rows in blocks: block b holds rows [b*S, (b+1)*S), the
     # slice the next step reads, for S = _ENUM_SLICE
     rows, blocks = 1, [problem.x0[None, :].copy()]
-    # row o*R + i has probability ps[o] * parent[i], where parent is the
-    # level before's probabilities: an array if that level has at most one
-    # slice of rows, else another such pair, so no probability array is
-    # larger than one slice
-    ps = parent = np.ones(1)
-
-    def step(n, states, dW, V, weights):
-        # keep no cache alive into the next slice's step
-        try:
-            return _advance(scheme, problem, grid, n, states, dW, V,
-                            weights)[1]
-        except BlowupError as exc:
-            exc.path = None  # a slice row is not a path
-            raise
-
+    # the level's probabilities: those of the last level with at most one
+    # slice of rows, and the outcome probabilities of each step since, so no
+    # probability array is larger than one slice
+    base, above = np.ones(1), []
     weights = scheme.dense_weights(1.0)
     for n in range(N - 1):
         outs = enumerate_outcomes(m, grid.step(n)[1])
@@ -418,16 +406,19 @@ def exact_weak_expectation(
         new_blocks = [None] * -(-new_rows // _ENUM_SLICE)
         for b in range(len(blocks)):
             for o, (dW, V) in enumerate(zip(outs[0], outs[1])):
-                y = step(n, blocks[b], dW, V, weights)
+                # [1]: keep no cache alive into the next slice's step
+                y = _advance(scheme, problem, grid, n, blocks[b], dW, V,
+                             weights)[1]
                 _store(new_blocks, new_rows, o * rows + b * _ENUM_SLICE, y)
             # every outcome has stepped this slice: the level shrinks as
             # the next one fills
             blocks[b] = None
         # level n's probabilities, formed once its states are gone and
         # only if they fit one slice
-        parent = (_row_probs(ps, parent, 0, rows) if rows <= _ENUM_SLICE
-                  else (ps, parent))
-        ps, rows, blocks = outs[2], new_rows, new_blocks
+        if rows <= _ENUM_SLICE:
+            base, above = _row_probs(base, above, 0, rows), []
+        above.append(outs[2])
+        rows, blocks = new_rows, new_blocks
     n = N - 1
     weights = scheme.dense_weights(theta_eval)
     outs = enumerate_outcomes(m, grid.step(n)[1])
@@ -436,12 +427,13 @@ def exact_weak_expectation(
     terms = np.empty((outs[2].size, len(blocks)))
     for b in range(len(blocks)):
         lo = b * _ENUM_SLICE
-        probs = _row_probs(ps, parent, lo, lo + blocks[b].shape[0])
+        probs = _row_probs(base, above, lo, lo + blocks[b].shape[0])
         for o, (dW, V, p) in enumerate(zip(*outs)):
             # y lives into the next step call: a heap block above the step's
             # temporaries keeps the C allocator from handing them back to
             # the kernel between calls (3x the page faults)
-            y = step(n, blocks[b], dW, V, weights)
+            y = _advance(scheme, problem, grid, n, blocks[b], dW, V,
+                         weights)[1]
             terms[o, b] = p * float(probs @ f(y))
         blocks[b] = None
     # a left fold: np.sum's pairwise order, or the compensated sum() of
@@ -470,27 +462,28 @@ def _store(blocks, rows, start, y):
         start, y = start + k, y[k:]
 
 
-def _level_rows(probs):
-    """Row count of a level's probabilities: an array or a (ps, parent)
-    pair as taken by _row_probs."""
-    if isinstance(probs, np.ndarray):
-        return probs.size
-    return probs[0].size * _level_rows(probs[1])
-
-
-def _row_probs(ps, parent, lo, hi):
-    """Probabilities of rows [lo, hi) of a level whose row o*R + i has
-    probability ps[o] * parent[i], where ``parent`` holds the R probabilities
-    of the level before: an array, or another such (ps, parent) pair."""
-    R = _level_rows(parent)
+def _row_probs(base, above, lo, hi):
+    """Probabilities of rows [lo, hi) of the level given by ``base``, the
+    probabilities of an earlier level, and ``above``, the outcome
+    probabilities of each step since.  Row o*R + i of a level has ps[o]
+    times the probability of row i of the level before, so a row gets
+    ps[o] * (ps'[o'] * (... * base[i])), innermost level first."""
     out = np.empty(hi - lo)
-    # [lo, hi) may span several outcome blocks
-    for o in range(lo // R, (hi - 1) // R + 1):
-        a, b = max(lo, o * R) - o * R, min(hi, (o + 1) * R) - o * R
-        before = (parent[a:b] if isinstance(parent, np.ndarray)
-                  else _row_probs(*parent, a, b))
-        np.multiply(ps[o], before, out=out[o * R + a - lo:o * R + b - lo])
+    R = base.size
+    for q, a, b in _runs(lo, hi, R):
+        out[a:b] = base[lo + a - q * R:lo + b - q * R]
+    for ps in above:
+        for q, a, b in _runs(lo, hi, R):
+            out[a:b] *= ps[q % ps.size]
+        R *= ps.size
     return out
+
+
+def _runs(lo, hi, R):
+    """(q, a, b) for each run of R rows that [lo, hi) meets: run q, as
+    rows [a, b) counted from lo."""
+    for q in range(lo // R, (hi - 1) // R + 1):
+        yield q, max(lo, q * R) - lo, min(hi, (q + 1) * R) - lo
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +537,10 @@ def empirical_order(errors) -> OrderEstimate:
             continue
         pairs.append((float(h), abs(float(err))))
     check_fit_steps([h for h, _ in pairs])
-    x = np.log2([h for h, _ in pairs])
-    y = np.log2([e for _, e in pairs])
+    # math.log2, not np.log2, whose SIMD loops round differently on CPUs
+    # with and without AVX-512
+    x = np.array([math.log2(h) for h, _ in pairs])
+    y = np.array([math.log2(e) for _, e in pairs])
     # the normal equations about the means, in ufunc sums, whose bits
     # depend neither on the CPU's BLAS kernel (as np.polyfit's do) nor on
     # the Python version (as sum()'s do)

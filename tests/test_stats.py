@@ -154,7 +154,7 @@ class TestMonteCarlo:
     ], ids=("linear", "system2d"))
     def test_reused_block_matches_fresh_arrays(self, monkeypatch, threads,
                                                problem, f, times):
-        # the last chunk is partial, so it uses a prefix of the block
+        # the last chunk is partial: its reductions run over fewer paths
         chunk = 256
         monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         M, seed, t = 3 * chunk + 17, 4, builtin_scheme("CRDI3WM")
@@ -162,8 +162,8 @@ class TestMonteCarlo:
         assert any(grid.locate(x)[1] < 1.0 for x in times)
         n, mean, m2 = fresh_block_moments(t, problem, grid, f, times, M,
                                           seed, chunk)
-        # frequent thread switches: a block shared between workers would
-        # mix their chunks' values
+        # frequent thread switches: values shared between workers would
+        # mix their chunks
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -178,7 +178,8 @@ class TestMonteCarlo:
         assert got.tobytes() == (m2 / (n - 1) / n).tobytes()
 
     def test_block_sized_by_the_paths_run(self, monkeypatch):
-        # a block sized by the chunk would take 8 GB per eval point
+        # values sized by the chunk, not the paths run, would take 8 GB per
+        # eval point
         grid = grid_for_step(LIN, 0.25)
         t, times = builtin_scheme("CRDI3WM"), [0.25 * k for k in range(1, 9)]
         monkeypatch.setattr(csrk.stats, "_CHUNK", 10**9)
@@ -188,7 +189,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 8 x 100 block takes 6.4 kB
+        # the values of 100 paths take 800 bytes per eval point
         assert peak < 10**6
         monkeypatch.setattr(csrk.stats, "_CHUNK", 100)
         assert huge == mc_expectations_at(t, LIN, grid, FX, times, 100, 2)
@@ -414,8 +415,8 @@ class TestBlowup:
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_non_finite_f_value_in_a_later_chunk(self, monkeypatch, threads):
-        # on one thread chunks 0 and 1 leave their values in the block that
-        # chunk 2 fills before its first path fails
+        # chunks 0 and 1 reduce their values before chunk 2's first path
+        # fails
         M, chunk, seed = 40, 4, 11
         monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
         dW, _ = sample_batch(1, 0.5, seed, np.arange(M, dtype=np.uint64), 0)
@@ -428,6 +429,33 @@ class TestBlowup:
                                [0.5, 0.25], M, seed, threads=threads)
         assert (ei.value.step, ei.value.path) == (0, first)
         assert str(ei.value) == (f"path {first} blew up at step 0: "
+                                 "non-finite f value at t=0.5")
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_non_finite_f_values_name_the_lowest_eval_index(self,
+                                                            monkeypatch,
+                                                            threads):
+        # eval index 0 is t = 0.5 (step 1), index 1 is t = 0.2 (step 0);
+        # both fail in chunk 0, index 1 on an earlier step and path
+        M, chunk, seed = 64, 16, 2
+        monkeypatch.setattr(csrk.stats, "_CHUNK", chunk)
+        t, grid = builtin_scheme("EULER_OPT"), TimeGrid.uniform(0.0, 0.5, 2)
+        assert [grid.locate(x)[0] for x in (0.5, 0.2)] == [1, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            paths = [simulate_path(t, SQUARE_OVERFLOWS, grid, seed, p)
+                     for p in range(chunk)]
+            first = [next(p for p in range(chunk)
+                          if not np.isfinite(FX2(paths[p].value(x))).all())
+                     for x in (0.5, 0.2)]
+        assert first[1] < first[0]
+        with warnings.catch_warnings(), pytest.raises(BlowupError) as ei:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mc_expectations_at(t, SQUARE_OVERFLOWS, grid, FX2, [0.5, 0.2],
+                               M, seed, threads=threads)
+        assert (ei.value.t_n, ei.value.step, ei.value.path) == (
+            0.5, 1, first[0])
+        assert str(ei.value) == (f"path {first[0]} blew up at step 1: "
                                  "non-finite f value at t=0.5")
 
     def test_enumeration_refuses_a_non_finite_expectation(self):
@@ -691,6 +719,20 @@ class TestOrderEstimation:
             (0.5, -4.258e-4), (0.25, -9.392e-5),
         ]
         assert empirical_order(pairs).slope == pytest.approx(2.26, abs=0.02)
+
+    def test_logs_are_math_log2(self):
+        # NumPy's AVX-512 log2 loop rounds each of these errors 1 ulp away
+        # from math.log2, which moves the slope and the intercept
+        pairs = [(0.5, 0.45261136773356764), (0.25, -0.39354872813983033),
+                 (0.125, 0.07147570439737935)]
+        x = np.array([math.log2(h) for h, _ in pairs])
+        y = np.array([math.log2(abs(e)) for _, e in pairs])
+        x_mean, y_mean = np.add.reduce(x) / 3, np.add.reduce(y) / 3
+        dx = x - x_mean
+        slope = np.add.reduce(dx * (y - y_mean)) / np.add.reduce(dx * dx)
+        est = empirical_order(pairs)
+        assert est.slope.hex() == float(slope).hex()
+        assert est.intercept.hex() == float(y_mean - slope * x_mean).hex()
 
     def test_zero_errors_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="zero error"):
