@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,21 @@ class TestCatalog:
         }
         assert families["det_order3"] == {1, 2}
         assert families["det_order3_continuous"] == {1, 2}
+
+    def test_every_residual_is_pinned(self):
+        # all 72 conditions of every builtin on the default grid, declared or
+        # not, so a change to the catalog's expressions or right-hand sides
+        # moves this digest; CRDI5WM's det_order3_continuous:2 is 0.074
+        lines = [
+            f"{name},{r.cid},{r.residual.hex()},{r.worst_theta.hex()}"
+            for name in scheme_names()
+            for r in check_conditions(builtin_scheme(name),
+                                      conditions=CATALOG).records
+        ]
+        assert len(lines) == 72 * 7
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("92865a71b261791709359a0e0d40f696"
+                          "4005318ba0df69de45c1a267babdef86")
 
     def test_default_grid(self):
         g = default_theta_grid()
