@@ -98,8 +98,6 @@ def _emit(args, columns, rows, header=(), footer=()):
     is in, so a command that fails on the way writes nothing.
     """
     given = vars(args)
-    if "problem" in given:
-        given = {**given, "problem_params": _problem_params(args)}
     config = {k: given[k] for k in _RECORDED if given.get(k) is not None}
     with tempfile.TemporaryFile("w+") as tmp:
         if args.output_format == "json":
@@ -159,7 +157,7 @@ def _problem_params(args):
 
 def _build_problem(args):
     factory, _ = _problems()[args.problem]
-    return factory(**_problem_params(args))
+    return factory(**args.problem_params)
 
 
 def _setup(args):
@@ -447,6 +445,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "problem" in vars(args):
+            args.problem_params = _problem_params(args)
         # a numerical failure is reported by the one-line error below, so
         # NumPy's overflow warnings on the way to it would only repeat it
         with warnings.catch_warnings():

@@ -42,11 +42,12 @@ __all__ = [
 class Condition:
     cid: ConditionId
     lhs: callable  # (tableau, its dense weights at theta) -> float
-    rhs: callable  # (theta) -> float
+    rhs: callable  # (theta) -> float, read at theta = 1 unless continuous
     continuous: bool  # checked over a theta grid rather than at theta = 1
 
     def residual(self, t: CsrkTableau, theta: float) -> float:
-        return abs(self.lhs(t, t.dense_weights(theta)) - self.rhs(theta))
+        rhs = self.rhs(theta if self.continuous else 1.0)
+        return abs(self.lhs(t, t.dense_weights(theta)) - rhs)
 
 
 @dataclass(frozen=True)
@@ -155,21 +156,10 @@ _LHS = {
     50: lambda t, w: _dot(_b3(t, w), _mv(t.B2, _mv(t.B1, _mv(t.B1, _e(t))))),
 }
 
-# right-hand sides at theta = 1 for conditions 8..50
-_RHS_AT_ONE = {i: 0.0 for i in range(8, 51)}
-_RHS_AT_ONE.update({8: 0.5, 9: 0.5, 10: 0.5, 11: 0.5, 13: 1.0, 14: 1.0,
-                    15: 0.5, 16: 0.5})
 
-# theta-dependent right-hand sides for conditions 1..7
-_RHS_ORDER1 = {
-    1: lambda th: th,
-    2: lambda th: 0.0,
-    3: lambda th: 0.0,
-    4: lambda th: th,
-    5: lambda th: 0.0,
-    6: lambda th: 0.0,
-    7: lambda th: 0.0,
-}
+def _zero(th):
+    return 0.0
+
 
 # continuous counterparts of selected order-2 conditions; the products in
 # 11, 15 and 16 are checked through their weight-vector factor alone
@@ -185,50 +175,41 @@ _CONT_EXT = {
          lambda th: 0.5 * th**1.5),
     16: (lambda t, w: _dot(_b3(t, w), _mv(t.B2, _e(t)) ** 2),
          lambda th: 0.5 * th**1.5),
-    22: (_LHS[22], lambda th: 0.0),
-    32: (_LHS[32], lambda th: 0.0),
-    33: (_LHS[33], lambda th: 0.0),
+    22: (_LHS[22], _zero),
+    32: (_LHS[32], _zero),
+    33: (_LHS[33], _zero),
 }
 
 _DET3 = {
-    1: (lambda t, w: _dot(_al(t, w), _mv(t.A0, _e(t)) ** 2), 1.0 / 3.0,
+    1: (lambda t, w: _dot(_al(t, w), _mv(t.A0, _e(t)) ** 2),
         lambda th: th**3 / 3.0),
-    2: (lambda t, w: _dot(_al(t, w), _mv(t.A0, _mv(t.A0, _e(t)))), 1.0 / 6.0,
+    2: (lambda t, w: _dot(_al(t, w), _mv(t.A0, _mv(t.A0, _e(t)))),
         lambda th: th**3 / 6.0),
 }
 
+_ORDER1 = {i: (_LHS[i], (lambda th: th) if i in (1, 4) else _zero)
+           for i in range(1, 8)}
 
-def _build_catalog() -> dict[ConditionId, Condition]:
-    cat = {}
-    for i in range(1, 8):
-        cat[ConditionId("continuous_order1", i)] = Condition(
-            ConditionId("continuous_order1", i), _LHS[i], _RHS_ORDER1[i], True
-        )
-        rhs1 = _RHS_ORDER1[i](1.0)
-        cat[ConditionId("order1_at_one", i)] = Condition(
-            ConditionId("order1_at_one", i), _LHS[i],
-            (lambda v: lambda th: v)(rhs1), False
-        )
-    for i in range(8, 51):
-        cat[ConditionId("order2_at_one", i)] = Condition(
-            ConditionId("order2_at_one", i), _LHS[i],
-            (lambda v: lambda th: v)(_RHS_AT_ONE[i]), False
-        )
-    for i, (lhs, rhs) in _CONT_EXT.items():
-        cat[ConditionId("continuous_order2_extended", i)] = Condition(
-            ConditionId("continuous_order2_extended", i), lhs, rhs, True
-        )
-    for i, (lhs, v, cont_rhs) in _DET3.items():
-        cat[ConditionId("det_order3", i)] = Condition(
-            ConditionId("det_order3", i), lhs, (lambda w: lambda th: w)(v), False
-        )
-        cat[ConditionId("det_order3_continuous", i)] = Condition(
-            ConditionId("det_order3_continuous", i), lhs, cont_rhs, True
-        )
-    return cat
+# family -> (checked on the theta grid?, {index: (lhs, rhs(theta))}); an
+# at-one family shares its continuous twin's table, and order-2 condition i
+# has the right-hand side of its continuous counterpart, 0 if it has none
+_FAMILIES = {
+    "continuous_order1": (True, _ORDER1),
+    "order1_at_one": (False, _ORDER1),
+    "order2_at_one": (False, {
+        i: (_LHS[i], _CONT_EXT[i][1] if i in _CONT_EXT else _zero)
+        for i in range(8, 51)}),
+    "continuous_order2_extended": (True, _CONT_EXT),
+    "det_order3": (False, _DET3),
+    "det_order3_continuous": (True, _DET3),
+}
 
-
-CATALOG: dict[ConditionId, Condition] = _build_catalog()
+CATALOG: dict[ConditionId, Condition] = {
+    ConditionId(family, i): Condition(ConditionId(family, i), lhs, rhs,
+                                      continuous)
+    for family, (continuous, table) in _FAMILIES.items()
+    for i, (lhs, rhs) in table.items()
+}
 
 
 def _condition(cid: ConditionId) -> Condition:

@@ -17,6 +17,7 @@ import ast
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -69,7 +70,12 @@ class WeightPolynomial:
         if theta == 0.0:
             return 0.0
         root = math.sqrt(theta)
-        return sum(coeff * root**n for n, coeff in self.terms)
+        # a left fold: the compensated sum() of Python 3.12 would move the
+        # last bits
+        value = 0.0
+        for n, coeff in self.terms:
+            value += coeff * root**n
+        return value
 
     @property
     def is_zero(self) -> bool:
@@ -144,13 +150,12 @@ class CsrkTableau:
                 i, j = np.argwhere(~np.isfinite(mat))[0]
                 raise TableauError(
                     f"{name}[{i + 1},{j + 1}] = {mat[i, j]} is not finite")
-            for i in range(s):
-                for j in range(i, s):
-                    if mat[i, j] != 0.0:
-                        raise TableauError(
-                            f"{name}[{i + 1},{j + 1}] = {mat[i, j]} breaks strict "
-                            "lower triangularity"
-                        )
+            upper = np.argwhere(np.triu(mat))
+            if upper.size:
+                i, j = upper[0]
+                raise TableauError(
+                    f"{name}[{i + 1},{j + 1}] = {mat[i, j]} breaks strict "
+                    "lower triangularity")
             object.__setattr__(self, name, mat)
         for name in ("alpha", "beta1", "beta2", "beta3", "beta4"):
             ws = tuple(getattr(self, name))
@@ -198,6 +203,11 @@ class CsrkTableau:
 # ---------------------------------------------------------------------------
 
 _ALLOWED_FUNCS = {"sqrt": math.sqrt}
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.USub: operator.neg, ast.UAdd: operator.pos,
+}
 
 
 def _eval_expr(text, where="expression") -> float:
@@ -212,20 +222,11 @@ def _eval_expr(text, where="expression") -> float:
             return ev(n.body)
         if isinstance(n, ast.Constant) and type(n.value) in (int, float):
             return float(n.value)
-        if isinstance(n, ast.BinOp) and isinstance(
-            n.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            a, b = ev(n.left), ev(n.right)
-            return {
-                ast.Add: lambda: a + b,
-                ast.Sub: lambda: a - b,
-                ast.Mult: lambda: a * b,
-                ast.Div: lambda: a / b,
-                ast.Pow: lambda: a**b,
-            }[type(n.op)]()
-        if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
-            v = ev(n.operand)
-            return -v if isinstance(n.op, ast.USub) else v
+        op = _OPERATORS.get(type(getattr(n, "op", None)))
+        if isinstance(n, ast.BinOp) and op:
+            return op(ev(n.left), ev(n.right))
+        if isinstance(n, ast.UnaryOp) and op:
+            return op(ev(n.operand))
         if (
             isinstance(n, ast.Call)
             and isinstance(n.func, ast.Name)

@@ -974,11 +974,14 @@ for argv in json.loads(sys.argv[1]):
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
 class TestPortableBits:
-    """No output depends on the kernel OpenBLAS picks for the CPU: the same
-    commands give the same bytes under the default kernel and under
-    Prescott, which every x86-64 can run and which has no FMA.
+    """No output depends on the kernel OpenBLAS picks for the CPU or on its
+    thread count: the same commands give the same bytes under the default
+    kernel and under Prescott, which every x86-64 can run and which has no
+    FMA, and with OPENBLAS_NUM_THREADS=1 and =2.
 
-    exact-order is left out: its final sum is still a BLAS dot product."""
+    exact-order is left out: its final sum is still a BLAS dot product, whose
+    bits change under Haswell and Prescott, and with the thread count (the
+    N = 16 error of the README's CRDI3WM x2 run moves by 2e-11 relative)."""
 
     COMMANDS = [("check", "--scheme", name)
                 for name in ("CRDI2WM", "CRDI3WM", "CRDI5WM")] + [
@@ -986,11 +989,12 @@ class TestPortableBits:
         if key != "exact-order-theta"]
 
     @staticmethod
-    def outputs(coretype):
+    def outputs(**openblas):
+        """The commands' output with the OPENBLAS_* variables of ``openblas``
+        (``coretype=...``, ``num_threads=...``), and no other, set."""
         env = {k: v for k, v in os.environ.items()
-               if k != "OPENBLAS_CORETYPE"}
-        if coretype is not None:
-            env["OPENBLAS_CORETYPE"] = coretype
+               if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
+        env.update({f"OPENBLAS_{k.upper()}": v for k, v in openblas.items()})
         path = [os.path.dirname(os.path.dirname(csrk.__file__))]
         if env.get("PYTHONPATH"):
             path.append(env["PYTHONPATH"])
@@ -1001,6 +1005,11 @@ class TestPortableBits:
             env=env, capture_output=True, check=True).stdout
 
     def test_same_bytes_under_the_default_kernel_and_prescott(self):
-        default = self.outputs(None)
+        default = self.outputs()
         assert default.count(b" exited 0\n") == len(self.COMMANDS)
-        assert self.outputs("Prescott") == default
+        assert self.outputs(coretype="Prescott") == default
+
+    def test_same_bytes_on_one_and_two_openblas_threads(self):
+        one = self.outputs(num_threads="1")
+        assert one.count(b" exited 0\n") == len(self.COMMANDS)
+        assert self.outputs(num_threads="2") == one

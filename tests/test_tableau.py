@@ -78,6 +78,24 @@ class TestWeightPolynomial:
         w = WeightPolynomial(((3, 1.0),))  # theta^{3/2}
         assert w(0.25) == pytest.approx(0.125, abs=1e-16)
 
+    def test_three_terms_keep_the_bits_of_a_left_fold(self):
+        # theta - 1.5 theta^2 + (2/3) theta^3; the compensated sum() of
+        # Python 3.12 gives 0x1.85afbe046e350p-8 here
+        w = builtin_scheme("CRDI5WM").alpha[0]
+        assert w(0.006).hex() == "0x1.85afbe046e34fp-8"
+
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_every_weight_is_a_left_fold_of_its_terms(self, name):
+        t = builtin_scheme(name)
+        weights = t.alpha + t.beta1 + t.beta2 + t.beta3 + t.beta4
+        for theta in np.linspace(0.0, 1.0, 1001).tolist():
+            root = math.sqrt(theta)
+            for w in weights:
+                fold = 0.0
+                for n, coeff in w.terms:
+                    fold += coeff * root**n
+                assert w(theta) == fold, (w, theta)
+
 
 class TestBuiltinRegistry:
     def test_names(self):
@@ -202,6 +220,21 @@ class TestValidation:
     def test_diagonal_rejected(self):
         with pytest.raises(TableauError, match="triangularity"):
             self._base(B1=[[0.1, 0.0], [0.0, 0.0]])
+
+    def test_first_upper_entry_in_row_order_named(self):
+        zero = np.zeros((3, 3))
+        with pytest.raises(TableauError,
+                           match=r"^A1\[1,3\] = 0.25 breaks strict lower "
+                                 r"triangularity$"):
+            self._base(stages=3, A0=zero, A1=[[0.0, 0.0, 0.25],
+                                              [0.0, 0.5, 0.0],
+                                              [1.0, 0.0, 0.0]],
+                       A2=zero, B0=zero, B1=zero, B2=zero,
+                       **{k: (WeightPolynomial(),) * 3 for k in
+                          ("alpha", "beta1", "beta2", "beta3", "beta4")})
+
+    def test_negative_zero_is_zero(self):
+        self._base(A1=[[-0.0, -0.0], [0.0, 0.0]])
 
     def test_meta_order_violation(self):
         with pytest.raises(TableauError):
