@@ -461,6 +461,13 @@ class TestExpressions:
         got = _eval_expr(text)
         assert type(got) is float and got == value
 
+    @pytest.mark.parametrize("text", ("1//2", "1%2", "1@2", "1<<2", "~1",
+                                      "not 1", "1 and 2", "1<2"))
+    def test_operators_outside_the_grammar_refused(self, text):
+        with pytest.raises(TableauError) as ei:
+            _eval_expr(text, "A0[2,1]")
+        assert str(ei.value) == f"unsupported construct in A0[2,1] {text!r}"
+
     @pytest.mark.parametrize("text,why", [
         ("1/0", "has no value: float division by zero"),
         ("10.0**400", "has no value: overflows a float"),
