@@ -42,12 +42,16 @@ __all__ = [
 class Condition:
     cid: ConditionId
     lhs: callable  # (tableau, its dense weights at theta) -> float
-    rhs: callable  # (theta) -> float, read at theta = 1 unless continuous
+    rhs: callable  # (theta) -> float
     continuous: bool  # checked over a theta grid rather than at theta = 1
 
     def residual(self, t: CsrkTableau, theta: float) -> float:
-        rhs = self.rhs(theta if self.continuous else 1.0)
-        return abs(self.lhs(t, t.dense_weights(theta)) - rhs)
+        """|lhs - rhs| at theta; an at-one condition states nothing at
+        another theta, so it refuses one."""
+        if not self.continuous and theta != 1.0:
+            raise ValueError(f"condition '{self.cid}' is checked at theta = 1 "
+                             f"only, got theta = {theta}")
+        return abs(self.lhs(t, t.dense_weights(theta)) - self.rhs(theta))
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,11 @@ def _condition(cid: ConditionId) -> Condition:
 
 
 def evaluate_condition(t: CsrkTableau, cid: ConditionId, theta: float = 1.0) -> float:
-    """Residual |lhs - rhs| of one catalog condition at the given theta."""
+    """Residual |lhs - rhs| of one catalog condition at the given theta.
+
+    A condition checked only at theta = 1 raises a ValueError for any other
+    theta, as does an id that is not in ``CATALOG``.
+    """
     return _condition(cid).residual(t, theta)
 
 

@@ -34,6 +34,14 @@ and diffusion at every stage and stores the iterated-integral matrix
 that step to read.  ``evaluate_dense`` takes the scheme's dense weights at
 theta, ``CsrkTableau.dense_weights(theta)``, which depend only on the scheme
 and theta: the engines build them once per run and theta.
+
+A step keeps no more than it must.  A stage input is dropped as soon as its
+drift or diffusion call returns, not kept next to the stage values.
+``evaluate_dense`` combines a batch of more than ``_TILE`` rows one row tile
+at a time, with the same element-wise operations in the same order on row
+views, so its temporaries are a tile's rows, which stay in a core's L2
+cache, and not the batch's; a Monte Carlo chunk is one tile.  Neither moves
+a bit.
 """
 
 from __future__ import annotations
@@ -54,6 +62,10 @@ __all__ = [
     "compute_step_arrays",
     "evaluate_dense",
 ]
+
+# rows of a batch that evaluate_dense combines at a time: a tile's operands
+# and temporaries stay in a core's L2 cache
+_TILE = 1 << 15
 
 
 class BlowupError(ArithmeticError):
@@ -202,6 +214,8 @@ def compute_step_arrays(
         a_vals[i] = np.asarray(
             problem.drift(t_n + c0[i] * h, H0), dtype=float
         )
+        # a stage input dies with its call, not beside the stage values
+        del H0
         _check_finite(a_vals[i], t_n, i, "drift", batched)
 
         table = [[None] * m for _ in range(m)]
@@ -216,6 +230,7 @@ def compute_step_arrays(
                 bmat = np.asarray(
                     problem.diffusion(t_n + c[i] * h, H), dtype=float
                 )
+                del H
                 _check_finite(bmat, t_n, i, family, batched)
                 for k in range(m):
                     if (k == l) == on_diag:
@@ -234,24 +249,49 @@ def evaluate_dense(cache: StageCache, weights):
     """Y(t_n + theta * h) from cached evaluations; pure in the cache.
 
     ``weights`` is ``scheme.dense_weights(theta)`` of the step's scheme.
+    A batch of more than ``_TILE`` rows is combined one row tile at a time,
+    with the same operations in the same order on row views of every
+    operand, so a tile's temporaries are ``_TILE`` rows, not the batch's.
     """
+    # order="K" keeps the states' layout; a plain copy() is C order
+    y = cache.y_n.copy(order="K")
+    rows = len(y) if y.ndim > 1 else 0
+    if rows <= _TILE:
+        _add_terms(y, weights, cache.h, cache.sqrt_h, cache.dW, cache.I2,
+                   cache.a_vals, cache.b_vals)
+        return y
+
+    def cut(a, lo, tail=1):
+        # rows [lo, lo + _TILE) of an operand with the batch axes and
+        # ``tail`` more; one that broadcasts over the batch is used whole
+        if a is not None and a.ndim == y.ndim - 1 + tail and len(a) == rows:
+            return a[lo:lo + _TILE]
+        return a
+
+    for lo in range(0, rows, _TILE):
+        _add_terms(y[lo:lo + _TILE], weights, cache.h, cache.sqrt_h,
+                   cut(cache.dW, lo), cut(cache.I2, lo, tail=2),
+                   [cut(a, lo) for a in cache.a_vals],
+                   [[[cut(b, lo) for b in row] for row in table]
+                    for table in cache.b_vals])
+    return y
+
+
+def _add_terms(y, weights, h, sqrt_h, dW, I2, a_vals, b_vals):
+    """Add the dense output's terms at ``weights`` to y in place: the drift
+    terms, then each noise family's, in stage order."""
     al, b1, b2, b3, b4 = weights
     s = len(al)
-    m = cache.dW.shape[-1]
-    h, sqrt_h = cache.h, cache.sqrt_h
-    dW, I2, b_vals = cache.dW, cache.I2, cache.b_vals
+    m = dW.shape[-1]
     # per family: its two weights and the (k, l) entries of the table it
     # fills; the off-diagonal is filled only where the cross family ran
     families = [(b1, b2, [(k, k) for k in range(m)])]
     if m > 1 and b_vals[0][0][1] is not None:
         families.append((b3, b4, [(k, l) for k in range(m)
                                   for l in range(m) if k != l]))
-
-    # order="K" keeps the states' layout; a plain copy() is C order
-    y = cache.y_n.copy(order="K")
     for i in range(s):
         if al[i] != 0.0:
-            y += (al[i] * h) * cache.a_vals[i]
+            y += (al[i] * h) * a_vals[i]
     for bw, bi, pairs in families:
         for i in range(s):
             if bw[i] == 0.0 and bi[i] == 0.0:
@@ -259,4 +299,3 @@ def evaluate_dense(cache: StageCache, weights):
             for k, l in pairs:
                 coeff = bw[i] * dW[..., k] + (bi[i] / sqrt_h) * I2[..., k, l]
                 y += coeff[..., None] * b_vals[i][k][l]
-    return y

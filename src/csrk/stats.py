@@ -230,13 +230,16 @@ def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
     y = np.broadcast_to(problem.x0, paths.shape + (problem.dim_state,)
                         ).copy(order="F")
     for n in range(n_steps):
-        dW, V = sample_batch(m, grid.step(n)[1], seed, paths, n)
-        cache, y = _advance(scheme, problem, grid, n, y, dW, V, step_weights,
-                            paths)
+        # the increments go straight into the step, whose cache keeps them
+        cache, y = _advance(scheme, problem, grid, n, y,
+                            *sample_batch(m, grid.step(n)[1], seed, paths, n),
+                            step_weights, paths)
         if not np.isfinite(y).all():
             path = int(paths.flat[np.argmin(np.isfinite(y).all(axis=-1))])
             raise BlowupError(step=n, path=path)
         yield n, cache, y
+        # step n + 1 is taken with no cache of step n held here
+        del cache
 
 
 def _usable_cpus() -> int:
@@ -313,6 +316,8 @@ def mc_expectations_at(
                 mean[idx] = vals.mean()
                 dev = vals - mean[idx]
                 m2[idx] = np.square(dev, out=dev).sum()
+            # nor here: the next step is taken with one cache alive, its own
+            del cache
         if bad:
             idx = min(bad)
             raise BlowupError(t_n=float(eval_times[idx]), family="f",

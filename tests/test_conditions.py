@@ -115,6 +115,24 @@ class TestUnknownCondition:
             evaluate_condition(t, cid)
 
 
+class TestAtOneConditions:
+    @pytest.mark.parametrize("family", ("order1_at_one", "order2_at_one",
+                                        "det_order3"))
+    def test_refuse_theta_other_than_one(self, family):
+        # |lhs at theta - rhs at 1| is the residual of no condition: CRDI3WM
+        # order1_at_one:1 at theta = 0.5 would read 0.5
+        t = builtin_scheme("CRDI3WM")
+        cids = [cid for cid in CATALOG if cid.family == family]
+        assert cids and not any(CATALOG[cid].continuous for cid in cids)
+        for cid in cids:
+            for theta in (0.0, 0.5, 0.999):
+                message = (f"^condition '{cid}' is checked at theta = 1 "
+                           f"only, got theta = {theta}$")
+                with pytest.raises(ValueError, match=message):
+                    evaluate_condition(t, cid, theta)
+            assert evaluate_condition(t, cid, 1.0) >= 0.0
+
+
 class TestNegativeControls:
     def test_euler_opt_fails_condition_13(self):
         cid = ConditionId("order2_at_one", 13)

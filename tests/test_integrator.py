@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csrk.increments
+import csrk.integrator
 from csrk.increments import enumerate_outcomes, sample_batch
 from csrk.integrator import (
     BlowupError,
@@ -449,6 +452,94 @@ class TestDenseWeights:
             want = dense_reference(cache, scheme, theta)
             got = evaluate_dense(cache, scheme.dense_weights(theta))
             assert got.tobytes() == want.tobytes()
+
+
+class TestRowTiles:
+    """A batch of more than _TILE rows is combined one row tile at a time,
+    with the same operations in the same order on row views: the bytes and
+    layout of one pass, and no temporary the size of the batch."""
+
+    @pytest.mark.parametrize("order", ("F", "C"))
+    @pytest.mark.parametrize("theta", (0.3, 1.0))
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("batched", (False, True),
+                             ids=("enumeration", "paths"))
+    def test_same_bytes_and_layout(self, monkeypatch, batched, m, theta,
+                                   order):
+        problem = LIN if m == 1 else system2d_problem()
+        scheme, h, rows = builtin_scheme("CRDI3WM"), 0.3, 50
+        y = np.array(np.random.default_rng(3).uniform(
+            -2, 2, (rows, problem.dim_state)), order=order)
+        if batched:
+            dW, V = sample_batch(m, h, 7, np.arange(rows, dtype=np.uint64), 0)
+        else:
+            # an enumeration step: one outcome's increments for every row
+            dW, V, _ = (a[-1] for a in enumerate_outcomes(m, h))
+        cache = compute_step_arrays(scheme, problem, 0.2, y, h, dW, V)
+        if m > 1:
+            assert cache.b_vals[0][0][1] is not None  # the cross family ran
+        weights = scheme.dense_weights(theta)
+        want = evaluate_dense(cache, weights)
+        # 7 rows a tile: 7 whole tiles and one of 1 row
+        monkeypatch.setattr(csrk.integrator, "_TILE", 7)
+        got = evaluate_dense(cache, weights)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert got.flags[f"{order}_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_is_the_output_and_a_few_tiles(self, monkeypatch):
+        rows, tile = 1 << 16, 1 << 10
+        scheme, h = builtin_scheme("CRDI3WM"), 0.25
+        y = np.full((rows, 1), 0.1, order="F")
+        dW, V = sample_batch(1, h, 7, np.arange(rows, dtype=np.uint64), 0)
+        cache = compute_step_arrays(scheme, LIN, 0.0, y, h, dW, V)
+        weights = scheme.dense_weights(0.3)
+        monkeypatch.setattr(csrk.integrator, "_TILE", tile)
+        tracemalloc.start()
+        try:
+            out = evaluate_dense(cache, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pass makes a product and a coefficient of the batch's rows
+        # next to the output; a tile's temporaries are a few tile rows
+        assert peak < out.nbytes + 8 * (8 * tile), (peak, out.nbytes)
+
+
+class TestStageInputLifetime:
+    """A stage input lives through its own drift or diffusion call only."""
+
+    @pytest.mark.parametrize("name", scheme_names())
+    @pytest.mark.parametrize("problem_name", ("linear", "system2d"))
+    @pytest.mark.parametrize("batched", (False, True), ids=("single", "batch"))
+    def test_earlier_inputs_dead_at_each_call(self, name, problem_name,
+                                              batched):
+        base = LIN if problem_name == "linear" else system2d_problem()
+        scheme, h, m = builtin_scheme(name), 0.3, base.dim_noise
+        rows = 64 if batched else None
+        if batched:
+            y = np.broadcast_to(base.x0, (rows, base.dim_state)).copy("F")
+            dW, V = sample_batch(m, h, 7, np.arange(rows, dtype=np.uint64), 0)
+        else:
+            y = base.x0.copy()
+            dW, V = sample_batch(m, h, 7, 0, 0)
+        inputs, alive = [], []
+
+        def recording(fn):
+            def call(t, x):
+                # earlier stage inputs still alive, y_n itself aside
+                alive.append(sum(r() is not None and r() is not y
+                                 for r in inputs))
+                inputs.append(weakref.ref(x))
+                return fn(t, x)
+            return call
+
+        problem = dataclasses.replace(
+            base, drift=recording(base.drift),
+            diffusion=recording(base.diffusion))
+        compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
+        assert len(alive) > scheme.stages
+        assert alive == [0] * len(alive)
 
 
 class TestPaths:

@@ -1,11 +1,12 @@
 """No call in the library whose bits depend on the CPU or the Python version.
 
 BLAS and LAPACK calls (``np.dot``, ``np.vdot``, ``np.matmul``, ``@``,
-``np.polyfit``) add in an order that depends on the kernel OpenBLAS picks
-for the CPU and on its thread count; ``np.log2`` rounds differently in its
-AVX-512 and AVX2 loops; the builtin ``sum`` is a compensated sum from Python
-3.12 on.  The library uses ufunc sums, left folds and ``math.log2`` instead,
-and this test keeps it that way.
+``np.inner``, ``np.tensordot``, ``np.linalg``, ``np.polyfit``, and
+``np.einsum``, which calls BLAS when optimised) add in an order that depends
+on the kernel OpenBLAS picks for the CPU and on its thread count;
+``np.log2`` rounds differently in its AVX-512 and AVX2 loops; the builtin
+``sum`` is a compensated sum from Python 3.12 on.  The library uses ufunc
+sums, left folds and ``math.log2`` instead, and this test keeps it that way.
 """
 
 import ast
@@ -15,7 +16,8 @@ import csrk
 
 SOURCES = sorted(pathlib.Path(csrk.__file__).parent.glob("*.py"))
 
-NUMPY_NAMES = {"dot", "vdot", "matmul", "polyfit", "log2"}
+NUMPY_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum",
+               "linalg", "polyfit", "log2"}
 
 # (module, function) -> the one construct allowed there, and why
 ALLOWED = {
@@ -66,3 +68,14 @@ def test_no_cpu_or_version_dependent_arithmetic():
     assert not bad, "non-portable arithmetic:\n" + "\n".join(bad)
     # an allowance whose site is gone is dropped from ALLOWED
     assert allowed_seen == set(ALLOWED)
+
+
+def test_blas_contractions_found(tmp_path):
+    path = tmp_path / "contractions.py"
+    path.write_text(
+        "import numpy as np\n"
+        "def f(a):\n"
+        "    return (np.einsum('i,i', a, a) + np.inner(a, a)\n"
+        "            + np.tensordot(a, a, 1) + np.linalg.norm(a))\n")
+    assert sorted(what for _, _, what in _findings(path)) == [
+        "np.einsum", "np.inner", "np.linalg", "np.tensordot"]

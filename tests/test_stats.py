@@ -5,10 +5,12 @@ import os
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import csrk.integrator
 import csrk.stats
 from csrk.increments import (
     CapacityError,
@@ -193,6 +195,25 @@ class TestMonteCarlo:
         assert peak < 10**6
         monkeypatch.setattr(csrk.stats, "_CHUNK", 100)
         assert huge == mc_expectations_at(t, LIN, grid, FX, times, 100, 2)
+
+    def test_one_step_cache_alive(self, monkeypatch):
+        # a chunk takes step n + 1 with step n's cache gone, with eval
+        # points at theta < 1 and at theta = 1; a chunk's last cache is gone
+        # before the next chunk's first step
+        caches, alive = [], []
+
+        def recording(*args):
+            alive.append(sum(r() is not None for r in caches))
+            cache = compute_step_arrays(*args)
+            caches.append(weakref.ref(cache))
+            return cache
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays", recording)
+        monkeypatch.setattr(csrk.stats, "_CHUNK", 64)
+        t, grid = builtin_scheme("CRDI3WM"), grid_for_step(LIN, 0.25)
+        mc_expectations_at(t, LIN, grid, FX, [0.3, 0.5, 2.0], 3 * 64, 2)
+        assert len(alive) == 3 * 8
+        assert alive == [0] * len(alive)
 
     def test_bit_identical_across_thread_counts(self):
         grid = grid_for_step(LIN, 0.25)
@@ -568,6 +589,24 @@ class TestExactExpectation:
             grid = TimeGrid.uniform(problem.t0, problem.T, N)
             got = exact_weak_expectation(t, problem, grid, f, theta_eval=theta)
             assert got == listed_expectation(t, problem, grid, f, theta), N
+
+    @pytest.mark.parametrize("theta", (1.0, 0.3))
+    @pytest.mark.parametrize("problem,N", [(LIN, 8), (system2d_problem(), 3)],
+                             ids=["linear", "system2d"])
+    def test_row_tiles_change_no_bit(self, monkeypatch, problem, N, theta):
+        # tiles of 1 and 7 rows split every slice of a level; 2^15 rows is
+        # one pass per slice.  The slice moves the bits of the final
+        # reduction (ROADMAP item 3), the tile none.
+        t = builtin_scheme("CRDI3WM")
+        grid = TimeGrid.uniform(problem.t0, problem.T, N)
+        for slice_rows in (5, 1 << 20):
+            monkeypatch.setattr(csrk.stats, "_ENUM_SLICE", slice_rows)
+            got = set()
+            for tile in (1, 7, 1 << 15):
+                monkeypatch.setattr(csrk.integrator, "_TILE", tile)
+                got.add(exact_weak_expectation(t, problem, grid, FX2,
+                                               theta_eval=theta).hex())
+            assert len(got) == 1, (slice_rows, got)
 
     def test_peak_memory_below_listed_levels(self, monkeypatch):
         slice_rows, N = 2048, 12
