@@ -24,7 +24,6 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .conditions import check_conditions, default_theta_grid
 from .increments import CapacityError
 from .integrator import BlowupError, TimeGrid
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
@@ -315,6 +314,9 @@ def _cmd_schemes(args):
 
 
 def _cmd_check(args):
+    # the catalog is imported here: no other command reads it
+    from .conditions import check_conditions, default_theta_grid
+
     scheme = _load_scheme(args)
     if not scheme.meta.declared_conditions:
         # an empty set would pass with no rows

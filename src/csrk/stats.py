@@ -41,7 +41,6 @@ import functools
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -325,10 +324,14 @@ def mc_expectations_at(
         return count, mean, m2
 
     starts = range(0, M, _CHUNK)
-    # more workers than usable CPUs only pass the GIL back and forth
-    workers = min(threads, _usable_cpus())
+    # more workers than usable CPUs only pass the GIL back and forth, and
+    # more than the chunks would have nothing to run
+    workers = min(threads, _usable_cpus(), len(starts))
     # both maps yield in ascending chunk order, which fixes the reduction
     if workers > 1:
+        # imported here: a run on one worker needs no pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             n, mean, m2 = functools.reduce(_combine, pool.map(chunk, starts))
     else:

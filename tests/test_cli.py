@@ -971,6 +971,16 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def checkout_env():
+    """This environment with the checkout's csrk first on PYTHONPATH."""
+    env = dict(os.environ)
+    path = [os.path.dirname(os.path.dirname(csrk.__file__))]
+    if env.get("PYTHONPATH"):
+        path.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    return env
+
+
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
 class TestPortableBits:
@@ -992,13 +1002,9 @@ class TestPortableBits:
     def outputs(**openblas):
         """The commands' output with the OPENBLAS_* variables of ``openblas``
         (``coretype=...``, ``num_threads=...``), and no other, set."""
-        env = {k: v for k, v in os.environ.items()
+        env = {k: v for k, v in checkout_env().items()
                if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
         env.update({f"OPENBLAS_{k.upper()}": v for k, v in openblas.items()})
-        path = [os.path.dirname(os.path.dirname(csrk.__file__))]
-        if env.get("PYTHONPATH"):
-            path.append(env["PYTHONPATH"])
-        env["PYTHONPATH"] = os.pathsep.join(path)
         return subprocess.run(
             [sys.executable, "-c", _CHILD,
              json.dumps(TestPortableBits.COMMANDS)],
@@ -1013,3 +1019,51 @@ class TestPortableBits:
         one = self.outputs(num_threads="1")
         assert one.count(b" exited 0\n") == len(self.COMMANDS)
         assert self.outputs(num_threads="2") == one
+
+
+def fresh_python(script):
+    """Runs ``script`` in a new interpreter that imports this checkout's
+    csrk; its assertions fail the run."""
+    proc = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestStartUp:
+    """A command loads only the code it runs."""
+
+    def test_cli_import_loads_no_catalog_or_pool(self):
+        fresh_python("""
+import contextlib, io, sys
+import csrk.cli
+csrk.cli.build_parser()
+assert "csrk.conditions" not in sys.modules
+assert "concurrent.futures" not in sys.modules
+import csrk
+# a submodule not yet imported resolves as an attribute
+assert csrk.conditions.__name__ == "csrk.conditions"
+assert csrk.stats.__name__ == "csrk.stats"
+from csrk import check_conditions
+assert len(csrk.CATALOG) == 72 and check_conditions.__module__ == "csrk.conditions"
+assert set(csrk.__all__) <= set(dir(csrk))
+assert not hasattr(csrk, "nope")
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert csrk.cli.main(["check", "--scheme", "CRDI3WM"]) == 0
+assert out.getvalue().splitlines()[-1] == "# overall = pass"
+""")
+
+    def test_one_chunk_runs_inline(self):
+        # M = 2000 is one chunk: four threads asked for start no pool
+        fresh_python("""
+import contextlib, io, sys
+from csrk.cli import main
+argv = ["converge", "--scheme", "CRDI3WM", "--problem", "linear", "--f", "x",
+        "--t-eval", "1.7", "--h-list", "0.5,0.25", "--M", "2000"]
+outs = []
+for threads in ("4", "1"):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv + ["--threads", threads]) == 0
+    outs.append(out.getvalue())
+assert "concurrent.futures" not in sys.modules
+assert outs[0] == outs[1]
+""")

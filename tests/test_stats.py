@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import itertools
 import math
@@ -236,7 +237,7 @@ class TestMonteCarlo:
         # one CPU: the chunks run inline, as on one thread
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        monkeypatch.setattr(csrk.stats, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         e8 = mc_expectation(t, LIN, grid, FX, 2.0, **kw, threads=8)
         assert (e8.mean, e8.variance_of_mean) == (e1.mean, e1.variance_of_mean)
 

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrk.streams import KeyedPaths, stream_keys, uniforms
+from csrk import (
+    grid_for_step,
+    linear_problem,
+    system2d_problem,
+    uniforms_per_step,
+)
+from csrk.streams import _GAMMA2, KeyedPaths, stream_keys, uniforms
 
 
 class TestUniforms:
@@ -86,6 +92,68 @@ class TestKeyedPaths:
             assert derived.keys is None
             want = uniforms(5, np.asarray(derived), 0, 2)
             assert uniforms(5, derived, 0, 2).tobytes() == want.tobytes()
+
+
+LINEAR = linear_problem(1.5, 0.1, 0.1, 2.0)
+
+# (problem, finest step, last eval time, seeds, paths) of every Monte Carlo
+# run of the acceptance suite and of the README's commands
+DOCUMENTED_RUNS = [
+    # criterion 6, and the README's linear converge run (seed 0)
+    (LINEAR, 0.0625, 1.7, (0, 1, 2), 10**6),
+    # criterion 7, and the README's system2d converge run
+    (system2d_problem(), 0.5, 3.8, (0,), 10**6),
+    # criterion 9, on its three configurations
+    (LINEAR, 0.25, 1.7, (7,), 10**5),
+    (system2d_problem(), 1.0, 3.8, (7,), 10**5),
+    (LINEAR, 0.5, 2.0, (7,), 10**5),
+    # the README's error-table, converge and dense runs at --M 100000
+    (LINEAR, 0.125, 2.0, (0,), 10**5),
+    # the README's simulate run: path 0 over the whole horizon
+    (LINEAR, 0.25, 2.0, (3,), 1),
+]
+
+
+def smallest_offset(keys):
+    """Smallest circular distance, in draws, between two streams' keys.
+
+    Draw i of a path with key k is ``mix64(k + (i+1)*GAMMA2)`` and ``mix64``
+    is a bijection, so draws i and j of keys k and k' coincide exactly when
+    ``(k' - k) * GAMMA2^-1 = i - j (mod 2^64)``.  Two paths of D draws each
+    share none when that offset is at least D either way round the circle.
+    """
+    inverse = np.uint64(pow(int(_GAMMA2), -1, 2**64))
+    with np.errstate(over="ignore"):
+        offsets = np.sort(np.asarray(keys, dtype=np.uint64) * inverse)
+    wrap = (int(offsets[0]) - int(offsets[-1])) % 2**64
+    return min(int(np.diff(offsets).min()), wrap)
+
+
+class TestDisjointStreams:
+    def test_offset_is_the_lag_of_shared_draws(self):
+        keyed = KeyedPaths(0, np.arange(2, dtype=np.uint64))
+        with np.errstate(over="ignore"):
+            keyed.keys = keyed.keys[:1] + np.array([0, 5], np.uint64) * _GAMMA2
+        u = uniforms(0, keyed, 0, 12)
+        assert smallest_offset(keyed.keys) == 5
+        # the second stream is the first one five draws on
+        assert np.array_equal(u[1, :7], u[0, 5:])
+        assert not np.isin(u[1, :7], u[0, :5]).any()
+
+    def test_documented_runs_share_no_draw(self):
+        paths, draws = {}, 0
+        for problem, h, t_last, seeds, M in DOCUMENTED_RUNS:
+            steps = grid_for_step(problem, h).locate(t_last)[0] + 1
+            draws = max(draws, steps * uniforms_per_step(problem.dim_noise))
+            for seed in seeds:
+                paths[seed] = max(paths.get(seed, 0), M)
+        # criterion 6's finest grid: 28 steps of one draw
+        assert draws == 28
+        keys = np.concatenate([stream_keys(seed, np.arange(M, dtype=np.uint64))
+                               for seed, M in paths.items()])
+        # pooled over every run, which bounds each run's own offsets; 0
+        # would be two equal keys
+        assert smallest_offset(keys) > draws
 
 
 @settings(max_examples=40, deadline=None)
