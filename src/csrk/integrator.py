@@ -42,6 +42,18 @@ at a time, with the same element-wise operations in the same order on row
 views, so its temporaries are a tile's rows, which stay in a core's L2
 cache, and not the batch's; a Monte Carlo chunk is one tile.  Neither moves
 a bit.
+
+A step also writes its batch-sized temporaries once where that does not
+move the heap.  I2 is formed in the one array of the outer product.
+``_add_terms`` writes every product of a dense evaluation into one buffer
+of the output's shape, made on each call (each tile of a big batch) and
+dropped when the call returns: unlike scratch buffers kept from call to
+call, it holds no memory between evaluations.  The element-wise operations
+and their order are those of the out-of-place forms, so no bit moves.
+Stage inputs keep the out-of-place ``H = H + term``: adding H into each
+fresh product instead made glibc trim and regrow a third more heap a step
+on system2d, and the one-thread system2d command was slower in 30 of 40
+heap layouts (ROADMAP dead ends).
 """
 
 from __future__ import annotations
@@ -211,12 +223,10 @@ def compute_step_arrays(
             if b != 0.0:
                 for r in range(m):
                     H0 = H0 + b * dW[..., r, None] * b_vals[j][r][r]
-        a_vals[i] = np.asarray(
-            problem.drift(t_n + c0[i] * h, H0), dtype=float
-        )
+        a_vals[i] = _evaluate(problem.drift, t_n + c0[i] * h, H0, y_n.shape,
+                              t_n, i, "drift", batched)
         # a stage input dies with its call, not beside the stage values
         del H0
-        _check_finite(a_vals[i], t_n, i, "drift", batched)
 
         table = [[None] * m for _ in range(m)]
         for c, K, family, on_diag in families:
@@ -227,22 +237,33 @@ def compute_step_arrays(
                         H = H + (h * a) * a_vals[j]
                     if b != 0.0:
                         H = H + (sqrt_h * b) * b_vals[j][l][l]
-                bmat = np.asarray(
-                    problem.diffusion(t_n + c[i] * h, H), dtype=float
-                )
+                bmat = _evaluate(problem.diffusion, t_n + c[i] * h, H,
+                                 y_n.shape + (m,), t_n, i, family, batched)
                 del H
-                _check_finite(bmat, t_n, i, family, batched)
                 for k in range(m):
                     if (k == l) == on_diag:
                         table[k][l] = bmat[..., :, k]
         b_vals[i] = tuple(map(tuple, table))
 
+    # I2 = 0.5 * (dW dW^T + V), formed in the one array of the outer product
+    I2 = np.multiply(dW[..., :, None], dW[..., None, :], order="F")
+    I2 += V
+    I2 *= 0.5
     return StageCache(
-        t_n=t_n, h=h, sqrt_h=sqrt_h, y_n=y_n, dW=dW, V=V,
-        I2=0.5 * (np.multiply(dW[..., :, None], dW[..., None, :], order="F")
-                  + V),
+        t_n=t_n, h=h, sqrt_h=sqrt_h, y_n=y_n, dW=dW, V=V, I2=I2,
         a_vals=tuple(a_vals), b_vals=tuple(b_vals),
     )
+
+
+def _evaluate(fn, t, H, shape, t_n, stage, family, batched):
+    """``fn(t, H)`` as a float array, refused unless it has ``shape`` and
+    is finite."""
+    out = np.asarray(fn(t, H), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{family} at stage {stage + 1} returned shape "
+                         f"{out.shape}, expected {shape}")
+    _check_finite(out, t_n, stage, family, batched)
+    return out
 
 
 def evaluate_dense(cache: StageCache, weights):
@@ -253,10 +274,11 @@ def evaluate_dense(cache: StageCache, weights):
     with the same operations in the same order on row views of every
     operand, so a tile's temporaries are ``_TILE`` rows, not the batch's.
     """
-    # order="K" keeps the states' layout; a plain copy() is C order
-    y = cache.y_n.copy(order="K")
-    rows = len(y) if y.ndim > 1 else 0
+    y_n = cache.y_n
+    rows = len(y_n) if y_n.ndim > 1 else 0
     if rows <= _TILE:
+        # order="K" keeps the states' layout; a plain copy() is C order
+        y = y_n.copy(order="K")
         _add_terms(y, weights, cache.h, cache.sqrt_h, cache.dW, cache.I2,
                    cache.a_vals, cache.b_vals)
         return y
@@ -264,12 +286,17 @@ def evaluate_dense(cache: StageCache, weights):
     def cut(a, lo, tail=1):
         # rows [lo, lo + _TILE) of an operand with the batch axes and
         # ``tail`` more; one that broadcasts over the batch is used whole
-        if a is not None and a.ndim == y.ndim - 1 + tail and len(a) == rows:
+        if a is not None and a.ndim == y_n.ndim - 1 + tail and len(a) == rows:
             return a[lo:lo + _TILE]
         return a
 
+    # the layout of y_n.copy(order="K"); each tile of y_n is copied in
+    # just before its terms are added, while it is still in cache
+    y = np.empty_like(y_n)
     for lo in range(0, rows, _TILE):
-        _add_terms(y[lo:lo + _TILE], weights, cache.h, cache.sqrt_h,
+        tile = y[lo:lo + _TILE]
+        tile[...] = y_n[lo:lo + _TILE]
+        _add_terms(tile, weights, cache.h, cache.sqrt_h,
                    cut(cache.dW, lo), cut(cache.I2, lo, tail=2),
                    [cut(a, lo) for a in cache.a_vals],
                    [[[cut(b, lo) for b in row] for row in table]
@@ -289,13 +316,16 @@ def _add_terms(y, weights, h, sqrt_h, dW, I2, a_vals, b_vals):
     if m > 1 and b_vals[0][0][1] is not None:
         families.append((b3, b4, [(k, l) for k in range(m)
                                   for l in range(m) if k != l]))
+    # every product is written into this one buffer, then added to y
+    term = np.empty_like(y)
     for i in range(s):
         if al[i] != 0.0:
-            y += (al[i] * h) * a_vals[i]
+            y += np.multiply(al[i] * h, a_vals[i], out=term)
     for bw, bi, pairs in families:
         for i in range(s):
             if bw[i] == 0.0 and bi[i] == 0.0:
                 continue
             for k, l in pairs:
-                coeff = bw[i] * dW[..., k] + (bi[i] / sqrt_h) * I2[..., k, l]
-                y += coeff[..., None] * b_vals[i][k][l]
+                coeff = bw[i] * dW[..., k]
+                coeff += (bi[i] / sqrt_h) * I2[..., k, l]
+                y += np.multiply(coeff[..., None], b_vals[i][k][l], out=term)

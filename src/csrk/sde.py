@@ -2,9 +2,13 @@
 
 Drift and diffusion must be vectorized over a leading batch axis: for state
 arrays of shape ``(..., d)`` the drift returns ``(..., d)`` and the diffusion
-``(..., d, m)``.  Callables must be pure; they are evaluated concurrently
-from many paths.  Lipschitz/linear-growth hypotheses are the caller's
-obligation and are not checked.
+``(..., d, m)``.  This is enforced: a step refuses any other shape with a
+ValueError that names the family, the stage, the shape received and the
+shape expected, so a ``(d,)`` constant drift is not broadcast over a batch
+and a diffusion without its noise axis fails at its first call.  Callables
+must be pure; they are evaluated concurrently from many paths.
+Lipschitz/linear-growth hypotheses are the caller's obligation and are not
+checked.
 
 Batched states arrive path-fastest in memory (Fortran order for
 ``(B, d)``).  A callable should return that layout too: compute element-wise

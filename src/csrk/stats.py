@@ -311,10 +311,12 @@ def mc_expectations_at(
                 if not np.isfinite(vals).all():
                     bad[idx] = start + int(np.argmin(np.isfinite(vals)))
                     continue
-                # the bits of a row of a C-ordered (n_eval, count) reduction
-                mean[idx] = vals.mean()
+                # the bits of a row of a C-ordered (n_eval, count)
+                # reduction; vals.mean() and .sum() are these reductions
+                # behind a Python wrapper
+                mean[idx] = np.add.reduce(vals, axis=None) / vals.size
                 dev = vals - mean[idx]
-                m2[idx] = np.square(dev, out=dev).sum()
+                m2[idx] = np.add.reduce(np.square(dev, out=dev), axis=None)
             # nor here: the next step is taken with one cache alive, its own
             del cache
         if bad:

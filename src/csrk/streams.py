@@ -12,7 +12,10 @@ Derivation of the draw with index ``i`` of path ``p`` under global seed ``s``::
     value = mix64(key + (i + 1) * GAMMA2)
     u     = (value >> 11) * 2**-53
 
-where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
+where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche),
+``GAMMA1 = 0x9E3779B97F4A7C15``, ``GAMMA2 = 0xBF58476D1CE4E5B9 | 1``, and all
+integer arithmetic is modulo 2**64.  ``tests/test_streams.py`` checks the
+draws against these formulas in Python ints.
 
 The key depends only on (seed, path), so a caller that draws from the same
 paths many times computes the keys once: Monte Carlo builds each chunk's path
@@ -31,17 +34,21 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
+_S11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # modular 64-bit arithmetic; wraparound is the point, silence the warning
-    with np.errstate(over="ignore"):
-        z = z ^ (z >> _S30)
-        z = z * _M1
-        z = z ^ (z >> _S27)
-        z = z * _M2
-        z = z ^ (z >> _S31)
+def _mix64(z):
+    """The splitmix64 finalizer, in place where ``z`` is an array.
+
+    Modular 64-bit arithmetic: NumPy's uint64 array operations wrap without
+    a warning, and only a scalar ``z`` needs ``np.errstate``.
+    """
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
     return z
 
 
@@ -54,8 +61,9 @@ def stream_keys(seed: int, path_indices) -> np.ndarray:
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     p = np.asarray(path_indices, dtype=np.uint64)
-    s = _mix64(np.uint64(seed))
+    # the seed, and a 0-d index, are mixed as scalars, which warn on wrap
     with np.errstate(over="ignore"):
+        s = _mix64(np.uint64(seed))
         return _mix64(s ^ (p + np.uint64(1)) * _GAMMA1)
 
 
@@ -89,7 +97,9 @@ def uniforms(seed: int, path_indices, start: int, count: int) -> np.ndarray:
     else:
         keys = stream_keys(seed, path_indices)
     ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        # every later operation keeps the layout of this first one
-        vals = _mix64(np.add(keys[..., None], ctr * _GAMMA2, order="F"))
-    return (vals >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    # one array, mixed and shifted in place; every later operation keeps
+    # the layout of this first one
+    vals = _mix64(np.add(keys[..., None], ctr * _GAMMA2, order="F"))
+    vals >>= _S11
+    # below 2**53, so the conversion to float64 is exact
+    return np.multiply(vals, _INV_2_53, dtype=np.float64)

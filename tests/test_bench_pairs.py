@@ -1,0 +1,67 @@
+"""The summary of tools/bench_pairs.py, on canned runs (no subprocess)."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = [{"name": "wall_s", "better": "lower"},
+        {"name": "rate", "better": "higher"}]
+
+
+def run(pair, wall, rate, failed=0):
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "rate": {"value": rate, "unit": "1/s"}},
+            "seed": pair, "pair": pair,
+            "first": "parent" if pair % 2 == 0 else "change"}
+
+
+def test_summary_of_canned_runs():
+    runs = {"w": {
+        "parent": [run(0, 1.0, 5.0), run(1, 2.0, 5.0), run(2, 3.0, 5.0),
+                   run(3, 4.0, 5.0), run(4, 5.0, 5.0)],
+        # the change's list in another order: pairs are matched by index
+        "change": [run(4, 5.0, 4.0), run(0, 0.5, 6.0), run(1, 1.5, 6.0),
+                   run(2, 2.5, 4.0), run(3, 4.5, 5.0, failed=1)],
+    }}
+    s = bench_pairs.summarize(runs, SPEC)["w"]
+    wall = s["wall_s"]
+    assert wall["pairs"] == 5
+    assert wall["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert wall["change"] == {"median": 2.5, "q1": 1.5, "q3": 4.5}
+    # lower in pairs 0-2, higher in 3, a tie in 4
+    assert wall["change_better_in"] == 3
+    assert wall["failed"] == [0, 1]
+    assert wall["all_correct"] is False
+    assert wall["median_change_pct"] == pytest.approx(-100 / 6)
+    assert wall["parent_iqr"] == 2.0
+    # higher is better: pairs 0 and 1 only
+    assert s["rate"]["change_better_in"] == 2
+    assert s["rate"]["median_change_pct"] == 0.0
+
+
+def test_reproduces_a_recorded_bench_file():
+    doc = json.loads((ROOT / "BENCH_26.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert bench_pairs.summarize(doc["runs"], spec) == doc["summary"]
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--parent-commit", "abc", "--seconds", "5"],
+    ["--parent-commit", "abc", "--pairs", "3"]])
+def test_refuses_a_missing_commit_and_a_run_length_or_pair_count(extra,
+                                                                  capsys):
+    # the run length comes from BENCHMARK.json and the pair count is fixed,
+    # so argparse stops these before any run
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["p", "c", "--pr", "1", *extra])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -19,8 +19,19 @@ from csrk.integrator import (
     compute_step_arrays,
     evaluate_dense,
 )
-from csrk.sde import SdeProblem, linear_problem, ode_problem, system2d_problem
-from csrk.stats import _path_steps, empirical_order, simulate_path
+from csrk.sde import (
+    Functional,
+    SdeProblem,
+    linear_problem,
+    ode_problem,
+    system2d_problem,
+)
+from csrk.stats import (
+    _path_steps,
+    empirical_order,
+    mc_expectations_at,
+    simulate_path,
+)
 from csrk.streams import KeyedPaths, uniforms
 from csrk.tableau import builtin_scheme, scheme_names
 
@@ -119,6 +130,40 @@ class TestStages:
         assert ei.value.family == "drift"
         assert ei.value.stage == 0
         assert ei.value.t_n == 0.0
+
+    @pytest.mark.parametrize("batched,drift,diffusion,message", [
+        # a constant drift of the state's shape, not the batch's
+        (True, lambda t, x: np.array([0.5]), None,
+         "drift at stage 1 returned shape (1,), expected (5, 1)"),
+        (False, lambda t, x: 0.5, None,
+         "drift at stage 1 returned shape (), expected (1,)"),
+        # a diffusion without its noise axis
+        (True, None, lambda t, x: 0.1 * x,
+         "diffusion at stage 1 returned shape (5, 1), expected (5, 1, 1)"),
+        (False, None, lambda t, x: 0.1 * x,
+         "diffusion at stage 1 returned shape (1,), expected (1, 1)"),
+    ], ids=("constant-drift-batch", "scalar-drift-single",
+            "no-noise-axis-batch", "no-noise-axis-single"))
+    def test_shape_contract_enforced(self, batched, drift, diffusion,
+                                     message):
+        problem = dataclasses.replace(
+            LIN, drift=drift or LIN.drift,
+            diffusion=diffusion or LIN.diffusion)
+        y = np.full((5, 1) if batched else (1,), 0.1)
+        dW, V = sample_batch(1, 0.25, 0, np.arange(5, dtype=np.uint64)
+                             if batched else 0, 0)
+        with pytest.raises(ValueError) as ei:
+            compute_step_arrays(builtin_scheme("CRDI3WM"), problem, 0.0, y,
+                                0.25, dW, V)
+        assert str(ei.value) == message
+
+    def test_shape_contract_in_monte_carlo(self):
+        problem = dataclasses.replace(LIN, diffusion=lambda t, x: 0.1 * x)
+        with pytest.raises(ValueError, match="diffusion at stage 1 returned "
+                           r"shape \(1024, 1\), expected \(1024, 1, 1\)"):
+            mc_expectations_at(builtin_scheme("CRDI3WM"), problem,
+                               TimeGrid.uniform(0.0, 2.0, 4),
+                               Functional("identity"), [2.0], 1024, 0)
 
 
 def step_reference(scheme, problem, t_n, y_n, h, dW, V):
@@ -504,6 +549,46 @@ class TestRowTiles:
         # one pass makes a product and a coefficient of the batch's rows
         # next to the output; a tile's temporaries are a few tile rows
         assert peak < out.nbytes + 8 * (8 * tile), (peak, out.nbytes)
+
+
+class TestI2OneArray:
+    """A step forms I2 in the one array of the outer product: after the
+    last drift or diffusion call it makes nothing else batch-sized."""
+
+    SLACK = 8 << 10  # Python objects
+    BUFFER = np.getbufsize() * 8  # NumPy's ufunc buffer, for a broadcast
+
+    @pytest.mark.parametrize("problem_name", ("linear", "system2d"))
+    def test_peak_beside_i2_is_the_ufunc_buffer(self, problem_name):
+        base = LIN if problem_name == "linear" else system2d_problem()
+        scheme, h, rows = builtin_scheme("CRDI3WM"), 0.25, 4096
+        y = np.broadcast_to(base.x0, (rows, base.dim_state)).copy("F")
+        dW, V = sample_batch(base.dim_noise, h, 7,
+                             np.arange(rows, dtype=np.uint64), 0)
+        compute_step_arrays(scheme, base, 0.0, y, h, dW, V)  # warm caches
+        held = [0]
+
+        def spying(fn):
+            def call(t, x):
+                out = fn(t, x)
+                # the values returned so far are held; the peak restarts
+                # when the last call returns
+                held[0] += out.nbytes
+                tracemalloc.reset_peak()
+                return out
+            return call
+
+        problem = dataclasses.replace(base, drift=spying(base.drift),
+                                      diffusion=spying(base.diffusion))
+        tracemalloc.start()
+        try:
+            held[0] = tracemalloc.get_traced_memory()[0]
+            cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
+            beside = (tracemalloc.get_traced_memory()[1] - held[0]
+                      - cache.I2.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert beside <= self.BUFFER + self.SLACK, (beside, cache.I2.nbytes)
 
 
 class TestStageInputLifetime:

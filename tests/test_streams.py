@@ -46,6 +46,44 @@ class TestUniforms:
         assert np.all(np.abs(hist - n / 10) < 5 * np.sqrt(n * 0.1 * 0.9))
 
 
+# the derivation of the streams module docstring, in Python ints
+_MASK = (1 << 64) - 1
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _documented_draw(s, p, i):
+    key = _mix64(_mix64(s) ^ (((p + 1) * 0x9E3779B97F4A7C15) & _MASK))
+    value = _mix64((key + (i + 1) * (0xBF58476D1CE4E5B9 | 1)) & _MASK)
+    return (value >> 11) * 2.0 ** -53
+
+
+class TestDocumentedDerivation:
+    """Every draw is the module docstring's formula, bit for bit."""
+
+    PATHS = (0, 1, 4095, 2**40)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2**64 - 1))
+    @pytest.mark.parametrize("start,count", ((0, 1), (7, 3), (100, 28)))
+    @pytest.mark.parametrize("keyed", (False, True), ids=("plain", "keyed"))
+    def test_matches_python_ints(self, seed, start, count, keyed):
+        paths = np.array(self.PATHS, dtype=np.uint64)
+        if keyed:
+            paths = KeyedPaths(seed, paths)
+        got = uniforms(seed, paths, start, count)
+        want = [[_documented_draw(seed, p, i)
+                 for i in range(start, start + count)] for p in self.PATHS]
+        assert got.dtype == np.float64 and got.flags.f_contiguous
+        assert got.tolist() == want
+        # one path alone, as simulate draws it
+        single = uniforms(seed, np.uint64(self.PATHS[-1]), start, count)
+        assert single.tolist() == want[-1]
+
+
 class TestPathStream:
     def test_keys_distinct(self):
         keys = stream_keys(0, np.arange(10**5))
