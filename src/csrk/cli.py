@@ -24,14 +24,14 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .increments import CapacityError
+from .increments import CapacityError, check_step
 from .integrator import BlowupError, TimeGrid
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
 from .stats import (
     _MAX_STEPS,
+    _OUTCOME_CAP,
     check_fit_steps,
     check_outcome_count,
-    check_step,
     dense_error_profile,
     empirical_order,
     error_table,
@@ -290,14 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local-order", help="one-step exact weak errors")
     _add_estimate_args(p)
     p.add_argument("--h-list", type=_floats, required=True)
-    p.add_argument("--outcome-cap", type=_positive_int, default=10**7)
     _add_output_args(p)
 
     p = sub.add_parser("exact-order", help="full-grid exact weak errors")
     _add_estimate_args(p)
     p.add_argument("--N-list", dest="n_list", type=_ints, required=True)
     p.add_argument("--theta-eval", type=float, default=1.0)
-    p.add_argument("--outcome-cap", type=_positive_int, default=10**7)
+    p.add_argument("--outcome-cap", type=_positive_int, default=_OUTCOME_CAP)
     _add_output_args(p)
 
     return ap
@@ -404,6 +403,7 @@ def _cmd_exact(args):
     scheme, problem, ref = _setup(args)
     t0, T = problem.t0, problem.T
     theta = getattr(args, "theta_eval", 1.0)
+    cap = getattr(args, "outcome_cap", _OUTCOME_CAP)
     if args.command == "local-order":
         lead = ("h",)
         for h in args.h_list:
@@ -413,15 +413,14 @@ def _cmd_exact(args):
         lead = ("N", "h")
         # the whole list is checked before any grid is built or enumerated
         for n in args.n_list:
-            check_outcome_count(problem.dim_noise, n, args.outcome_cap)
+            check_outcome_count(problem.dim_noise, n, cap)
         runs = [(TimeGrid.uniform(t0, T, n), (n, (T - t0) / n))
                 for n in args.n_list]
     check_fit_steps([cols[-1] for _, cols in runs])
     rows, pairs = [], []
     for grid, cols in runs:
         val = exact_weak_expectation(scheme, problem, grid, ref.functional,
-                                     theta_eval=theta,
-                                     outcome_cap=args.outcome_cap)
+                                     theta_eval=theta, outcome_cap=cap)
         t_last, h_last = grid.step(grid.n_steps - 1)
         err = val - ref.at(t_last + theta * h_last)
         pairs.append((cols[-1], err))

@@ -27,6 +27,7 @@ from .streams import uniforms
 
 __all__ = [
     "CapacityError",
+    "check_step",
     "sample_batch",
     "enumerate_outcomes",
     "outcome_count",
@@ -39,6 +40,12 @@ class CapacityError(RuntimeError):
     """Requested enumeration exceeds the configured outcome cap."""
 
 
+def check_step(h: float) -> None:
+    """Refuse a step size that is not positive and finite."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be positive and finite, got {h}")
+
+
 def uniforms_per_step(m: int) -> int:
     return m + m * (m - 1) // 2
 
@@ -46,6 +53,8 @@ def uniforms_per_step(m: int) -> int:
 # (representative uniform, probability) per support point, in support order
 _W_SUPPORT = ((0.0, 1.0 / 6.0), (0.5, 2.0 / 3.0), (5.0 / 6.0, 1.0 / 6.0))
 _V_SUPPORT = ((0.0, 0.5), (0.5, 0.5))
+# one step's outcome table is built row by row in Python
+_TABLE_CAP = 10**6
 
 
 def _from_uniforms(m: int, h: float, u: np.ndarray):
@@ -78,8 +87,7 @@ def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if h <= 0:
-        raise ValueError("need h > 0")
+    check_step(h)
     n = uniforms_per_step(m)
     u = uniforms(seed, path_indices, step_index * n, n)
     return _from_uniforms(m, h, u)
@@ -89,18 +97,16 @@ def outcome_count(m: int) -> int:
     return 3**m * 2 ** (m * (m - 1) // 2)
 
 
-def enumerate_outcomes(m: int, h: float, cap: int = 10**6):
+def enumerate_outcomes(m: int, h: float):
     """Full joint sample space: dW (K, m), V (K, m, m) and the exact
     probabilities p (K,) of its K outcomes."""
     if m < 1:
         raise ValueError("need m >= 1")
-    if h <= 0:
-        raise ValueError("need h > 0")
+    check_step(h)
     total = outcome_count(m)
-    if total > cap:
-        raise CapacityError(
-            f"enumeration of m={m} has {total} outcomes, above the cap {cap}"
-        )
+    if total > _TABLE_CAP:
+        raise CapacityError(f"enumeration of m={m} has {total} outcomes, "
+                            f"above the cap {_TABLE_CAP}")
     # one representative uniform per support point of _from_uniforms
     supports = [_W_SUPPORT] * m + [_V_SUPPORT] * (m * (m - 1) // 2)
     choices = list(itertools.product(*supports))
@@ -109,7 +115,7 @@ def enumerate_outcomes(m: int, h: float, cap: int = 10**6):
     return (*_from_uniforms(m, h, u), p)
 
 
-def moments_exact(m: int, h: float, factors, cap: int = 10**6) -> float:
+def moments_exact(m: int, h: float, factors) -> float:
     """Exact expectation of a product of increment variables.
 
     ``factors`` is an iterable of index tuples: ``(k,)`` stands for I_(k) and
@@ -119,7 +125,7 @@ def moments_exact(m: int, h: float, factors, cap: int = 10**6) -> float:
     for f in factors:
         if len(f) not in (1, 2) or any(not 0 <= i < m for i in f):
             raise ValueError(f"bad factor {f} for m={m}")
-    dW, V, p = enumerate_outcomes(m, h, cap=cap)
+    dW, V, p = enumerate_outcomes(m, h)
     I2 = 0.5 * (dW[:, :, None] * dW[:, None, :] + V)
     prod = np.ones_like(p)
     for f in factors:

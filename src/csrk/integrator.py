@@ -51,9 +51,9 @@ dropped when the call returns: unlike scratch buffers kept from call to
 call, it holds no memory between evaluations.  The element-wise operations
 and their order are those of the out-of-place forms, so no bit moves.
 Stage inputs keep the out-of-place ``H = H + term``: adding H into each
-fresh product instead made glibc trim and regrow a third more heap a step
-on system2d, and the one-thread system2d command was slower in 30 of 40
-heap layouts (ROADMAP dead ends).
+fresh product instead made glibc trim and regrow the heap top at every
+step on system2d, which slowed its one-thread Monte Carlo command (ROADMAP
+dead ends).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .increments import check_step
 from .sde import SdeProblem
 from .tableau import CsrkTableau
 
@@ -199,8 +200,7 @@ def compute_step_arrays(
     V: np.ndarray,
 ) -> StageCache:
     """Stage computation over possibly batched states."""
-    if h <= 0:
-        raise ValueError("need h > 0")
+    check_step(h)
     s, m = scheme.stages, problem.dim_noise
     (c0, K0), diag, cross = scheme.stage_plan
     sqrt_h = math.sqrt(h)

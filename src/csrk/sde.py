@@ -41,31 +41,25 @@ __all__ = [
 class Functional:
     """Scalar observable of the state, limited to one component."""
 
-    kind: str  # "identity" | "square" | "polynomial"
+    kind: str  # "identity" | "square"
     component: int = 0
-    coefficients: tuple[float, ...] = ()  # highest degree first (polynomial)
+
+    def __post_init__(self):
+        if self.kind not in ("identity", "square"):
+            raise ValueError(f"unknown functional kind {self.kind!r}")
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xi = x[..., self.component]
         if self.kind == "identity":
             return xi
-        if self.kind == "square":
-            return xi * xi
-        if self.kind == "polynomial":
-            acc = np.zeros_like(xi)
-            for c in self.coefficients:
-                acc = acc * xi + c
-            return acc
-        raise ValueError(f"unknown functional kind {self.kind!r}")
+        return xi * xi
 
     @property
     def label(self) -> str:
         if self.kind == "identity":
             return f"x{self.component + 1}"
-        if self.kind == "square":
-            return f"x{self.component + 1}^2"
-        return f"poly(x{self.component + 1})"
+        return f"x{self.component + 1}^2"
 
 
 def functional_from_name(name: str) -> Functional:

@@ -48,6 +48,7 @@ import numpy as np
 
 from .increments import (
     CapacityError,
+    check_step,
     enumerate_outcomes,
     outcome_count,
     sample_batch,
@@ -76,7 +77,6 @@ __all__ = [
     "empirical_order",
     "dense_error_profile",
     "grid_for_step",
-    "check_step",
     "check_outcome_count",
     "check_fit_steps",
 ]
@@ -87,6 +87,8 @@ _CHUNK = 4096
 # a grid stores every node, and csrk simulate every output row
 _MAX_STEPS = 10**7
 _ENUM_SLICE = 1 << 20
+# default cap on an enumeration's tree leaves (outcome_cap, --outcome-cap)
+_OUTCOME_CAP = 10**7
 
 
 def normal_quantile(confidence: float) -> float:
@@ -127,12 +129,6 @@ class OrderEstimate:
     pairs: tuple[tuple[float, float], ...]  # (h, |error|)
     slope: float
     intercept: float
-
-
-def check_step(h: float) -> None:
-    """Refuse a step size that is not positive and finite."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be positive and finite, got {h}")
 
 
 def grid_for_step(problem: SdeProblem, h: float) -> TimeGrid:
@@ -203,6 +199,9 @@ def simulate_path(
 ) -> ContinuousPath:
     """Monte Carlo path ``path`` of ``seed``, with every step's cache kept
     for dense queries."""
+    # np.uint64 would truncate a float index, and overflow outside 64 bits
+    if not (isinstance(path, (int, np.integer)) and 0 <= path < 1 << 64):
+        raise ValueError(f"path must be an integer in [0, 2**64), got {path}")
     if grid.t0 < problem.t0 or grid.T > problem.T:
         raise ValueError("grid exceeds the problem's time interval")
     caches, nodes = [], [problem.x0.copy()]
@@ -390,7 +389,7 @@ def exact_weak_expectation(
     grid: TimeGrid,
     f: Functional,
     theta_eval: float = 1.0,
-    outcome_cap: int = 10**7,
+    outcome_cap: int = _OUTCOME_CAP,
 ) -> float:
     """E f(Y) by exhaustive expansion of the joint outcome tree.
 
@@ -542,6 +541,7 @@ def empirical_order(errors) -> OrderEstimate:
     """
     pairs = []
     for h, err in errors:
+        check_step(h)
         if err == 0.0:
             warnings.warn(f"dropping zero error at h={h} from order fit")
             continue

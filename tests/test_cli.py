@@ -459,7 +459,6 @@ class TestUsageErrors:
          "--theta", "0.5", "--M", "100"),
         ("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
          "--N-list", "2,4", "--outcome-cap", "-1"),
-        LOCAL + ("--h-list", "0.5,0.25", "--outcome-cap", "0"),
     ], ids=["chunk-size-0", "threads-0", "threads-negative", "overflow",
             "N-list-0", "no-scheme", "dense-h-0", "h-list-0",
             "h-list-negative", "simulate-h-nan",
@@ -469,7 +468,7 @@ class TestUsageErrors:
             "overflow-drift", "overflow-diffusion-threads",
             "overflow-functional", "T-inf", "x0-nan", "scheme-and-file",
             "f-is-not-format", "theta-is-not-theta-list",
-            "outcome-cap-negative", "local-outcome-cap-0"])
+            "outcome-cap-negative"])
     def test_one_line_exit_2(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -532,12 +531,16 @@ class TestUsageErrors:
         assert err == ["csrk: error: step 0.3 does not divide the horizon "
                        "2.0"]
 
-    @pytest.mark.parametrize("option", [
-        ("--chunk-size", "700"), ("--allow-shortened",),
-    ], ids=["chunk-size", "allow-shortened"])
-    def test_removed_option_unrecognized(self, capsys, option):
-        # the chunk size and the grid are not the caller's to choose
-        code, err = usage_error(capsys, *self.MC, *option)
+    @pytest.mark.parametrize("command,option", [
+        (MC, ("--chunk-size", "700")), (MC, ("--allow-shortened",)),
+        (LOCAL + ("--h-list", "0.5,0.25"), ("--outcome-cap", "5")),
+        (LOCAL + ("--h-list", "0.5,0.25"), ("--outcome-cap", "0")),
+    ], ids=["chunk-size", "allow-shortened", "local-outcome-cap",
+            "local-outcome-cap-0"])
+    def test_removed_option_unrecognized(self, capsys, command, option):
+        # the chunk size and the grid are not the caller's to choose, and a
+        # one-step tree (3 or 18 leaves) needs no cap
+        code, err = usage_error(capsys, *command, *option)
         assert code == 2
         assert err == [f"csrk: error: unrecognized arguments: "
                        f"{' '.join(option)}"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csrk.cli import main
 from csrk.increments import (
     CapacityError,
     _from_uniforms,
@@ -14,6 +15,12 @@ from csrk.increments import (
     sample_batch,
     uniforms_per_step,
 )
+from csrk.integrator import compute_step_arrays
+from csrk.sde import linear_problem
+from csrk.stats import empirical_order, grid_for_step
+from csrk.tableau import builtin_scheme
+
+LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
 
 
 class TestExactMoments:
@@ -89,8 +96,9 @@ class TestEnumeration:
         assert moments_exact(1, h, [(0, 0)]) == total
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            enumerate_outcomes(3, 0.5, cap=10)
+        # 3^6 * 2^15 = 23,887,872 outcomes, refused before the table is built
+        with pytest.raises(CapacityError, match="23887872 outcomes"):
+            enumerate_outcomes(6, 0.5)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -216,3 +224,35 @@ def test_sampled_invariants(m, h, seed, path):
     assert np.all(np.diag(V) == -h)
     assert np.all(V + V.T == np.diag(np.full(m, -2 * h)))
     assert uniforms_per_step(m) == m + m * (m - 1) // 2
+
+
+# every library entry that takes a step size, and csrk local-order below,
+# refuse a bad one with the one message of check_step
+STEP_ENTRIES = {
+    "compute_step_arrays": lambda h: compute_step_arrays(
+        builtin_scheme("CRDI2WM"), LIN, 0.0, LIN.x0, h, np.zeros(1),
+        np.zeros((1, 1))),
+    "sample_batch": lambda h: sample_batch(1, h, 0, 0, 0),
+    "enumerate_outcomes": lambda h: enumerate_outcomes(1, h),
+    "moments_exact": lambda h: moments_exact(1, h, [(0,)]),
+    "grid_for_step": lambda h: grid_for_step(LIN, h),
+    "empirical_order": lambda h: empirical_order([(0.25, 0.1), (h, 0.05)]),
+}
+BAD_STEPS = [0.0, -0.5, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("h", BAD_STEPS)
+@pytest.mark.parametrize("entry", STEP_ENTRIES)
+def test_step_refused_by_one_rule(entry, h):
+    with pytest.raises(ValueError) as ei:
+        STEP_ENTRIES[entry](h)
+    assert str(ei.value) == f"step h must be positive and finite, got {h}"
+
+
+@pytest.mark.parametrize("h", BAD_STEPS)
+def test_local_order_step_refused_by_one_rule(capsys, h):
+    code = main(["local-order", "--scheme", "CRDI2WM", "--problem", "linear",
+                 "--h-list", f"0.25,{h}"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"csrk: error: step h must be positive and finite, got {h}"]

@@ -20,9 +20,11 @@ class TestFunctional:
         assert np.array_equal(Functional("identity", 1)(x), [2.0, 4.0])
         assert np.array_equal(Functional("square", 0)(x), [1.0, 9.0])
 
-    def test_polynomial_matches_horner(self):
-        f = Functional("polynomial", 0, (2.0, -1.0, 3.0))  # 2x^2 - x + 3
-        assert f(np.array([2.0])) == pytest.approx(2 * 4 - 2 + 3)
+    def test_unknown_kind_refused(self):
+        # the kind is checked where the functional is made, not where used
+        with pytest.raises(ValueError, match="unknown functional kind "
+                                             "'polynomial'"):
+            Functional("polynomial", 0)
 
     def test_from_name(self):
         assert functional_from_name("x").kind == "identity"

@@ -557,6 +557,16 @@ class TestSimulateIsMonteCarloPath:
             for n, batch in enumerate(rows):
                 assert (nodes[n + 1] == batch[p - start]).all()
 
+    @pytest.mark.parametrize("path", [1.5, -1, 2**64, np.int64(-1)],
+                             ids=["float", "negative", "2^64", "int64"])
+    def test_path_outside_the_streams_refused(self, path):
+        # np.uint64 would take 1.5 as path 1 and overflow on the others
+        with pytest.raises(ValueError) as ei:
+            simulate_path(builtin_scheme("CRDI2WM"), LIN,
+                          TimeGrid.uniform(0.0, 2.0, 4), 0, path)
+        assert str(ei.value) == ("path must be an integer in [0, 2**64), "
+                                 f"got {path}")
+
 
 class TestExactExpectation:
     @pytest.mark.parametrize("theta", (1.0, 0.5))
