@@ -3,15 +3,17 @@
 Per step and noise component k, dW[k] is three-point distributed on
 {-sqrt(3h), 0, +sqrt(3h)} with probabilities 1/6, 2/3, 1/6; the auxiliary
 V[k][l] for l < k are independent +-h with probability 1/2 each, with
-V[k][k] = -h and V antisymmetric off the diagonal.  The iterated-integral
-stand-ins derive as I_(k) = dW[k] and I_(k,l) = (dW[k] dW[l] + V[k][l]) / 2.
+V[k][k] = -h and V antisymmetric off the diagonal.  The schemes are written
+in the increments I_(k) = dW[k] and the iterated-integral stand-ins
+I_(k,l) = (dW[k] dW[l] + V[k][l]) / 2.
 
-``_from_uniforms`` is the one statement of this law: ``sample_batch`` maps
-the counter uniforms of a (seed, path, step) address through it, and exact
-enumeration maps one representative uniform per support point through it.
-Every function here hands increments over as arrays, ``dW (..., m)`` and
-``V (..., m, m)``: one step of one path, a batch of paths, or the whole
-outcome table with its probabilities ``p (K,)``.  All laws have finite
+``_from_uniforms`` is the one statement of this law, and the one place
+where I2 = (I_(k,l)) is formed: ``sample_batch`` maps the counter uniforms
+of a (seed, path, step) address through it, and exact enumeration maps one
+representative uniform per support point through it.  Every function here
+hands increments over as arrays, ``dW (..., m)`` and ``I2 (..., m, m)``:
+one step of one path, a batch of paths, or the whole outcome table with its
+probabilities ``p (K,)``.  V itself is never kept.  All laws have finite
 support, so moments and weak expectations can be computed exactly by
 enumeration.
 """
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from .streams import uniforms
+from .streams import check_index, uniforms
 
 __all__ = [
     "CapacityError",
@@ -58,7 +60,8 @@ _TABLE_CAP = 10**6
 
 
 def _from_uniforms(m: int, h: float, u: np.ndarray):
-    """Map uniforms (..., m + m(m-1)/2) to dW (..., m) and V (..., m, m)."""
+    """Map uniforms (..., m + m(m-1)/2) to dW (..., m) and
+    I2 = 0.5 * (dW dW^T + V) (..., m, m)."""
     r3h = math.sqrt(3.0 * h)
     uw = u[..., :m]
     # the sign (+1, 0 or -1, as int8) times sqrt(3h) gives the same values
@@ -66,17 +69,20 @@ def _from_uniforms(m: int, h: float, u: np.ndarray):
     up = (uw >= 5.0 / 6.0).view(np.int8)
     down = (uw < 1.0 / 6.0).view(np.int8)
     dW = (up - down) * r3h
-    V = np.empty(u.shape[:-1] + (m, m), order="F")
+    # V is added entry by entry into the one array of the outer product:
+    # -h on the diagonal, +-h antisymmetric off it
+    I2 = np.multiply(dW[..., :, None], dW[..., None, :], order="F")
     for k in range(m):
-        V[..., k, k] = -h
+        I2[..., k, k] += -h
     pos = m
     for k in range(m):
         for l in range(k):
             v = np.where(u[..., pos] < 0.5, -h, h)
-            V[..., k, l] = v
-            V[..., l, k] = -v
+            I2[..., k, l] += v
+            I2[..., l, k] -= v
             pos += 1
-    return dW, V
+    I2 *= 0.5
+    return dW, I2
 
 
 def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
@@ -88,6 +94,7 @@ def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
     if m < 1:
         raise ValueError("need m >= 1")
     check_step(h)
+    check_index("step_index", step_index)
     n = uniforms_per_step(m)
     u = uniforms(seed, path_indices, step_index * n, n)
     return _from_uniforms(m, h, u)
@@ -98,7 +105,7 @@ def outcome_count(m: int) -> int:
 
 
 def enumerate_outcomes(m: int, h: float):
-    """Full joint sample space: dW (K, m), V (K, m, m) and the exact
+    """Full joint sample space: dW (K, m), I2 (K, m, m) and the exact
     probabilities p (K,) of its K outcomes."""
     if m < 1:
         raise ValueError("need m >= 1")
@@ -125,8 +132,7 @@ def moments_exact(m: int, h: float, factors) -> float:
     for f in factors:
         if len(f) not in (1, 2) or any(not 0 <= i < m for i in f):
             raise ValueError(f"bad factor {f} for m={m}")
-    dW, V, p = enumerate_outcomes(m, h)
-    I2 = 0.5 * (dW[:, :, None] * dW[:, None, :] + V)
+    dW, I2, p = enumerate_outcomes(m, h)
     prod = np.ones_like(p)
     for f in factors:
         prod *= dW[:, f[0]] if len(f) == 1 else I2[:, f[0], f[1]]

@@ -9,31 +9,35 @@ random draws.
 
 All state arithmetic broadcasts over leading batch axes, so the same code
 advances a single path (state shape ``(d,)``) or a whole chunk of paths
-(state shape ``(B, d)``, increments ``(B, m)``/``(B, m, m)``).  The one
-routine that takes a step, ``stats._advance``, calls ``compute_step_arrays``
-and ``evaluate_dense`` for the path loop, which serves the path simulator
-and the Monte Carlo engine, and for the enumeration oracle's level loop; it
-gives a ``BlowupError`` its step, and its path where the rows are paths.
+(state shape ``(B, d)``, increments ``dW (B, m)`` and ``I2 (B, m, m)``).
+The one routine that takes a step, ``stats._advance``, calls
+``compute_step_arrays`` and ``evaluate_dense`` for the path loop, which
+serves the path simulator and the Monte Carlo engine, and for the
+enumeration oracle's level loop; it gives a ``BlowupError`` its step, and
+its path where the rows are paths.
 
 Batches are path-fastest in memory (Fortran order for ``(B, ...)``): the
 engines make their states and increments that way, every element-wise
-operation here keeps its operands' layout, and the cached I2 and dense
-output are made that way, so each column such as ``dW[..., k]`` or
-``b_vals[i][k][l]`` is one contiguous run and NumPy's inner loops run over
-the B paths, not over d or m.  The arithmetic is element-wise, so the
-layout moves no bit: C-ordered states or callable returns give the same
-numbers, only more slowly.
+operation here keeps its operands' layout, and the dense output is made
+that way, so each column such as ``dW[..., k]`` or ``b_vals[i][k][l]`` is
+one contiguous run and NumPy's inner loops run over the B paths, not over
+d or m.  The arithmetic is element-wise, so the layout moves no bit:
+C-ordered states or callable returns give the same numbers, only more
+slowly.
 
 A step reads the scheme's nodes and nonzero couplings as Python floats from
 ``CsrkTableau.stage_plan``, built once per tableau.  The two diffusion
 families share one loop and one m x m table per stage: b^k at H_i^(k) on the
 diagonal and, where the cross family runs, b^k at Hhat_i^(l) off it; dense
-output sums each family over the entries it filled.  A step evaluates drift
-and diffusion at every stage and stores the iterated-integral matrix
-``I2 = 0.5 * (dW dW^T + V)`` in its cache once, for every dense evaluation of
-that step to read.  ``evaluate_dense`` takes the scheme's dense weights at
-theta, ``CsrkTableau.dense_weights(theta)``, which depend only on the scheme
-and theta: the engines build them once per run and theta.
+output sums each family over the entries it filled.  A step takes the
+increments ``dW`` and the iterated-integral stand-ins ``I2`` that its
+formulas are written in (``increments`` forms them from the schemes' law;
+any other approximation may be passed), evaluates drift and diffusion at
+every stage, and keeps only its inputs and its stage values in its cache,
+for every dense evaluation of that step to read.  ``evaluate_dense`` takes
+the scheme's dense weights at theta, ``CsrkTableau.dense_weights(theta)``,
+which depend only on the scheme and theta: the engines build them once per
+run and theta.
 
 A step keeps no more than it must.  A stage input is dropped as soon as its
 drift or diffusion call returns, not kept next to the stage values.
@@ -44,16 +48,15 @@ cache, and not the batch's; a Monte Carlo chunk is one tile.  Neither moves
 a bit.
 
 A step also writes its batch-sized temporaries once where that does not
-move the heap.  I2 is formed in the one array of the outer product.
-``_add_terms`` writes every product of a dense evaluation into one buffer
-of the output's shape, made on each call (each tile of a big batch) and
-dropped when the call returns: unlike scratch buffers kept from call to
-call, it holds no memory between evaluations.  The element-wise operations
-and their order are those of the out-of-place forms, so no bit moves.
-Stage inputs keep the out-of-place ``H = H + term``: adding H into each
-fresh product instead made glibc trim and regrow the heap top at every
-step on system2d, which slowed its one-thread Monte Carlo command (ROADMAP
-dead ends).
+move the heap.  ``_add_terms`` writes every product of a dense evaluation
+into one buffer of the output's shape, made on each call (each tile of a
+big batch) and dropped when the call returns: unlike scratch buffers kept
+from call to call, it holds no memory between evaluations.  The
+element-wise operations and their order are those of the out-of-place
+forms, so no bit moves.  Stage inputs keep the out-of-place
+``H = H + term``: adding H into each fresh product instead made glibc trim
+and regrow the heap top at every step on system2d, which slowed its
+one-thread Monte Carlo command (ROADMAP dead ends).
 """
 
 from __future__ import annotations
@@ -170,11 +173,9 @@ class StageCache:
 
     t_n: float
     h: float
-    sqrt_h: float
     y_n: np.ndarray  # (..., d)
     dW: np.ndarray  # (..., m)
-    V: np.ndarray  # (..., m, m)
-    I2: np.ndarray  # (..., m, m): 0.5 * (dW dW^T + V)
+    I2: np.ndarray  # (..., m, m): the iterated-integral stand-ins
     a_vals: tuple  # s arrays (..., d)
     # s tables of m x m arrays (..., d): b^k at H_i^(k) on the diagonal,
     # b^k at Hhat_i^(l) at [k][l] off it (None where the cross family is off)
@@ -197,16 +198,17 @@ def compute_step_arrays(
     y_n: np.ndarray,
     h: float,
     dW: np.ndarray,
-    V: np.ndarray,
+    I2: np.ndarray,
 ) -> StageCache:
-    """Stage computation over possibly batched states."""
+    """Stage computation over possibly batched states, from the increments
+    ``dW`` and the iterated-integral stand-ins ``I2``."""
     check_step(h)
     s, m = scheme.stages, problem.dim_noise
     (c0, K0), diag, cross = scheme.stage_plan
     sqrt_h = math.sqrt(h)
     y_n = np.asarray(y_n, dtype=float)
     dW = np.asarray(dW, dtype=float)
-    V = np.asarray(V, dtype=float)
+    I2 = np.asarray(I2, dtype=float)
     batched = y_n.ndim > 1
     # (nodes, couplings, family, whether its values go on the diagonal)
     families = [(*diag, "diffusion", True)]
@@ -245,12 +247,8 @@ def compute_step_arrays(
                         table[k][l] = bmat[..., :, k]
         b_vals[i] = tuple(map(tuple, table))
 
-    # I2 = 0.5 * (dW dW^T + V), formed in the one array of the outer product
-    I2 = np.multiply(dW[..., :, None], dW[..., None, :], order="F")
-    I2 += V
-    I2 *= 0.5
     return StageCache(
-        t_n=t_n, h=h, sqrt_h=sqrt_h, y_n=y_n, dW=dW, V=V, I2=I2,
+        t_n=t_n, h=h, y_n=y_n, dW=dW, I2=I2,
         a_vals=tuple(a_vals), b_vals=tuple(b_vals),
     )
 
@@ -275,11 +273,12 @@ def evaluate_dense(cache: StageCache, weights):
     operand, so a tile's temporaries are ``_TILE`` rows, not the batch's.
     """
     y_n = cache.y_n
+    sqrt_h = math.sqrt(cache.h)
     rows = len(y_n) if y_n.ndim > 1 else 0
     if rows <= _TILE:
         # order="K" keeps the states' layout; a plain copy() is C order
         y = y_n.copy(order="K")
-        _add_terms(y, weights, cache.h, cache.sqrt_h, cache.dW, cache.I2,
+        _add_terms(y, weights, cache.h, sqrt_h, cache.dW, cache.I2,
                    cache.a_vals, cache.b_vals)
         return y
 
@@ -296,7 +295,7 @@ def evaluate_dense(cache: StageCache, weights):
     for lo in range(0, rows, _TILE):
         tile = y[lo:lo + _TILE]
         tile[...] = y_n[lo:lo + _TILE]
-        _add_terms(tile, weights, cache.h, cache.sqrt_h,
+        _add_terms(tile, weights, cache.h, sqrt_h,
                    cut(cache.dW, lo), cut(cache.I2, lo, tail=2),
                    [cut(a, lo) for a in cache.a_vals],
                    [[[cut(b, lo) for b in row] for row in table]

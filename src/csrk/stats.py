@@ -61,7 +61,7 @@ from .integrator import (
     evaluate_dense,
 )
 from .sde import Functional, SdeProblem
-from .streams import KeyedPaths
+from .streams import KeyedPaths, check_index
 from .tableau import CsrkTableau
 
 __all__ = [
@@ -151,7 +151,7 @@ def grid_for_step(problem: SdeProblem, h: float) -> TimeGrid:
 # the step, and paths with dense output
 # ---------------------------------------------------------------------------
 
-def _advance(scheme, problem, grid, n, y, dW, V, weights, paths=None):
+def _advance(scheme, problem, grid, n, y, dW, I2, weights, paths=None):
     """Step n of the grid from states y: (cache, Y(t_n + theta h_n)), where
     ``weights`` is ``scheme.dense_weights(theta)``.
 
@@ -161,7 +161,7 @@ def _advance(scheme, problem, grid, n, y, dW, V, weights, paths=None):
     """
     t_n, h_n = grid.step(n)
     try:
-        cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, V)
+        cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, I2)
     except BlowupError as exc:
         exc.step = n
         # exc.path is the failing batch row, None for a single path
@@ -200,8 +200,7 @@ def simulate_path(
     """Monte Carlo path ``path`` of ``seed``, with every step's cache kept
     for dense queries."""
     # np.uint64 would truncate a float index, and overflow outside 64 bits
-    if not (isinstance(path, (int, np.integer)) and 0 <= path < 1 << 64):
-        raise ValueError(f"path must be an integer in [0, 2**64), got {path}")
+    check_index("path", path)
     if grid.t0 < problem.t0 or grid.T > problem.T:
         raise ValueError("grid exceeds the problem's time interval")
     caches, nodes = [], [problem.x0.copy()]
@@ -276,6 +275,8 @@ def mc_expectations_at(
     index with one.
     """
     z = normal_quantile(confidence)
+    # refused here, not in the first chunk's worker
+    check_index("seed", seed)
     eval_points = [grid.locate(t) for t in eval_times]
     if not eval_points:
         raise ValueError("need at least one evaluation time")
@@ -414,9 +415,9 @@ def exact_weak_expectation(
         new_rows = outs[2].size * rows
         new_blocks = [None] * -(-new_rows // _ENUM_SLICE)
         for b in range(len(blocks)):
-            for o, (dW, V) in enumerate(zip(outs[0], outs[1])):
+            for o, (dW, I2) in enumerate(zip(outs[0], outs[1])):
                 # [1]: keep no cache alive into the next slice's step
-                y = _advance(scheme, problem, grid, n, blocks[b], dW, V,
+                y = _advance(scheme, problem, grid, n, blocks[b], dW, I2,
                              weights)[1]
                 _store(new_blocks, new_rows, o * rows + b * _ENUM_SLICE, y)
             # every outcome has stepped this slice: the level shrinks as
@@ -437,11 +438,11 @@ def exact_weak_expectation(
     for b in range(len(blocks)):
         lo = b * _ENUM_SLICE
         probs = _row_probs(base, above, lo, lo + blocks[b].shape[0])
-        for o, (dW, V, p) in enumerate(zip(*outs)):
+        for o, (dW, I2, p) in enumerate(zip(*outs)):
             # y lives into the next step call: a heap block above the step's
             # temporaries keeps the C allocator from handing them back to
             # the kernel between calls (3x the page faults)
-            y = _advance(scheme, problem, grid, n, blocks[b], dW, V,
+            y = _advance(scheme, problem, grid, n, blocks[b], dW, I2,
                          weights)[1]
             terms[o, b] = p * float(probs @ f(y))
         blocks[b] = None

@@ -17,6 +17,11 @@ where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche),
 integer arithmetic is modulo 2**64.  ``tests/test_streams.py`` checks the
 draws against these formulas in Python ints.
 
+A seed, a path index, a draw index ``start``, a draw ``count`` and their
+sum are each an integer in [0, 2**64), checked by ``check_index``: outside
+it NumPy would truncate a float, or wrap or overflow an integer, and the
+draws would belong to another address or be none at all.
+
 The key depends only on (seed, path), so a caller that draws from the same
 paths many times computes the keys once: Monte Carlo builds each chunk's path
 indices as ``KeyedPaths``, which carry their keys into every ``uniforms``
@@ -52,14 +57,34 @@ def _mix64(z):
     return z
 
 
-def stream_keys(seed: int, path_indices) -> np.ndarray:
-    """Per-path 64-bit keys; distinct for distinct (seed, path).
+def check_index(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer in [0, 2**64): a Python or
+    NumPy integer, not a bool or a float, or an array or list of them.
 
-    The seed must lie in [0, 2**64): a seed outside would be taken modulo
-    2**64 and alias one inside.
+    An unsigned integer array passes on its dtype alone, so checking a
+    chunk's path indices costs O(1).
     """
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if type(value) is int:
+        if 0 <= value < 1 << 64:
+            return
+    elif isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        if kind == "u" or (kind == "i" and (value.size == 0
+                                            or value.min() >= 0)):
+            return
+    elif isinstance(value, (list, tuple)):
+        for v in value:  # the message names the bad entry
+            check_index(name, v)
+        return
+    elif isinstance(value, np.integer) and 0 <= value < 1 << 64:
+        return
+    raise ValueError(f"{name} must be an integer in [0, 2**64), got {value}")
+
+
+def stream_keys(seed: int, path_indices) -> np.ndarray:
+    """Per-path 64-bit keys; distinct for distinct (seed, path)."""
+    check_index("seed", seed)
+    check_index("path", path_indices)
     p = np.asarray(path_indices, dtype=np.uint64)
     # the seed, and a 0-d index, are mixed as scalars, which warn on wrap
     with np.errstate(over="ignore"):
@@ -76,9 +101,10 @@ class KeyedPaths(np.ndarray):
     """
 
     def __new__(cls, seed: int, path_indices):
+        # checked before the uint64 conversion, which would truncate
+        keys = stream_keys(seed, path_indices)
         self = np.asarray(path_indices, dtype=np.uint64).view(cls)
-        self.seed = seed
-        self.keys = stream_keys(seed, path_indices)
+        self.seed, self.keys = seed, keys
         return self
 
     def __array_finalize__(self, obj):
@@ -92,10 +118,16 @@ def uniforms(seed: int, path_indices, start: int, count: int) -> np.ndarray:
     is draw-major: the paths are on the contiguous axis, so one draw of a
     whole batch is one contiguous run.
     """
+    # keyed indices were checked when they were keyed
     if isinstance(path_indices, KeyedPaths) and path_indices.seed == seed:
+        check_index("seed", seed)  # 1.0 == 1, but 1.0 is no seed
         keys = path_indices.keys
     else:
         keys = stream_keys(seed, path_indices)
+    check_index("start", start)
+    check_index("count", count)
+    # the counter of the last draw, start + count, is a 64-bit word too
+    check_index("start + count", int(start) + int(count))
     ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     # one array, mixed and shifted in place; every later operation keeps
     # the layout of this first one

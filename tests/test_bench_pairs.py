@@ -65,3 +65,53 @@ def test_refuses_a_missing_commit_and_a_run_length_or_pair_count(extra,
         bench_pairs.main(["p", "c", "--pr", "1", *extra])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+BOUNDED = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "rate", "better": "higher", "bound": 0.1}]
+
+
+def paired(parent, change):
+    """Runs of one workload, pair k with the k-th (wall, rate) of each."""
+    return {"w": {side: [run(k, *vals) for k, vals in enumerate(values)]
+                  for side, values in (("parent", parent),
+                                       ("change", change))}}
+
+
+def judged(parent, change, claim=None):
+    summary = bench_pairs.summarize(paired(parent, change), BOUNDED)
+    return bench_pairs.judge(summary, BOUNDED, claim)["w"]
+
+
+PARENT = [(1.0 + 0.01 * k, 5.0) for k in range(10)]  # quartile spread 0.045
+WALL = {"workload": "w", "metric": "wall_s"}
+
+
+@pytest.mark.parametrize("change,met", [
+    # 10 of 10 pairs, the median 0.1 lower
+    ([(w - 0.1, r) for w, r in PARENT], True),
+    # 9 of 10 pairs suffice
+    ([(w - 0.1, r) for w, r in PARENT[:9]] + [(1.2, 5.0)], True),
+    # 8 of 10 pairs do not, however far the median moves
+    ([(w - 0.5, r) for w, r in PARENT[:8]] + [(1.2, 5.0)] * 2, False),
+    # 10 of 10 pairs, but by less than the parent's quartile spread
+    ([(w - 0.04, r) for w, r in PARENT], False),
+], ids=["all-pairs", "nine-pairs", "eight-pairs", "inside-the-spread"])
+def test_claim_met(change, met):
+    s = judged(PARENT, change, WALL)
+    assert s["wall_s"]["claim_met"] is met
+    # only the claimed metric is judged as a claim
+    assert "claim_met" not in s["rate"]
+
+
+@pytest.mark.parametrize("scale,rate,within", [
+    (1.24, 5.0, True), (1.3, 5.0, False),  # lower is better: +25% allowed
+    (1.0, 4.5, True), (1.0, 4.4, False),  # higher is better: -10% allowed
+    (0.5, 9.0, True),  # better is always within
+])
+def test_within_bound(scale, rate, within):
+    change = [(w * scale, rate) for w, _ in PARENT]
+    s = judged(PARENT, change)
+    assert (s["wall_s"]["within_bound"] and s["rate"]["within_bound"]) \
+        is within
+    assert "claim_met" not in s["wall_s"]

@@ -568,7 +568,8 @@ class TestUsageErrors:
         monkeypatch.setattr(csrk.stats, "compute_step_arrays", step)
         code, err = usage_error(capsys, *command, "--seed", seed)
         assert code == 2
-        assert err == [f"csrk: error: seed must lie in [0, 2**64), got {seed}"]
+        assert err == [f"csrk: error: seed must be an integer in [0, 2**64), "
+                       f"got {seed}"]
         assert calls == []
 
     @pytest.mark.parametrize("h,sub,rows", [

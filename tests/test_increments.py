@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ from csrk.stats import empirical_order, grid_for_step
 from csrk.tableau import builtin_scheme
 
 LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
+
+
+def implied_v(dW, I2, h):
+    """The V of I2 = 0.5 * (dW dW^T + V), entry by entry: whichever of -h
+    and +h gives I2's bits (the two never do both), else NaN.  So the law
+    of V is asserted exactly on I2."""
+    outer = dW[..., :, None] * dW[..., None, :]
+    return np.where(I2 == 0.5 * (outer - h), -h,
+                    np.where(I2 == 0.5 * (outer + h), h, np.nan))
 
 
 class TestExactMoments:
@@ -60,24 +70,26 @@ class TestExactMoments:
 
 class TestEnumeration:
     def test_m1_support(self):
-        dW, V, p = enumerate_outcomes(1, 0.25)
-        assert dW.shape == (3, 1) and V.shape == (3, 1, 1) and p.shape == (3,)
+        dW, I2, p = enumerate_outcomes(1, 0.25)
+        assert dW.shape == (3, 1) and I2.shape == (3, 1, 1) and \
+            p.shape == (3,)
         assert sorted(p) == pytest.approx([1 / 6, 1 / 6, 2 / 3])
         r = math.sqrt(3 * 0.25)
         assert sorted(dW[:, 0]) == pytest.approx([-r, 0.0, r])
-        assert np.all(V[:, 0, 0] == -0.25)
+        assert np.all(implied_v(dW, I2, 0.25)[:, 0, 0] == -0.25)
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_cardinality_and_total_probability(self, m):
-        dW, V, p = enumerate_outcomes(m, 0.5)
-        assert len(dW) == len(V) == len(p) == outcome_count(m) == \
+        dW, I2, p = enumerate_outcomes(m, 0.5)
+        assert len(dW) == len(I2) == len(p) == outcome_count(m) == \
             3**m * 2 ** (m * (m - 1) // 2)
         assert p.sum() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("m", (2, 3))
     def test_v_structure(self, m):
         h = 0.8
-        for V in enumerate_outcomes(m, h)[1]:
+        dW, I2, _ = enumerate_outcomes(m, h)
+        for V in implied_v(dW, I2, h):
             assert np.all(np.diag(V) == -h)
             for k in range(m):
                 for l in range(k):
@@ -88,8 +100,7 @@ class TestEnumeration:
         # I_(k,k) = (dW_k^2 - h)/2, and its mean is 0
         h = 0.3
         total = 0.0
-        for dW, V, p in zip(*enumerate_outcomes(1, h)):
-            i2 = 0.5 * (np.outer(dW, dW) + V)
+        for dW, i2, p in zip(*enumerate_outcomes(1, h)):
             assert i2[0, 0] == pytest.approx((dW[0] ** 2 - h) / 2)
             total += p * i2[0, 0]
         assert abs(total) <= 1e-15
@@ -108,7 +119,8 @@ class TestEnumeration:
 
 
 def from_uniforms_reference(m, h, u):
-    """_from_uniforms with dW selected by a nested np.where."""
+    """_from_uniforms with dW selected by a nested np.where, V built as an
+    array and I2 = 0.5 * (dW dW^T + V) formed from it."""
     r3h = math.sqrt(3.0 * h)
     uw = u[..., :m]
     dW = np.where(uw < 1.0 / 6.0, -r3h, np.where(uw >= 5.0 / 6.0, r3h, 0.0))
@@ -122,12 +134,13 @@ def from_uniforms_reference(m, h, u):
             V[..., k, l] = v
             V[..., l, k] = -v
             pos += 1
-    return dW, V
+    return dW, 0.5 * (dW[..., :, None] * dW[..., None, :] + V)
 
 
 class TestFromUniforms:
-    """The sign-times-sqrt(3h) mapping gives the nested np.where's bits,
-    +0.0 included, on and next to both thresholds."""
+    """The sign-times-sqrt(3h) mapping, and V added into I2 entry by entry,
+    give the bits of a nested np.where and of I2 formed from a V array, +0.0
+    included, on and next to both thresholds."""
 
     EDGES = [0.0, 0.5, 1.0 - 2.0**-53]
     for cut in (1.0 / 6.0, 5.0 / 6.0):
@@ -151,6 +164,28 @@ class TestFromUniforms:
         zero = _from_uniforms(m, h, np.full((1, n), 0.5))[0]
         assert not np.signbit(zero).any()
 
+    SLACK = 8 << 10  # Python objects
+    BUFFER = np.getbufsize() * 8  # NumPy's ufunc buffer, for a broadcast
+
+    @pytest.mark.parametrize("m", (1, 2))
+    def test_i2_formed_in_one_array(self, m):
+        # beside its two results the mapping holds only (rows,) and
+        # (rows, m) masks and sign values: no second (rows, m, m) array
+        rows = 1 << 14
+        u = np.random.default_rng(m).random((rows, uniforms_per_step(m)))
+        _from_uniforms(m, 0.5, u)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dW, I2 = _from_uniforms(m, 0.5, u)
+            beside = (tracemalloc.get_traced_memory()[1] - base
+                      - dW.nbytes - I2.nbytes)
+        finally:
+            tracemalloc.stop()
+        masks = 3 * rows * m + (9 * rows if m > 1 else 0)
+        assert beside <= masks + self.BUFFER + self.SLACK, (beside,
+                                                            I2.nbytes)
+
 
 class TestSampling:
     def test_reproducibility(self):
@@ -167,7 +202,8 @@ class TestSampling:
         h = 0.5
         r = math.sqrt(3 * h)
         for step in range(200):
-            dW, V = sample_batch(3, h, 0, 0, step)
+            dW, I2 = sample_batch(3, h, 0, 0, step)
+            V = implied_v(dW, I2, h)
             assert all(v in (-r, 0.0, r) for v in dW)
             assert np.all(np.diag(V) == -h)
             assert np.array_equal(V, -V.T + np.diag(2 * np.diag(V)))
@@ -176,27 +212,27 @@ class TestSampling:
         # a batch row must replicate the draws of its path sampled alone
         m, h, seed = 2, 0.25, 123
         n_paths, n_steps = 5, 4
-        dW, V = [], []
+        dW, I2 = [], []
         for step in range(n_steps):
-            d, v = sample_batch(m, h, seed, np.arange(n_paths), step)
+            d, i2 = sample_batch(m, h, seed, np.arange(n_paths), step)
             dW.append(d)
-            V.append(v)
+            I2.append(i2)
         for p in range(n_paths):
             for step in range(n_steps):
-                d, v = sample_batch(m, h, seed, np.uint64(p), step)
+                d, i2 = sample_batch(m, h, seed, np.uint64(p), step)
                 assert np.array_equal(d, dW[step][p])
-                assert np.array_equal(v, V[step][p])
+                assert np.array_equal(i2, I2[step][p])
 
     @pytest.mark.parametrize("m", (1, 2))
     def test_frequencies_match_enumeration(self, m):
         """Empirical outcome frequencies within 5 standard errors."""
         h, n = 1.0, 10**6
-        dW, V = sample_batch(m, h, 2024, np.arange(n), 0)
-        for dw, v, p in zip(*enumerate_outcomes(m, h)):
+        dW, I2 = sample_batch(m, h, 2024, np.arange(n), 0)
+        for dw, i2, p in zip(*enumerate_outcomes(m, h)):
             hits = np.all(np.abs(dW - dw) < 1e-12, axis=1)
             if m > 1:
                 hits &= np.all(
-                    np.abs(V - v) < 1e-12, axis=(1, 2)
+                    np.abs(I2 - i2) < 1e-12, axis=(1, 2)
                 )
             freq = hits.mean()
             se = math.sqrt(p * (1 - p) / n)
@@ -219,8 +255,9 @@ class TestSampling:
     path=st.integers(0, 2**20),
 )
 def test_sampled_invariants(m, h, seed, path):
-    dW, V = sample_batch(m, h, seed, path, 0)
-    assert dW.shape == (m,) and V.shape == (m, m)
+    dW, I2 = sample_batch(m, h, seed, path, 0)
+    assert dW.shape == (m,) and I2.shape == (m, m)
+    V = implied_v(dW, I2, h)
     assert np.all(np.diag(V) == -h)
     assert np.all(V + V.T == np.diag(np.full(m, -2 * h)))
     assert uniforms_per_step(m) == m + m * (m - 1) // 2

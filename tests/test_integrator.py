@@ -83,9 +83,9 @@ class TestTimeGrid:
 class TestStages:
     def test_single_stage_collapses_to_left_node(self):
         y = np.array([0.1])
-        dW, V = sample_batch(1, 0.5, 0, 0, 0)
+        dW, I2 = sample_batch(1, 0.5, 0, 0, 0)
         cache = compute_step_arrays(
-            builtin_scheme("EULER_OPT"), LIN, 0.0, y, 0.5, dW, V
+            builtin_scheme("EULER_OPT"), LIN, 0.0, y, 0.5, dW, I2
         )
         # H_1^(0) = H_1^(k) = y_n, so the cached values are a(y_n), b(y_n)
         assert cache.a_vals[0][0] == pytest.approx(1.5 * 0.1)
@@ -94,18 +94,18 @@ class TestStages:
     def test_crdi2_stage2_diffusion_argument(self):
         a, b, h = 1.5, 0.1, 0.25
         y = np.array([0.1])
-        dW, V = sample_batch(1, h, 3, 0, 0)
+        dW, I2 = sample_batch(1, h, 3, 0, 0)
         cache = compute_step_arrays(builtin_scheme("CRDI2WM"), LIN, 0.0, y, h,
-                                    dW, V)
+                                    dW, I2)
         # H_2^(1) = y (1 + (2/3) a h + sqrt(2/3) b sqrt(h))
         H2 = 0.1 * (1 + 2 / 3 * a * h + math.sqrt(2 / 3) * b * math.sqrt(h))
         assert cache.b_vals[1][0][0][0] == pytest.approx(b * H2, rel=1e-14)
 
     def test_zero_diffusion_classical_stages(self):
         ode = ode_problem(1.0, 1.0, 1.0)
-        dW, V = sample_batch(1, 0.5, 0, 0, 0)
+        dW, I2 = sample_batch(1, 0.5, 0, 0, 0)
         cache = compute_step_arrays(
-            builtin_scheme("CRDI3WM"), ode, 0.0, np.array([1.0]), 0.5, dW, V
+            builtin_scheme("CRDI3WM"), ode, 0.0, np.array([1.0]), 0.5, dW, I2
         )
         # H_2^(0) = 1 + 0.5 h a(H_1), H_3^(0) = 1 + 0.75 h a(H_2)
         h = 0.5
@@ -121,11 +121,11 @@ class TestStages:
             diffusion=lambda t, x: x[..., :, None],
             x0=[1.0], t0=0.0, T=1.0, label="bad",
         )
-        dW, V = sample_batch(1, 0.5, 0, 0, 0)
+        dW, I2 = sample_batch(1, 0.5, 0, 0, 0)
         with pytest.raises(BlowupError) as ei:
             compute_step_arrays(
                 builtin_scheme("CRDI2WM"), bad, 0.0, np.array([1.0]), 0.5,
-                dW, V,
+                dW, I2,
             )
         assert ei.value.family == "drift"
         assert ei.value.stage == 0
@@ -150,11 +150,11 @@ class TestStages:
             LIN, drift=drift or LIN.drift,
             diffusion=diffusion or LIN.diffusion)
         y = np.full((5, 1) if batched else (1,), 0.1)
-        dW, V = sample_batch(1, 0.25, 0, np.arange(5, dtype=np.uint64)
+        dW, I2 = sample_batch(1, 0.25, 0, np.arange(5, dtype=np.uint64)
                              if batched else 0, 0)
         with pytest.raises(ValueError) as ei:
             compute_step_arrays(builtin_scheme("CRDI3WM"), problem, 0.0, y,
-                                0.25, dW, V)
+                                0.25, dW, I2)
         assert str(ei.value) == message
 
     def test_shape_contract_in_monte_carlo(self):
@@ -166,9 +166,9 @@ class TestStages:
                                Functional("identity"), [2.0], 1024, 0)
 
 
-def step_reference(scheme, problem, t_n, y_n, h, dW, V):
+def step_reference(scheme, problem, t_n, y_n, h, dW):
     """compute_step_arrays reading A, B and c = A e from the tableau's
-    matrices."""
+    matrices; no stage reads I2."""
     s, m = scheme.stages, problem.dim_noise
     A0, A1, A2 = scheme.A0, scheme.A1, scheme.A2
     c0, c1, c2 = A0.sum(axis=1), A1.sum(axis=1), A2.sum(axis=1)
@@ -250,12 +250,12 @@ class TestStagePlan:
             rng = np.random.default_rng(3)
             scale = np.concatenate([[-0.0, 0.0] * 16, rng.uniform(-2, 2, 96)])
             y = problem.x0 * scale[:, None]
-            dW, V = sample_batch(m, h, 7, np.arange(128, dtype=np.uint64), 0)
+            dW, I2 = sample_batch(m, h, 7, np.arange(128, dtype=np.uint64), 0)
         else:
             y = problem.x0
-            dW, V = sample_batch(m, h, 7, 0, 0)
-        cache = compute_step_arrays(scheme, problem, t_n, y, h, dW, V)
-        want = step_reference(scheme, problem, t_n, y, h, dW, V)
+            dW, I2 = sample_batch(m, h, 7, 0, 0)
+        cache = compute_step_arrays(scheme, problem, t_n, y, h, dW, I2)
+        want = step_reference(scheme, problem, t_n, y, h, dW)
         a_vals, b_diag, b_cross = want
         got = flat_arrays((cache.a_vals, cache.b_vals))
         want = flat_arrays((a_vals, as_table(b_diag, b_cross)))
@@ -308,11 +308,11 @@ class TestCheckFinite:
             dim_state=1, dim_noise=1, drift=lambda t, x: 1.5 * x,
             diffusion=diffusion, x0=[0.1], t0=0.0, T=1.0, label="bad",
         )
-        dW, V = sample_batch(1, 0.25, 0, np.arange(5, dtype=np.uint64), 0)
+        dW, I2 = sample_batch(1, 0.25, 0, np.arange(5, dtype=np.uint64), 0)
         y = np.full((5, 1), 0.1)
         with pytest.raises(BlowupError) as ei:
             compute_step_arrays(builtin_scheme("CRDI3WM"), problem, 0.0, y,
-                                0.25, dW, V)
+                                0.25, dW, I2)
         e = ei.value
         assert (e.path, e.stage, e.family) == (row, 1, "diffusion")
 
@@ -338,17 +338,17 @@ class TestLayout:
         problem, scheme, h, t_n = system2d_problem(), builtin_scheme(name), \
             0.3, 0.7
         y = np.random.default_rng(5).uniform(-2, 2, (64, 2))
-        dW, V = sample_batch(2, h, 7, np.arange(64, dtype=np.uint64), 0)
+        dW, I2 = sample_batch(2, h, 7, np.arange(64, dtype=np.uint64), 0)
         outs = {}
         # None: the problem as given, on the increments sample_batch makes
         for order in (None, "C", "F"):
-            p, args = problem, (y, dW, V)
+            p, args = problem, (y, dW, I2)
             if order is not None:
                 p = with_layout(problem, order)
                 args = [np.array(a, order=order) for a in args]
             cache = compute_step_arrays(scheme, p, t_n, args[0], h, *args[1:])
             if order is not None:
-                for a in (cache.y_n, cache.dW, cache.V, *cache.a_vals):
+                for a in (cache.y_n, cache.dW, cache.I2, *cache.a_vals):
                     assert a.flags[f"{order}_CONTIGUOUS"]
             arrays = [cache.I2, *cache.a_vals, *flat_arrays(cache.b_vals)]
             arrays += [evaluate_dense(cache, scheme.dense_weights(theta))
@@ -374,7 +374,7 @@ class TestLayout:
         b_vals = flat_arrays(cache.b_vals)
         assert all(b is not None for b in b_vals)  # the cross family ran
         assert len(drawn) == 1
-        for a in (*drawn, cache.dW, cache.V, cache.y_n, cache.I2, y,
+        for a in (*drawn, cache.dW, cache.y_n, cache.I2, y,
                   *cache.a_vals, *b_vals):
             assert a.shape[0] == 4096 and a.flags.f_contiguous
 
@@ -383,9 +383,9 @@ class TestDenseOutput:
     def test_euler_linear_dense_formula(self):
         a, b, h, th = 1.5, 0.1, 0.5, 0.37
         y = np.array([0.1])
-        dW, V = sample_batch(1, h, 5, 0, 0)
+        dW, I2 = sample_batch(1, h, 5, 0, 0)
         cache = compute_step_arrays(
-            builtin_scheme("EULER_LINEAR"), LIN, 0.0, y, h, dW, V
+            builtin_scheme("EULER_LINEAR"), LIN, 0.0, y, h, dW, I2
         )
         got = evaluate_dense(cache,
                              builtin_scheme("EULER_LINEAR").dense_weights(th))
@@ -394,17 +394,18 @@ class TestDenseOutput:
 
     def test_theta_zero_bit_exact(self):
         y = np.array([0.1])
-        dW, V = sample_batch(1, 0.5, 0, 0, 0)
+        dW, I2 = sample_batch(1, 0.5, 0, 0, 0)
         for name in scheme_names():
             t = builtin_scheme(name)
-            cache = compute_step_arrays(t, LIN, 0.0, y, 0.5, dW, V)
+            cache = compute_step_arrays(t, LIN, 0.0, y, 0.5, dW, I2)
             out = evaluate_dense(cache, t.dense_weights(0.0))
             assert np.array_equal(out, y)
 
     def test_theta_domain(self):
-        dW, V = sample_batch(1, 0.5, 0, 0, 0)
+        dW, I2 = sample_batch(1, 0.5, 0, 0, 0)
         t = builtin_scheme("EULER_OPT")
-        cache = compute_step_arrays(t, LIN, 0.0, np.array([0.1]), 0.5, dW, V)
+        cache = compute_step_arrays(t, LIN, 0.0, np.array([0.1]), 0.5, dW,
+                                    I2)
         with pytest.raises(ValueError):
             evaluate_dense(cache, t.dense_weights(1.5))
 
@@ -414,26 +415,26 @@ class TestDenseOutput:
         t = builtin_scheme("EULER_OPT")
         for th in (0.2, 0.5, 0.8, 1.0):
             mean = 0.0
-            for dW, V, p in zip(*enumerate_outcomes(1, h)):
+            for dW, I2, p in zip(*enumerate_outcomes(1, h)):
                 cache = compute_step_arrays(t, LIN, 0.0, np.array([x0]), h,
-                                            dW, V)
+                                            dW, I2)
                 mean += p * evaluate_dense(cache, t.dense_weights(th))[0]
             assert mean == pytest.approx(x0 * (1 + a * th * h), rel=1e-14)
 
 
 def dense_reference(cache, scheme, theta):
-    """evaluate_dense with the weights and I2 rebuilt on every call."""
+    """evaluate_dense with the weights rebuilt on every call, from the
+    cache's increments dW and I2 as they are."""
     if theta == 0.0:
         return cache.y_n.copy()
     s = scheme.stages
     m = cache.dW.shape[-1]
-    h, sqrt_h = cache.h, cache.sqrt_h
+    h, sqrt_h = cache.h, math.sqrt(cache.h)
     al, b1, b2, b3, b4 = (
         np.array([w(theta) for w in ws])
         for ws in (scheme.alpha, scheme.beta1, scheme.beta2, scheme.beta3,
                    scheme.beta4))
-    dW = cache.dW
-    I2 = 0.5 * (dW[..., :, None] * dW[..., None, :] + cache.V)
+    dW, I2 = cache.dW, cache.I2
 
     y = cache.y_n.copy()
     for i in range(s):
@@ -473,11 +474,11 @@ class TestDenseWeights:
             # changes the sign of the result
             scale = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])[:, None]
             y = problem.x0 * scale
-            dW, V = sample_batch(m, h, 7, np.arange(5, dtype=np.uint64), 0)
+            dW, I2 = sample_batch(m, h, 7, np.arange(5, dtype=np.uint64), 0)
         else:
             y = problem.x0
-            dW, V = sample_batch(m, h, 7, 0, 0)
-        cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
+            dW, I2 = sample_batch(m, h, 7, 0, 0)
+        cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, I2)
         for theta in (0.0, 0.3, 1.0):
             want = dense_reference(cache, scheme, theta)
             got = evaluate_dense(cache, scheme.dense_weights(theta))
@@ -490,9 +491,9 @@ class TestDenseWeights:
         # the diagonal family's sum comes before the cross family's; on 4096
         # sampled paths, summing them the other way round changes bits
         problem, scheme, h = system2d_problem(), builtin_scheme(name), 0.3
-        dW, V = sample_batch(2, h, 7, np.arange(4096, dtype=np.uint64), 0)
+        dW, I2 = sample_batch(2, h, 7, np.arange(4096, dtype=np.uint64), 0)
         y = np.broadcast_to(problem.x0, (4096, 2)).copy()
-        cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
+        cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, I2)
         for theta in (0.3, 1.0):
             want = dense_reference(cache, scheme, theta)
             got = evaluate_dense(cache, scheme.dense_weights(theta))
@@ -516,11 +517,12 @@ class TestRowTiles:
         y = np.array(np.random.default_rng(3).uniform(
             -2, 2, (rows, problem.dim_state)), order=order)
         if batched:
-            dW, V = sample_batch(m, h, 7, np.arange(rows, dtype=np.uint64), 0)
+            dW, I2 = sample_batch(m, h, 7, np.arange(rows, dtype=np.uint64),
+                                  0)
         else:
             # an enumeration step: one outcome's increments for every row
-            dW, V, _ = (a[-1] for a in enumerate_outcomes(m, h))
-        cache = compute_step_arrays(scheme, problem, 0.2, y, h, dW, V)
+            dW, I2, _ = (a[-1] for a in enumerate_outcomes(m, h))
+        cache = compute_step_arrays(scheme, problem, 0.2, y, h, dW, I2)
         if m > 1:
             assert cache.b_vals[0][0][1] is not None  # the cross family ran
         weights = scheme.dense_weights(theta)
@@ -536,8 +538,8 @@ class TestRowTiles:
         rows, tile = 1 << 16, 1 << 10
         scheme, h = builtin_scheme("CRDI3WM"), 0.25
         y = np.full((rows, 1), 0.1, order="F")
-        dW, V = sample_batch(1, h, 7, np.arange(rows, dtype=np.uint64), 0)
-        cache = compute_step_arrays(scheme, LIN, 0.0, y, h, dW, V)
+        dW, I2 = sample_batch(1, h, 7, np.arange(rows, dtype=np.uint64), 0)
+        cache = compute_step_arrays(scheme, LIN, 0.0, y, h, dW, I2)
         weights = scheme.dense_weights(0.3)
         monkeypatch.setattr(csrk.integrator, "_TILE", tile)
         tracemalloc.start()
@@ -551,30 +553,31 @@ class TestRowTiles:
         assert peak < out.nbytes + 8 * (8 * tile), (peak, out.nbytes)
 
 
-class TestI2OneArray:
-    """A step forms I2 in the one array of the outer product: after the
-    last drift or diffusion call it makes nothing else batch-sized."""
+class TestStepEnd:
+    """After its last drift or diffusion call a step makes nothing
+    batch-sized but the finiteness mask of that call's value: it keeps the
+    I2 it was given."""
 
     SLACK = 8 << 10  # Python objects
-    BUFFER = np.getbufsize() * 8  # NumPy's ufunc buffer, for a broadcast
 
     @pytest.mark.parametrize("problem_name", ("linear", "system2d"))
-    def test_peak_beside_i2_is_the_ufunc_buffer(self, problem_name):
+    def test_nothing_batch_sized_after_the_last_call(self, problem_name):
         base = LIN if problem_name == "linear" else system2d_problem()
         scheme, h, rows = builtin_scheme("CRDI3WM"), 0.25, 4096
         y = np.broadcast_to(base.x0, (rows, base.dim_state)).copy("F")
-        dW, V = sample_batch(base.dim_noise, h, 7,
-                             np.arange(rows, dtype=np.uint64), 0)
-        compute_step_arrays(scheme, base, 0.0, y, h, dW, V)  # warm caches
-        held = [0]
+        dW, I2 = sample_batch(base.dim_noise, h, 7,
+                              np.arange(rows, dtype=np.uint64), 0)
+        compute_step_arrays(scheme, base, 0.0, y, h, dW, I2)  # warm caches
+        at_return, mask = [0], [0]
 
         def spying(fn):
             def call(t, x):
                 out = fn(t, x)
-                # the values returned so far are held; the peak restarts
-                # when the last call returns
-                held[0] += out.nbytes
+                # the peak restarts when the last call returns, from what
+                # is alive then: the stage values and this call's input
                 tracemalloc.reset_peak()
+                at_return[0] = tracemalloc.get_traced_memory()[0]
+                mask[0] = out.size  # np.isfinite's bools
                 return out
             return call
 
@@ -582,13 +585,41 @@ class TestI2OneArray:
                                       diffusion=spying(base.diffusion))
         tracemalloc.start()
         try:
-            held[0] = tracemalloc.get_traced_memory()[0]
-            cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
-            beside = (tracemalloc.get_traced_memory()[1] - held[0]
-                      - cache.I2.nbytes)
+            cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, I2)
+            beside = tracemalloc.get_traced_memory()[1] - at_return[0]
         finally:
             tracemalloc.stop()
-        assert beside <= self.BUFFER + self.SLACK, (beside, cache.I2.nbytes)
+        assert cache.I2 is I2
+        assert beside <= mask[0] + self.SLACK, beside
+
+
+class TestGivenI2:
+    """A step takes any iterated-integral approximation: the cache keeps
+    the I2 it is given and the dense output reads it, while no stage
+    value depends on it."""
+
+    @pytest.mark.parametrize("m", (1, 2))
+    @pytest.mark.parametrize("batched", (False, True), ids=("single", "batch"))
+    def test_cache_and_dense_use_the_given_i2(self, m, batched):
+        problem = LIN if m == 1 else system2d_problem()
+        scheme, h = builtin_scheme("CRDI3WM"), 0.3
+        paths = np.arange(5, dtype=np.uint64) if batched else 0
+        dW, I2 = sample_batch(m, h, 7, paths, 0)
+        y = np.broadcast_to(problem.x0, dW.shape[:-1] + (problem.dim_state,))
+        # Gaussian stand-ins, not 0.5 * (dW dW^T + V) for any V of the law
+        given = np.random.default_rng(1).normal(0.0, h, I2.shape)
+        cache = compute_step_arrays(scheme, problem, 0.0, y, h, dW, given)
+        law = compute_step_arrays(scheme, problem, 0.0, y, h, dW, I2)
+        assert cache.I2.tobytes() == given.tobytes()
+        for a, b in zip(flat_arrays((cache.a_vals, cache.b_vals)),
+                        flat_arrays((law.a_vals, law.b_vals))):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        for theta in (0.3, 1.0):
+            weights = scheme.dense_weights(theta)
+            got = evaluate_dense(cache, weights)
+            assert got.tobytes() == dense_reference(
+                cache, scheme, theta).tobytes()
+            assert not np.array_equal(got, evaluate_dense(law, weights))
 
 
 class TestStageInputLifetime:
@@ -604,10 +635,10 @@ class TestStageInputLifetime:
         rows = 64 if batched else None
         if batched:
             y = np.broadcast_to(base.x0, (rows, base.dim_state)).copy("F")
-            dW, V = sample_batch(m, h, 7, np.arange(rows, dtype=np.uint64), 0)
+            dW, I2 = sample_batch(m, h, 7, np.arange(rows, dtype=np.uint64), 0)
         else:
             y = base.x0.copy()
-            dW, V = sample_batch(m, h, 7, 0, 0)
+            dW, I2 = sample_batch(m, h, 7, 0, 0)
         inputs, alive = [], []
 
         def recording(fn):
@@ -622,7 +653,7 @@ class TestStageInputLifetime:
         problem = dataclasses.replace(
             base, drift=recording(base.drift),
             diffusion=recording(base.diffusion))
-        compute_step_arrays(scheme, problem, 0.0, y, h, dW, V)
+        compute_step_arrays(scheme, problem, 0.0, y, h, dW, I2)
         assert len(alive) > scheme.stages
         assert alive == [0] * len(alive)
 
@@ -754,8 +785,8 @@ def test_dense_consistency_property(name, problem_name, h, seed, theta):
     problem = LIN if problem_name == "linear" else system2d_problem()
     scheme = builtin_scheme(name)
     y = problem.x0
-    dW, V = sample_batch(problem.dim_noise, h, seed, 0, 0)
-    cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, V)
+    dW, I2 = sample_batch(problem.dim_noise, h, seed, 0, 0)
+    cache = compute_step_arrays(scheme, problem, problem.t0, y, h, dW, I2)
     y_next = evaluate_dense(cache, scheme.dense_weights(1.0))
     out = evaluate_dense(cache, scheme.dense_weights(theta))
     if theta == 0.0:

@@ -9,7 +9,11 @@ from csrk import (
     system2d_problem,
     uniforms_per_step,
 )
+from csrk.increments import sample_batch
+from csrk.sde import Functional
+from csrk.stats import mc_expectations_at, simulate_path
 from csrk.streams import _GAMMA2, KeyedPaths, stream_keys, uniforms
+from csrk.tableau import builtin_scheme
 
 
 class TestUniforms:
@@ -97,8 +101,66 @@ class TestPathStream:
                      lambda: uniforms(seed, np.arange(3), 0, 2)):
             with pytest.raises(ValueError) as ei:
                 draw()
-            assert str(ei.value) == (f"seed must lie in [0, 2**64), got "
-                                     f"{seed}")
+            assert str(ei.value) == (f"seed must be an integer in "
+                                     f"[0, 2**64), got {seed}")
+
+
+LIN = linear_problem(1.5, 0.1, 0.1, 2.0)
+GRID = grid_for_step(LIN, 0.5)
+
+# each would have run on wrong draws, or raised NumPy's OverflowError
+ADDRESS_PROBES = {
+    "float-seed": (lambda: uniforms(1.5, 0, 0, 2), "seed", "1.5"),
+    "bool-seed": (lambda: uniforms(True, 0, 0, 2), "seed", "True"),
+    "keyed-float-seed": (lambda: KeyedPaths(1.5, [0, 1]), "seed", "1.5"),
+    "float-paths": (lambda: uniforms(0, [0.5, 1.7], 0, 1), "path", "0.5"),
+    "sampled-float-paths": (lambda: sample_batch(1, 0.5, 0, [0.5, 1.7], 0),
+                            "path", "0.5"),
+    "negative-float-path-array": (
+        lambda: uniforms(0, np.array([-1.0]), 0, 1), "path", "[-1.]"),
+    "float-start": (lambda: uniforms(0, 0, 0.5, 2), "start", "0.5"),
+    "negative-count": (lambda: uniforms(0, 0, 0, -1), "count", "-1"),
+    "negative-step": (lambda: sample_batch(1, 0.5, 0, 0, -1), "step_index",
+                      "-1"),
+    "negative-path": (lambda: uniforms(0, -1, 0, 1), "path", "-1"),
+    "path-2^64": (lambda: uniforms(0, 2**64, 0, 1), "path", str(2**64)),
+    "negative-start": (lambda: uniforms(0, 0, -3, 2), "start", "-3"),
+    # the last draw's counter, 2**64, would overflow
+    "last-counter-2^64": (lambda: uniforms(0, 0, 2**64 - 1, 1),
+                          "start + count", str(2**64)),
+    # 1.0 == 1, so the keys made under seed 1 must not vouch for it
+    "float-seed-of-keyed-paths": (
+        lambda: uniforms(1.0, KeyedPaths(1, [0, 1]), 0, 2), "seed", "1.0"),
+    "monte-carlo-float-seed": (
+        lambda: mc_expectations_at(builtin_scheme("CRDI2WM"), LIN, GRID,
+                                   Functional("identity"), [2.0], 16, 1.5),
+        "seed", "1.5"),
+    "simulate-bool-seed": (
+        lambda: simulate_path(builtin_scheme("CRDI2WM"), LIN, GRID, True),
+        "seed", "True"),
+}
+
+
+@pytest.mark.parametrize("probe", ADDRESS_PROBES)
+def test_address_outside_the_streams_refused(probe):
+    """A seed, path index, start, count and step index must each be an
+    integer in [0, 2**64), and one rule says so."""
+    call, name, value = ADDRESS_PROBES[probe]
+    with pytest.raises(ValueError) as ei:
+        call()
+    assert str(ei.value) == (f"{name} must be an integer in [0, 2**64), "
+                             f"got {value}")
+
+
+def test_address_inside_the_streams_accepted():
+    # NumPy integers and lists of Python ints are integers too
+    want = uniforms(2**64 - 1, np.array([5, 2**64 - 1], dtype=np.uint64), 2,
+                    1)
+    for seed, paths, start, count in (
+            (np.uint64(2**64 - 1), [5, 2**64 - 1], np.int32(2), np.uint8(1)),
+            (2**64 - 1, (np.int64(5), np.uint64(2**64 - 1)), 2, 1)):
+        got = uniforms(seed, paths, start, count)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestKeyedPaths:

@@ -20,6 +20,14 @@ and end-to-end metric of ``BENCHMARK.json``, both sides' median and
 quartiles, the pairs the change won (ties count for neither), the failed
 commands of each side, the change of the median in percent and the
 parent's quartile spread.
+
+Each summary entry also states the rule it is used to show (``judge``):
+every end-to-end metric gets ``within_bound``, true when the change's
+median is no worse than the parent's by more than the metric's ``bound``
+in ``BENCHMARK.json`` (a fraction of the parent's median); the claimed
+(workload, metric), if any, also gets ``claim_met``, true when the change
+won at least 9 of the 10 pairs and its median is better than the
+parent's by more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+# pairs of PAIRS that a claimed gain must win
+CLAIM_WINS = 9
 
 
 def quartiles(values):
@@ -79,6 +89,31 @@ def summarize(runs, spec):
             }
         summary[workload] = out
     return summary
+
+
+def judge(summary, spec, claim=None):
+    """``summary`` with each entry's rule added: ``within_bound`` for every
+    metric of ``spec`` (BENCHMARK.json's end_to_end list, with its
+    ``bound``s), and ``claim_met`` for the claimed ``{"workload",
+    "metric"}`` only."""
+    out = {}
+    for workload, metrics in summary.items():
+        out[workload] = {}
+        for metric in spec:
+            name = metric["name"]
+            entry = metrics[name]
+            # > 0 where the change is better, in the metric's direction
+            sign = 1 if metric["better"] == "lower" else -1
+            gain = sign * (entry["parent"]["median"]
+                           - entry["change"]["median"])
+            verdict = {"within_bound":
+                       -gain <= metric["bound"] * entry["parent"]["median"]}
+            if claim == {"workload": workload, "metric": name}:
+                verdict["claim_met"] = (
+                    entry["change_better_in"] >= CLAIM_WINS
+                    and gain > entry["parent_iqr"])
+            out[workload][name] = {**entry, **verdict}
+    return out
 
 
 def run_once(tree: Path, workload, seed, seconds):
@@ -144,9 +179,16 @@ def main(argv=None):
                     "python": platform.python_version(),
                     "platform": platform.platform()},
         "claim": claim,
-        "summary": summarize(runs, bench["end_to_end"]),
+        "summary": judge(summarize(runs, bench["end_to_end"]),
+                         bench["end_to_end"], claim),
         "runs": runs,
     }
+    for workload, metrics in doc["summary"].items():
+        for name, entry in metrics.items():
+            rules = {k: entry[k] for k in ("within_bound", "claim_met")
+                     if k in entry}
+            print(f"{workload} {name}: {entry['median_change_pct']:+.2f}% "
+                  f"{rules}")
     out = Path(f"BENCH_{args.pr}.json")
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
