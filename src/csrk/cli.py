@@ -40,6 +40,7 @@ from .stats import (
     _dense_value,
     _path_steps,
 )
+from .streams import check_index
 from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names
 
 # the options an output header records, in header order, where its command
@@ -177,23 +178,6 @@ def _ints(text):
     return [int(v) for v in text.split(",") if v]
 
 
-def _int_at_least(low, kind):
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"expected a {kind} integer, got {text!r}")
-        return value
-    return parse
-
-
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
-
-
 def _add_scheme_args(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--scheme", help="builtin scheme name")
@@ -221,7 +205,7 @@ def _add_mc_args(p):
                    default=10**5, help="sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--confidence", type=float, default=0.9)
-    p.add_argument("--threads", type=_positive_int, default=1,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker threads (does not affect results)")
 
 
@@ -266,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dense-per-step", type=_non_negative_int, default=0,
+    p.add_argument("--dense-per-step", type=int, default=0,
                    help="extra dense evaluations per step")
     _add_output_args(p)
 
@@ -296,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimate_args(p)
     p.add_argument("--N-list", dest="n_list", type=_ints, required=True)
     p.add_argument("--theta-eval", type=float, default=1.0)
-    p.add_argument("--outcome-cap", type=_positive_int, default=_OUTCOME_CAP)
+    p.add_argument("--outcome-cap", type=int, default=_OUTCOME_CAP)
     _add_output_args(p)
 
     return ap
@@ -336,6 +320,7 @@ def _cmd_simulate(args):
     problem = _build_problem(args)
     grid = grid_for_step(problem, args.h)
     sub = args.dense_per_step
+    check_index("--dense-per-step", sub)
     # the temporary file of _emit holds every row until the table is
     # written, so their count is limited
     n_rows = grid.n_steps * (sub + 1) + 1

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import check_index
 from .tableau import ConditionId, CsrkTableau
 
 __all__ = [
@@ -236,12 +237,11 @@ _MAX_GRID_POINTS = 10**7
 
 
 def default_theta_grid(points: int = 21) -> np.ndarray:
-    if points < 2:
-        raise ValueError("theta grid needs at least the endpoints")
     if points > _MAX_GRID_POINTS:
         raise ValueError(
             f"theta grid may have at most {_MAX_GRID_POINTS} points (points, "
             f"--grid-points on the command line), got {points}")
+    check_index("points", points, 2)  # the endpoints at least
     return np.linspace(0.0, 1.0, points)
 
 

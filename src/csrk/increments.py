@@ -49,6 +49,7 @@ def check_step(h: float) -> None:
 
 
 def uniforms_per_step(m: int) -> int:
+    check_index("m", m, 1)
     return m + m * (m - 1) // 2
 
 
@@ -91,26 +92,23 @@ def sample_batch(m: int, h: float, seed: int, path_indices, step_index: int):
     Draw indices are ``step_index * uniforms_per_step(m) + slot``, so a
     (seed, path, step) address has the same draws in any batch.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    n = uniforms_per_step(m)
     check_step(h)
     check_index("step_index", step_index)
-    n = uniforms_per_step(m)
     u = uniforms(seed, path_indices, step_index * n, n)
     return _from_uniforms(m, h, u)
 
 
 def outcome_count(m: int) -> int:
+    check_index("m", m, 1)
     return 3**m * 2 ** (m * (m - 1) // 2)
 
 
 def enumerate_outcomes(m: int, h: float):
     """Full joint sample space: dW (K, m), I2 (K, m, m) and the exact
     probabilities p (K,) of its K outcomes."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    check_step(h)
     total = outcome_count(m)
+    check_step(h)
     if total > _TABLE_CAP:
         raise CapacityError(f"enumeration of m={m} has {total} outcomes, "
                             f"above the cap {_TABLE_CAP}")
@@ -130,7 +128,8 @@ def moments_exact(m: int, h: float, factors) -> float:
     """
     factors = [tuple(f) for f in factors]
     for f in factors:
-        if len(f) not in (1, 2) or any(not 0 <= i < m for i in f):
+        check_index("factor index", f)
+        if len(f) not in (1, 2) or any(i >= m for i in f):
             raise ValueError(f"bad factor {f} for m={m}")
     dW, I2, p = enumerate_outcomes(m, h)
     prod = np.ones_like(p)

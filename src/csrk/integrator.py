@@ -69,6 +69,7 @@ import numpy as np
 
 from .increments import check_step
 from .sde import SdeProblem
+from .streams import check_index
 from .tableau import CsrkTableau
 
 __all__ = [
@@ -132,8 +133,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t0: float, T: float, n_steps: int) -> "TimeGrid":
-        if n_steps < 1:
-            raise ValueError(f"need at least one step, got {n_steps}")
+        check_index("n_steps", n_steps, 1)
         if not (math.isfinite(t0) and math.isfinite(T)):
             raise ValueError(f"grid ends must be finite, got {t0} and {T}")
         # nodes by count so the last one lands on T exactly

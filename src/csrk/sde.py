@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import check_index
+
 __all__ = [
     "Functional",
     "ReferenceSolution",
@@ -47,6 +49,7 @@ class Functional:
     def __post_init__(self):
         if self.kind not in ("identity", "square"):
             raise ValueError(f"unknown functional kind {self.kind!r}")
+        check_index("component", self.component)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

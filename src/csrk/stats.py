@@ -280,8 +280,8 @@ def mc_expectations_at(
     eval_points = [grid.locate(t) for t in eval_times]
     if not eval_points:
         raise ValueError("need at least one evaluation time")
-    if M < 2:
-        raise ValueError("need at least M = 2 samples")
+    check_index("M", M, 2)
+    check_index("threads", threads, 1)
     # the dense weights and the eval points of each step are built here,
     # not on every chunk and step
     step_weights = scheme.dense_weights(1.0)
@@ -372,16 +372,19 @@ def mc_expectation(
 def check_outcome_count(m: int, n_steps: int, outcome_cap: int) -> None:
     """Refuse an enumeration of n_steps steps whose outcome tree has more
     than outcome_cap leaves."""
-    k, count = outcome_count(m), 1
-    # multiplied up to the cap only, so a huge n_steps costs nothing
-    for _ in range(n_steps):
-        count *= k
+    check_index("outcome_cap", outcome_cap, 1)
+    k, count, n = outcome_count(m), 1, 0
+    # multiplied up to the cap only, so a huge n_steps costs nothing; the
+    # cap comes first, as it also refuses a step count past 2**64
+    while n < n_steps:
+        count, n = count * k, n + 1
         if count > outcome_cap:
             raise CapacityError(
                 f"{k}^{n_steps} outcome sequences exceed the cap "
                 f"{outcome_cap} (outcome_cap, --outcome-cap on the command "
                 "line); use mc_expectation instead"
             )
+    check_index("n_steps", n_steps, 1)
 
 
 def exact_weak_expectation(
@@ -537,12 +540,14 @@ def check_fit_steps(hs) -> None:
 def empirical_order(errors) -> OrderEstimate:
     """Least-squares slope of log2|error| against log2 h of (h, error) pairs.
 
-    Zero-error pairs are dropped with a warning; the others must span at
-    least two distinct step sizes.
+    A non-finite error is refused; zero-error pairs are dropped with a
+    warning, and the others must span at least two distinct step sizes.
     """
     pairs = []
     for h, err in errors:
         check_step(h)
+        if not math.isfinite(err):
+            raise ValueError(f"error at h={h} must be finite, got {err}")
         if err == 0.0:
             warnings.warn(f"dropping zero error at h={h} from order fit")
             continue

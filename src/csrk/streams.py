@@ -17,10 +17,13 @@ where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche),
 integer arithmetic is modulo 2**64.  ``tests/test_streams.py`` checks the
 draws against these formulas in Python ints.
 
-A seed, a path index, a draw index ``start``, a draw ``count`` and their
-sum are each an integer in [0, 2**64), checked by ``check_index``: outside
-it NumPy would truncate a float, or wrap or overflow an integer, and the
-draws would belong to another address or be none at all.
+``check_index`` is the package's one rule for an integer argument: a Python
+or NumPy integer, not a bool or a float, in [low, 2**64).  It refuses a bad
+draw address (a seed, a path index, a draw index ``start``, a draw ``count``
+or their sum; outside [0, 2**64) NumPy would truncate a float, or wrap or
+overflow an integer, and the draws would belong to another address or be
+none at all) and every count the other modules take, which import it from
+here: this module imports nothing from the package.
 
 The key depends only on (seed, path), so a caller that draws from the same
 paths many times computes the keys once: Monte Carlo builds each chunk's path
@@ -57,28 +60,29 @@ def _mix64(z):
     return z
 
 
-def check_index(name: str, value) -> None:
-    """Refuse ``value`` unless it is an integer in [0, 2**64): a Python or
+def check_index(name: str, value, low: int = 0) -> None:
+    """Refuse ``value`` unless it is an integer in [low, 2**64): a Python or
     NumPy integer, not a bool or a float, or an array or list of them.
 
-    An unsigned integer array passes on its dtype alone, so checking a
-    chunk's path indices costs O(1).
+    An unsigned integer array passes on its dtype alone where ``low`` is 0,
+    so checking a chunk's path indices costs O(1).
     """
     if type(value) is int:
-        if 0 <= value < 1 << 64:
+        if low <= value < 1 << 64:
             return
     elif isinstance(value, np.ndarray):
         kind = value.dtype.kind
-        if kind == "u" or (kind == "i" and (value.size == 0
-                                            or value.min() >= 0)):
+        if kind in "iu" and (kind == "u" and low == 0 or value.size == 0
+                             or value.min() >= low):
             return
     elif isinstance(value, (list, tuple)):
         for v in value:  # the message names the bad entry
-            check_index(name, v)
+            check_index(name, v, low)
         return
-    elif isinstance(value, np.integer) and 0 <= value < 1 << 64:
+    elif isinstance(value, np.integer) and low <= value < 1 << 64:
         return
-    raise ValueError(f"{name} must be an integer in [0, 2**64), got {value}")
+    raise ValueError(f"{name} must be an integer in [{low}, 2**64), "
+                     f"got {value}")
 
 
 def stream_keys(seed: int, path_indices) -> np.ndarray:

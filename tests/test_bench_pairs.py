@@ -79,8 +79,7 @@ def paired(parent, change):
 
 
 def judged(parent, change, claim=None):
-    summary = bench_pairs.summarize(paired(parent, change), BOUNDED)
-    return bench_pairs.judge(summary, BOUNDED, claim)["w"]
+    return bench_pairs.judge(paired(parent, change), BOUNDED, claim)["w"]
 
 
 PARENT = [(1.0 + 0.01 * k, 5.0) for k in range(10)]  # quartile spread 0.045
@@ -115,3 +114,27 @@ def test_within_bound(scale, rate, within):
     assert (s["wall_s"]["within_bound"] and s["rate"]["within_bound"]) \
         is within
     assert "claim_met" not in s["wall_s"]
+
+
+# quartile spreads 0.45 s, wider than 25% of the median 1.45 s, and 4.5,
+# wider than 10% of the median 9.5
+WIDE = [(1.0 + 0.1 * k, 5.0 + k) for k in range(10)]
+
+
+@pytest.mark.parametrize("parent,change,unresolved", [
+    # a spread inside the bound resolves the metric, whatever the change
+    (PARENT, PARENT, (False, False)),
+    (PARENT, [(w * 1.3, r) for w, r in PARENT], (False, False)),
+    # a wider one leaves it unresolved: equal runs, a better median, the
+    # best change run only equal to the worst parent run
+    (WIDE, WIDE, (True, True)),
+    (WIDE, [(w - 0.5, r + 5) for w, r in WIDE], (True, True)),
+    (WIDE, [(1.0, 14.0)] * 10, (True, True)),
+    # unless every change run reads better than every parent run
+    (WIDE, [(0.99, 14.5)] * 10, (False, False)),
+    (WIDE, [(0.5 + 0.04 * k, 15.0 + k) for k in range(10)], (False, False)),
+], ids=["narrow-equal", "narrow-worse", "wide-equal", "wide-better-median",
+        "wide-touching", "wide-all-better", "wide-all-better-spread"])
+def test_unresolved(parent, change, unresolved):
+    s = judged(parent, change)
+    assert (s["wall_s"]["unresolved"], s["rate"]["unresolved"]) == unresolved

@@ -572,6 +572,42 @@ class TestUsageErrors:
                        f"got {seed}"]
         assert calls == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (MC + ("--threads", "0"), "threads must be an integer in [1, 2**64), "
+         "got 0"),
+        (("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--N-list", "2,4", "--outcome-cap", "0"),
+         "outcome_cap must be an integer in [1, 2**64), got 0"),
+        (("simulate", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--h", "0.5", "--dense-per-step", "-1"),
+         "--dense-per-step must be an integer in [0, 2**64), got -1"),
+        (("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
+          "--N-list", "0"), "n_steps must be an integer in [1, 2**64), "
+         "got 0"),
+        (MC + ("--M", "1"), "M must be an integer in [2, 2**64), got 1"),
+        (("check", "--scheme", "CRDI3WM", "--grid-points", "1"),
+         "points must be an integer in [2, 2**64), got 1"),
+        # a count that is not an integer at all is argparse's to refuse
+        (MC + ("--threads", "abc"),
+         "argument --threads: invalid int value: 'abc'"),
+    ], ids=["threads-0", "outcome-cap-0", "dense-per-step-negative",
+            "N-list-0", "M-1", "grid-points-1", "threads-not-int"])
+    def test_count_refused_by_one_rule(self, capsys, monkeypatch, argv,
+                                       message):
+        # the library's rule, check_index, in its words, before any step
+        calls = []
+        step_arrays = csrk.stats.compute_step_arrays
+
+        def step(*args):
+            calls.append(args)
+            return step_arrays(*args)
+
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays", step)
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == [f"csrk: error: {message}"]
+        assert calls == []
+
     @pytest.mark.parametrize("h,sub,rows", [
         ("2", "100000000", 100000002), ("0.5", "2499999", 10000001),
     ])

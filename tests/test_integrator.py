@@ -67,7 +67,8 @@ class TestTimeGrid:
             TimeGrid([0.0, 1.0, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before dividing by 0
-            with pytest.raises(ValueError, match="at least one step"):
+            with pytest.raises(ValueError, match=r"n_steps must be an "
+                               r"integer in \[1, 2\*\*64\), got 0"):
                 TimeGrid.uniform(0.0, 1.0, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before subtracting

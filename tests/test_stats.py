@@ -789,6 +789,17 @@ class TestOrderEstimation:
             est = empirical_order([(0.5, 0.0), (0.25, 1e-3), (0.125, 2.5e-4)])
         assert est.slope == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("err", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_refused(self, err):
+        # refused before the fit, which would give a nan slope, and for
+        # inf a RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as ei:
+                empirical_order([(0.5, 1e-3), (0.25, err),
+                                 (0.125, 2.5e-4)])
+        assert str(ei.value) == f"error at h=0.25 must be finite, got {err}"
+
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             empirical_order([(0.5, 1e-3)])

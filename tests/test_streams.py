@@ -9,9 +9,16 @@ from csrk import (
     system2d_problem,
     uniforms_per_step,
 )
-from csrk.increments import sample_batch
+from csrk.conditions import default_theta_grid
+from csrk.increments import (
+    enumerate_outcomes,
+    moments_exact,
+    outcome_count,
+    sample_batch,
+)
+from csrk.integrator import TimeGrid
 from csrk.sde import Functional
-from csrk.stats import mc_expectations_at, simulate_path
+from csrk.stats import check_outcome_count, mc_expectations_at, simulate_path
 from csrk.streams import _GAMMA2, KeyedPaths, stream_keys, uniforms
 from csrk.tableau import builtin_scheme
 
@@ -161,6 +168,55 @@ def test_address_inside_the_streams_accepted():
             (2**64 - 1, (np.int64(5), np.uint64(2**64 - 1)), 2, 1)):
         got = uniforms(seed, paths, start, count)
         assert got.tobytes() == want.tobytes()
+
+
+def _mc(M=16, threads=1):
+    return mc_expectations_at(builtin_scheme("CRDI2WM"), LIN, GRID,
+                              Functional("identity"), [2.0], M, 0,
+                              threads=threads)
+
+
+# every count a library entry takes: (call on the count, its name, low, a
+# value it accepts)
+COUNT_ENTRIES = {
+    "sample_batch-m": (lambda v: sample_batch(v, 0.5, 0, 0, 0), "m", 1, 2),
+    "enumerate_outcomes-m": (lambda v: enumerate_outcomes(v, 0.5), "m", 1, 2),
+    "outcome_count-m": (outcome_count, "m", 1, 2),
+    "uniforms_per_step-m": (uniforms_per_step, "m", 1, 2),
+    "moments_exact-factor": (lambda v: moments_exact(2, 0.5, [(0,), (v, 1)]),
+                             "factor index", 0, 1),
+    "mc_expectations_at-M": (_mc, "M", 2, 5000),
+    "mc_expectations_at-threads": (lambda v: _mc(threads=v), "threads", 1,
+                                   2),
+    "TimeGrid.uniform-n_steps": (lambda v: TimeGrid.uniform(0, 1, v).times,
+                                 "n_steps", 1, 3),
+    "check_outcome_count-n_steps": (lambda v: check_outcome_count(1, v, 100),
+                                    "n_steps", 1, 4),
+    "check_outcome_count-outcome_cap": (
+        lambda v: check_outcome_count(1, 2, v), "outcome_cap", 1, 9),
+    "default_theta_grid-points": (default_theta_grid, "points", 2, 5),
+    "Functional-component": (lambda v: Functional("square", v)(np.eye(2)),
+                             "component", 0, 1),
+}
+
+
+@pytest.mark.parametrize("bad", ["float", "bool", "below"])
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_refused_by_one_rule(entry, bad):
+    """Every count is an integer in [low, 2**64), and check_index says so:
+    a float is not truncated, a bool is not 1 and no count wraps."""
+    call, name, low, _ = COUNT_ENTRIES[entry]
+    value = {"float": 1.5, "bool": True, "below": low - 1}[bad]
+    with pytest.raises(ValueError) as ei:
+        call(value)
+    assert str(ei.value) == (f"{name} must be an integer in [{low}, 2**64), "
+                             f"got {value}")
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_numpy_count_accepted(entry):
+    call, _, _, good = COUNT_ENTRIES[entry]
+    np.testing.assert_equal(call(np.int64(good)), call(good))
 
 
 class TestKeyedPaths:

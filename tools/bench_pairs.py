@@ -21,13 +21,16 @@ quartiles, the pairs the change won (ties count for neither), the failed
 commands of each side, the change of the median in percent and the
 parent's quartile spread.
 
-Each summary entry also states the rule it is used to show (``judge``):
+Each summary entry also states the rules it is used to show (``judge``):
 every end-to-end metric gets ``within_bound``, true when the change's
 median is no worse than the parent's by more than the metric's ``bound``
-in ``BENCHMARK.json`` (a fraction of the parent's median); the claimed
-(workload, metric), if any, also gets ``claim_met``, true when the change
-won at least 9 of the 10 pairs and its median is better than the
-parent's by more than the parent's quartile spread.
+in ``BENCHMARK.json`` (a fraction of the parent's median), and
+``unresolved``, true when the parent's quartile spread is wider than that
+bound, so that a median within it shows nothing, unless every run of the
+change reads better than every run of the parent; the claimed (workload,
+metric), if any, also gets ``claim_met``, true when the change won at
+least 9 of the 10 pairs and its median is better than the parent's by
+more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -91,13 +94,13 @@ def summarize(runs, spec):
     return summary
 
 
-def judge(summary, spec, claim=None):
-    """``summary`` with each entry's rule added: ``within_bound`` for every
-    metric of ``spec`` (BENCHMARK.json's end_to_end list, with its
-    ``bound``s), and ``claim_met`` for the claimed ``{"workload",
-    "metric"}`` only."""
+def judge(runs, spec, claim=None):
+    """The ``summarize`` of ``runs`` with each entry's rules added:
+    ``within_bound`` and ``unresolved`` for every metric of ``spec``
+    (BENCHMARK.json's end_to_end list, with its ``bound``s), and
+    ``claim_met`` for the claimed ``{"workload", "metric"}`` only."""
     out = {}
-    for workload, metrics in summary.items():
+    for workload, metrics in summarize(runs, spec).items():
         out[workload] = {}
         for metric in spec:
             name = metric["name"]
@@ -106,8 +109,15 @@ def judge(summary, spec, claim=None):
             sign = 1 if metric["better"] == "lower" else -1
             gain = sign * (entry["parent"]["median"]
                            - entry["change"]["median"])
-            verdict = {"within_bound":
-                       -gain <= metric["bound"] * entry["parent"]["median"]}
+            bound = metric["bound"] * entry["parent"]["median"]
+            # every run of each side, in the metric's direction, lower
+            # being better
+            parent, change = ([sign * r["metrics"][name]["value"]
+                               for r in runs[workload][side]]
+                              for side in SIDES)
+            verdict = {"within_bound": -gain <= bound,
+                       "unresolved": (entry["parent_iqr"] > bound
+                                      and max(change) >= min(parent))}
             if claim == {"workload": workload, "metric": name}:
                 verdict["claim_met"] = (
                     entry["change_better_in"] >= CLAIM_WINS
@@ -179,14 +189,13 @@ def main(argv=None):
                     "python": platform.python_version(),
                     "platform": platform.platform()},
         "claim": claim,
-        "summary": judge(summarize(runs, bench["end_to_end"]),
-                         bench["end_to_end"], claim),
+        "summary": judge(runs, bench["end_to_end"], claim),
         "runs": runs,
     }
     for workload, metrics in doc["summary"].items():
         for name, entry in metrics.items():
-            rules = {k: entry[k] for k in ("within_bound", "claim_met")
-                     if k in entry}
+            rules = {k: entry[k] for k in ("within_bound", "unresolved",
+                                           "claim_met") if k in entry}
             print(f"{workload} {name}: {entry['median_change_pct']:+.2f}% "
                   f"{rules}")
     out = Path(f"BENCH_{args.pr}.json")
