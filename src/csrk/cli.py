@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .increments import CapacityError, check_step
-from .integrator import BlowupError, TimeGrid
+from .integrator import TimeGrid
 from .sde import functional_from_name, linear_problem, ode_problem, system2d_problem
 from .stats import (
     _MAX_STEPS,
@@ -41,7 +41,7 @@ from .stats import (
     _path_steps,
 )
 from .streams import check_index
-from .tableau import TableauError, builtin_scheme, parse_tableau, scheme_names
+from .tableau import builtin_scheme, parse_tableau, scheme_names
 
 # the options an output header records, in header order, where its command
 # takes them; a problem's own options are recorded as problem_params.
@@ -438,15 +438,12 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return _COMMANDS[args.command](args)
-    except (TableauError, CapacityError, BlowupError, KeyError, ValueError,
+    except (ArithmeticError, CapacityError, KeyError, ValueError,
             OSError) as exc:
+        # a TableauError is a ValueError, a BlowupError an ArithmeticError;
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"csrk: error: {message}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        print(f"csrk: error: a value overflows a float ({exc}); "
-              "try smaller problem parameters", file=sys.stderr)
         return 2
 
 

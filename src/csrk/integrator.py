@@ -137,8 +137,12 @@ class TimeGrid:
         if not (math.isfinite(t0) and math.isfinite(T)):
             raise ValueError(f"grid ends must be finite, got {t0} and {T}")
         # nodes by count so the last one lands on T exactly
-        times = t0 + (T - t0) * np.arange(n_steps + 1) / n_steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            times = t0 + (T - t0) * np.arange(n_steps + 1) / n_steps
         times[-1] = T
+        if not np.isfinite(times).all():
+            raise ValueError(f"the horizon {T - t0} over {n_steps} steps "
+                             "overflows a float")
         return cls(times)
 
     @property
@@ -154,7 +158,11 @@ class TimeGrid:
         return self.times.size - 1
 
     def step(self, n: int) -> tuple[float, float]:
-        """(t_n, h_n) of step n."""
+        """(t_n, h_n) of step n, for n in [0, n_steps)."""
+        check_index("n", n)
+        if n >= len(self.times) - 1:
+            raise ValueError(f"n must be an integer in [0, {self.n_steps}), "
+                             f"got {n}")
         return float(self.times[n]), float(self.times[n + 1] - self.times[n])
 
     def locate(self, t: float) -> tuple[int, float]:
@@ -310,9 +318,10 @@ def _add_terms(y, weights, h, sqrt_h, dW, I2, a_vals, b_vals):
     s = len(al)
     m = dW.shape[-1]
     # per family: its two weights and the (k, l) entries of the table it
-    # fills; the off-diagonal is filled only where the cross family ran
+    # fills; where the cross family never ran its weights are all zero, and
+    # the skip below reads none of its empty entries
     families = [(b1, b2, [(k, k) for k in range(m)])]
-    if m > 1 and b_vals[0][0][1] is not None:
+    if m > 1:
         families.append((b3, b4, [(k, l) for k in range(m)
                                   for l in range(m) if k != l]))
     # every product is written into this one buffer, then added to y

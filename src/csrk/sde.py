@@ -96,6 +96,13 @@ class ReferenceSolution:
         return v
 
 
+def _require_finite(**values) -> None:
+    """Refuse, by name, a parameter with a non-finite entry."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SdeProblem:
     dim_state: int
@@ -112,14 +119,21 @@ class SdeProblem:
         x0 = np.array(self.x0, dtype=float).reshape(self.dim_state)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        for name, value in (("t0", self.t0), ("T", self.T), ("x0", x0)):
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _require_finite(t0=self.t0, T=self.T, x0=x0)
         if not self.t0 < self.T:
             raise ValueError(f"need t0 < T, got t0 = {self.t0}, T = {self.T}")
 
+    def check_functional(self, functional: Functional) -> None:
+        """Refuse a functional of a component the state lacks."""
+        if functional.component >= self.dim_state:
+            raise ValueError(
+                f"functional {functional.label} reads component "
+                f"{functional.component}, but {self.label} has a state of "
+                f"dimension {self.dim_state}")
+
     def reference_for(self, functional: Functional, provenance: str | None = None):
         """Select a reference; prefers derived_closed_form when ambiguous."""
+        self.check_functional(functional)
         cands = [
             r
             for r in self.references
@@ -137,6 +151,7 @@ class SdeProblem:
 
 def linear_problem(a: float, b: float, x0: float, T: float) -> SdeProblem:
     """Scalar geometric Brownian motion dX = aX dt + bX dW on [0, T]."""
+    _require_finite(a=a, b=b)
     refs = (
         ReferenceSolution(
             Functional("identity", 0),
@@ -224,6 +239,7 @@ def system2d_problem() -> SdeProblem:
 
 def ode_problem(lam: float, x0: float, T: float) -> SdeProblem:
     """Deterministic reduction: dX = lam X dt, zero diffusion."""
+    _require_finite(lam=lam)
     refs = (
         ReferenceSolution(
             Functional("identity", 0),

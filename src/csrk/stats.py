@@ -137,6 +137,11 @@ def grid_for_step(problem: SdeProblem, h: float) -> TimeGrid:
     span = problem.T - problem.t0
     n_exact = span / h
     if not math.isfinite(n_exact):
+        # the horizon is named where even a grid of the step limit over it
+        # overflows a float
+        if not math.isfinite(span * _MAX_STEPS):
+            raise ValueError(f"the horizon {span} over steps of {h} "
+                             "overflows a float")
         raise ValueError(f"step {h} is too small for the horizon {span}")
     n = round(n_exact)
     if n > _MAX_STEPS:
@@ -277,6 +282,7 @@ def mc_expectations_at(
     z = normal_quantile(confidence)
     # refused here, not in the first chunk's worker
     check_index("seed", seed)
+    problem.check_functional(f)
     eval_points = [grid.locate(t) for t in eval_times]
     if not eval_points:
         raise ValueError("need at least one evaluation time")
@@ -401,8 +407,10 @@ def exact_weak_expectation(
     E f(Y(t_{N-1} + theta_eval * h_{N-1})).  Exact up to floating point;
     a non-finite stage value or expectation raises a BlowupError.
     """
-    if not 0.0 <= theta_eval <= 1.0:
-        raise ValueError("theta_eval must lie in [0, 1]")
+    # the weights refuse a theta_eval outside [0, 1], before any step
+    weights = scheme.dense_weights(1.0)
+    final_weights = scheme.dense_weights(theta_eval)
+    problem.check_functional(f)
     m, N = problem.dim_noise, grid.n_steps
     check_outcome_count(m, N, outcome_cap)
     # the level's R rows in blocks: block b holds rows [b*S, (b+1)*S), the
@@ -412,7 +420,6 @@ def exact_weak_expectation(
     # slice of rows, and the outcome probabilities of each step since, so no
     # probability array is larger than one slice
     base, above = np.ones(1), []
-    weights = scheme.dense_weights(1.0)
     for n in range(N - 1):
         outs = enumerate_outcomes(m, grid.step(n)[1])
         new_rows = outs[2].size * rows
@@ -433,7 +440,6 @@ def exact_weak_expectation(
         above.append(outs[2])
         rows, blocks = new_rows, new_blocks
     n = N - 1
-    weights = scheme.dense_weights(theta_eval)
     outs = enumerate_outcomes(m, grid.step(n)[1])
     # a slice's probabilities serve all its outcomes, and each term is kept
     # until the last slice, to be added in outcome-major order
@@ -446,7 +452,7 @@ def exact_weak_expectation(
             # temporaries keeps the C allocator from handing them back to
             # the kernel between calls (3x the page faults)
             y = _advance(scheme, problem, grid, n, blocks[b], dW, I2,
-                         weights)[1]
+                         final_weights)[1]
             terms[o, b] = p * float(probs @ f(y))
         blocks[b] = None
     # a left fold: np.sum's pairwise order, or the compensated sum() of

@@ -59,19 +59,12 @@ class WeightPolynomial:
                 raise TableauError(f"non-finite coefficient for theta^({n}/2)")
             seen.add(n)
 
-    @classmethod
-    def from_dict(cls, terms: dict[int, float]) -> "WeightPolynomial":
-        items = tuple(sorted((int(n), float(c)) for n, c in terms.items() if c != 0.0))
-        return cls(items)
-
     def __call__(self, theta: float) -> float:
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {theta}")
-        if theta == 0.0:
-            return 0.0
         root = math.sqrt(theta)
         # a left fold: the compensated sum() of Python 3.12 would move the
-        # last bits
+        # last bits.  At theta = 0 every term is +-0.0, and the fold +0.0
         value = 0.0
         for n, coeff in self.terms:
             value += coeff * root**n
@@ -290,9 +283,14 @@ def _parse_weights(doc, key, s):
                     f"{key}[{i}] has a theta^({n}/2) term; weights must "
                     "vanish at theta = 0"
                 )
-            terms[n] = terms.get(n, 0.0) + _eval_expr(
-                coeff, f"{key}[{i}] theta^({n}/2) coefficient")
-        out.append(WeightPolynomial.from_dict(terms))
+            if n in terms:
+                raise TableauError(
+                    f"{key}[{i}] term {k} repeats theta^({n}/2)")
+            terms[n] = _eval_expr(coeff,
+                                  f"{key}[{i}] theta^({n}/2) coefficient")
+        # in exponent order, the order the left fold of a weight adds them
+        out.append(WeightPolynomial(tuple(
+            sorted((n, c) for n, c in terms.items() if c != 0.0))))
     return tuple(out)
 
 

@@ -9,6 +9,8 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import csrk.cli
 import csrk.increments
@@ -742,6 +744,131 @@ class TestUsageErrors:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("csrk: error: step 0.3")
         assert steps == []
+
+
+class TestOneHandler:
+    """Every refusal, whatever its exception type, is one line, exit 2."""
+
+    @pytest.mark.parametrize("exc,line", [
+        (ZeroDivisionError("float division by zero"), "float division by zero"),
+        (OverflowError("int too large to convert to float"),
+         "int too large to convert to float"),
+        (FloatingPointError("overflow encountered in multiply"),
+         "overflow encountered in multiply"),
+    ], ids=["zero-division", "overflow", "floating-point"])
+    def test_any_arithmetic_error_is_one_line(self, capsys, monkeypatch, exc,
+                                              line):
+        def command(args):
+            raise exc
+
+        monkeypatch.setitem(csrk.cli._COMMANDS, "schemes", command)
+        code, err = usage_error(capsys, "schemes")
+        assert code == 2
+        assert err == [f"csrk: error: {line}"]
+
+    MC = ("--scheme", "CRDI2WM", "--problem", "linear", "--t-eval", "1.7",
+          "--h-list", "0.5,0.25", "--M", "100")
+    EXACT = ("exact-order", "--scheme", "CRDI2WM", "--problem", "linear",
+             "--N-list", "2,4")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("converge",) + MC + ("--a", "nan"), "a must be finite, got nan"),
+        (EXACT + ("--a", "nan"), "a must be finite, got nan"),
+        (("converge",) + MC + ("--b", "inf"), "b must be finite, got inf"),
+        (("simulate", "--scheme", "CRDI2WM", "--problem", "ode", "--h", "0.5",
+          "--lam", "nan"), "lam must be finite, got nan"),
+        (("converge",) + MC + ("--T", "1e308"),
+         "the horizon 1e+308 over steps of 0.5 overflows a float"),
+        (EXACT + ("--T", "1e308"),
+         "the horizon 1e+308 over 4 steps overflows a float"),
+        (EXACT + ("--theta-eval", "1.5"), "theta must lie in [0, 1], got 1.5"),
+    ], ids=["converge-a-nan", "exact-order-a-nan", "converge-b-inf",
+            "simulate-lam-nan", "converge-T-huge", "exact-order-T-huge",
+            "theta-eval-above-1"])
+    def test_refused_by_name_before_any_step(self, capsys, monkeypatch, argv,
+                                             message):
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays",
+                            lambda *args: pytest.fail("stepped"))
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert err == [f"csrk: error: {message}"]
+
+
+def _subparsers():
+    """build_parser()'s subcommands: name -> parser."""
+    [commands] = [a for a in csrk.cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+class TestExitContract:
+    """Generated from build_parser(): each command, from a small valid run,
+    with one or two of its own options set to values from a fixed pool.
+    A new option is drawn with no edit here."""
+
+    PROBLEM = ("--scheme", "CRDI2WM", "--problem", "linear")
+    # a small valid run of each command; a drawn option is appended, and
+    # argparse keeps the last value of an option
+    VALID = {
+        "schemes": (),
+        "check": ("--scheme", "CRDI1WM", "--grid-points", "3"),
+        "simulate": PROBLEM + ("--h", "0.5"),
+        "error-table": PROBLEM + ("--t-eval", "1.0", "--h-list", "0.5,0.25",
+                                  "--M", "8"),
+        "converge": PROBLEM + ("--t-eval", "1.0", "--h-list", "0.5,0.25",
+                               "--M", "8"),
+        "dense": PROBLEM + ("--h", "0.5", "--theta-list", "0.5", "--M", "8"),
+        "local-order": PROBLEM + ("--h-list", "0.5,0.25"),
+        "exact-order": PROBLEM + ("--N-list", "1,2"),
+    }
+    # "" is the empty list
+    POOL = ("nan", "inf", "-inf", "0", "-1", "1.5", "1e308", str(2**64), "",
+            "abc")
+    NON_FINITE = {"nan", "inf", "-inf"}
+
+    def test_every_command_has_a_valid_run(self):
+        assert set(self.VALID) == set(_subparsers())
+
+    @pytest.mark.parametrize("command", sorted(_subparsers()))
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_0_or_one_line_2(self, capsys, tmp_path, command, data):
+        parser = _subparsers()[command]
+        options = {a.option_strings[-1]: a for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)}
+        drawn = data.draw(st.lists(
+            st.tuples(st.sampled_from(sorted(options)),
+                      st.sampled_from(self.POOL)),
+            min_size=1, max_size=2, unique_by=lambda ov: ov[0]))
+        argv = (command, *self.VALID[command],
+                *(f"{option}={value}" for option, value in drawn))
+        steps = []
+        step_arrays = csrk.stats.compute_step_arrays
+
+        def step(*args):
+            steps.append(args)
+            return step_arrays(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csrk.stats, "compute_step_arrays", step)
+            # an --output value is a file name
+            mp.chdir(tmp_path)
+            code, err = usage_error(capsys, *argv)
+        assert code in (0, 2), argv
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("csrk: error: "), (
+                argv, err)
+        if steps:
+            # no step runs on a number that is not finite
+            assert not [o for o, v in drawn if v in self.NON_FINITE and
+                        options[o].type in (float, csrk.cli._floats)], argv
+            # a refusal after a step is about what the steps computed: a
+            # value that is not finite, or errors that are all zero
+            if code == 2:
+                assert any(what in err[0] for what in (
+                    "blew up", "not finite", "needs nonzero errors")), (
+                        argv, err)
 
 
 class TestHeader:

@@ -80,6 +80,31 @@ class TestTimeGrid:
                 with pytest.raises(ValueError, match="must be finite"):
                     TimeGrid.uniform(t0, T, 2)
 
+    @pytest.mark.parametrize("t0,T,n,span", [
+        (0.0, 1e308, 4, "1e+308"), (-1e308, 1e308, 2, "inf"),
+    ])
+    def test_overflowing_horizon_named(self, t0, T, n, span):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                TimeGrid.uniform(t0, T, n)
+        assert str(info.value) == (f"the horizon {span} over {n} steps "
+                                   "overflows a float")
+        # a node k < n overflows: the last node is T itself
+        assert TimeGrid.uniform(0.0, 1e308, 2).times[1] == 5e307
+
+    @pytest.mark.parametrize("n,message", [
+        (-1, "n must be an integer in [0, 2**64), got -1"),
+        (4, "n must be an integer in [0, 4), got 4"),
+        (1.5, "n must be an integer in [0, 2**64), got 1.5"),
+        (True, "n must be an integer in [0, 2**64), got True"),
+    ])
+    def test_step_index_refused(self, n, message):
+        # step(-1) read the last node, a step back to the start
+        with pytest.raises(ValueError) as info:
+            TimeGrid.uniform(0.0, 2.0, 4).step(n)
+        assert str(info.value) == message
+
 
 class TestStages:
     def test_single_stage_collapses_to_left_node(self):
@@ -401,6 +426,33 @@ class TestDenseOutput:
             cache = compute_step_arrays(t, LIN, 0.0, y, 0.5, dW, I2)
             out = evaluate_dense(cache, t.dense_weights(0.0))
             assert np.array_equal(out, y)
+
+    # m = 2 schemes without a cross family: the cross family of
+    # _add_terms is skipped on its zero weights
+    @pytest.mark.parametrize("name,path_bits,mean_bits", [
+        ("CRDI1WM",
+         ["0x1.982c5c51ffd92p-1", "0x1.09268040d672bp-1",
+          "0x1.92facef23d242p-2", "0x1.5ccd567c8310ap-3",
+          "0x1.87c40aac3d8bcp-4", "-0x1.c9d4447f13f10p-9"],
+         ["0x1.82218e6b6da47p-5", "0x1.f2d1d29da3067p-13"]),
+        ("EULER_OPT",
+         ["0x1.8fbdfc862d2c1p-1", "0x1.893816e2ad742p-2",
+          "0x1.58f0e58b38094p-2", "-0x1.f8c701a81352dp-6",
+          "0x1.fe8110ba8bfbcp-5", "-0x1.a86c1b1a94a0cp-10"],
+         ["0x1.70ad7b25d2048p-7", "0x1.a0792864220e6p-14"]),
+    ])
+    def test_no_cross_family_bits_on_system2d(self, name, path_bits,
+                                              mean_bits):
+        problem, scheme = system2d_problem(), builtin_scheme(name)
+        assert not scheme.uses_cross_stages
+        grid = TimeGrid.uniform(0.0, 4.0, 8)
+        path = simulate_path(scheme, problem, grid, 11, 5)
+        assert [v.hex() for t in (0.3, 1.3, 3.95)
+                for v in path.value(t)] == path_bits
+        ests = mc_expectations_at(scheme, problem, grid,
+                                  Functional("square", 1), [1.3, 3.95], 4096,
+                                  7)
+        assert [e.mean.hex() for e in ests] == mean_bits
 
     def test_theta_domain(self):
         dW, I2 = sample_batch(1, 0.5, 0, 0, 0)

@@ -94,6 +94,18 @@ class TestLinearProblem:
         with pytest.raises(ValueError, match="^T must be finite, got inf$"):
             linear_problem(1.0, 1.0, 1.0, math.inf)
 
+    @pytest.mark.parametrize("args,message", [
+        ((math.nan, 0.1, 0.1, 2.0), "a must be finite, got nan"),
+        ((1.5, math.inf, 0.1, 2.0), "b must be finite, got inf"),
+        ((-math.inf, math.nan, 0.1, 2.0), "a must be finite, got -inf"),
+    ])
+    def test_non_finite_coefficient_named(self, args, message):
+        # accepted before, and refused later as a blow-up or a reference
+        # value that is not finite
+        with pytest.raises(ValueError) as ei:
+            linear_problem(*args)
+        assert str(ei.value) == message
+
 
 class TestSdeProblem:
     def test_non_finite_start_state(self):
@@ -170,6 +182,10 @@ class TestOdeProblem:
             Functional("identity", 0)
         ).value(0.5) == pytest.approx(3 * math.exp(-1))
 
+    def test_non_finite_rate_named(self):
+        with pytest.raises(ValueError, match="^lam must be finite, got nan$"):
+            ode_problem(math.nan, 1.0, 1.0)
+
     def test_zero_diffusion(self):
         p = ode_problem(1.0, 1.0, 1.0)
         assert np.all(p.diffusion(0.0, np.ones((3, 1))) == 0.0)
@@ -180,6 +196,21 @@ class TestRegistry:
         p = ode_problem(1.0, 1.0, 1.0)
         with pytest.raises(KeyError, match="no reference"):
             p.reference_for(Functional("square", 0))
+
+    @pytest.mark.parametrize("problem,f,message", [
+        (system2d_problem(), Functional("identity", 5),
+         "functional x6 reads component 5, but system2d has a state of "
+         "dimension 2"),
+        (ode_problem(1.0, 1.0, 1.0), Functional("square", 1),
+         "functional x2^2 reads component 1, but ode has a state of "
+         "dimension 1"),
+    ])
+    def test_component_the_state_lacks_refused(self, problem, f, message):
+        for check in (problem.check_functional, problem.reference_for):
+            with pytest.raises(ValueError) as ei:
+                check(f)
+            assert str(ei.value) == message
+        problem.check_functional(Functional("square", problem.dim_state - 1))
 
     @pytest.mark.parametrize("x0,t", [
         (1e300, 1.0),  # x0**2 raises OverflowError

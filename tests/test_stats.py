@@ -106,6 +106,20 @@ class TestGridForStep:
                 build_grid(h, through_profile)
         assert str(ei.value) == f"step {h} is too small for the horizon 2.0"
 
+    @pytest.mark.parametrize("T,h,message", [
+        (1e308, 0.5, "the horizon 1e+308 over steps of 0.5 overflows a float"),
+        (1e308, 1e307,
+         "the horizon 1e+308 over 10 steps overflows a float"),
+        (1e300, 1e-10, "step 1e-10 is too small for the horizon 1e+300"),
+    ])
+    def test_overflowing_horizon_named(self, T, h, message):
+        # the grid's nodes, not the step, overflow a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as ei:
+                grid_for_step(ode_problem(0.0, 1.0, T), h)
+        assert str(ei.value) == message
+
     @pytest.mark.parametrize("h,through_profile,count", [
         (1e-300, False, "2e+300"), (1e-300, True, "2e+300"),
         (1e-9, False, "2e+09"), (1e-9, True, "2e+09"),
@@ -301,6 +315,24 @@ class TestMonteCarlo:
         exact_weak_expectation(t, LIN, TimeGrid.uniform(0.0, 1.0, 3), FX,
                                theta_eval=0.5)
         assert built == [1.0, 0.5]
+
+    @pytest.mark.parametrize("run", ["mc_expectation", "exact"])
+    def test_component_the_state_lacks_refused_before_any_step(
+            self, monkeypatch, run):
+        # NumPy's IndexError inside a chunk before
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays",
+                            lambda *args: pytest.fail("stepped"))
+        problem, f = system2d_problem(), Functional("identity", 5)
+        grid = TimeGrid.uniform(0.0, 4.0, 2)
+        with pytest.raises(ValueError) as ei:
+            if run == "exact":
+                exact_weak_expectation(builtin_scheme("CRDI2WM"), problem,
+                                       grid, f)
+            else:
+                mc_expectation(builtin_scheme("CRDI2WM"), problem, grid, f,
+                               4.0, 100, 0)
+        assert str(ei.value) == ("functional x6 reads component 5, but "
+                                 "system2d has a state of dimension 2")
 
     def test_multiple_times_share_paths(self):
         grid = grid_for_step(LIN, 0.5)
@@ -740,6 +772,17 @@ class TestExactExpectation:
         left = exact_weak_expectation(t, LIN, g, FX, theta_eval=0.0)
         one = exact_weak_expectation(t, LIN, TimeGrid.uniform(0, 0.5, 1), FX)
         assert left == pytest.approx(one, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [1.5, -0.5, math.nan])
+    def test_theta_eval_refused_by_the_weights_before_any_step(
+            self, monkeypatch, theta):
+        monkeypatch.setattr(csrk.stats, "compute_step_arrays",
+                            lambda *args: pytest.fail("stepped"))
+        with pytest.raises(ValueError) as ei:
+            exact_weak_expectation(builtin_scheme("CRDI3WM"), LIN,
+                                   TimeGrid.uniform(0.0, 1.0, 2), FX,
+                                   theta_eval=theta)
+        assert str(ei.value) == f"theta must lie in [0, 1], got {theta}"
 
     def test_system2d_enumeration_runs(self):
         t = builtin_scheme("CRDI4WM")

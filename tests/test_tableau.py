@@ -67,6 +67,14 @@ class TestWeightPolynomial:
         with pytest.raises(TableauError, match="duplicate"):
             WeightPolynomial(((2, 1.0), (2, 0.5)))
 
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_zero_at_zero_is_positive_zero(self, name):
+        # the left fold from +0.0 over terms that are +-0.0
+        t = builtin_scheme(name)
+        for w in t.alpha + t.beta1 + t.beta2 + t.beta3 + t.beta4:
+            for theta in (0.0, -0.0):
+                assert math.copysign(1.0, w(theta)) == 1.0, (w, theta)
+
     def test_domain_error(self):
         w = WeightPolynomial(((2, 1.0),))
         with pytest.raises(ValueError):
@@ -414,11 +422,21 @@ class TestMalformedDocument:
          "beta1[1] term 1 has half-exponent 1.0; n must be an integer"),
         ({"alpha": [[[2, 1.0], [True, 1.0]]]},
          "alpha[1] term 2 has half-exponent true; n must be an integer"),
+        # one coefficient per power, as WeightPolynomial holds a weight: a
+        # repeat is refused, not summed into one
+        ({"alpha": [[[2, 1.0], [2, 0.5]]]},
+         "alpha[1] term 2 repeats theta^(2/2)"),
+        ({"alpha": [[[2, 1.0], [4, 0.5], [4, 0]]]},
+         "alpha[1] term 3 repeats theta^(4/2)"),
     ])
     def test_field_named(self, fields, message):
         with pytest.raises(TableauError) as ei:
             parse_tableau(_one_stage(**fields))
         assert str(ei.value) == message
+
+    def test_terms_in_exponent_order_without_zeros(self):
+        t = parse_tableau(_one_stage(alpha=[[[4, -0.5], [3, 0], [2, 1.5]]]))
+        assert t.alpha[0].terms == ((2, 1.5), (4, -0.5))
 
     @pytest.mark.parametrize("key", ("p_deterministic", "p_stochastic"))
     @pytest.mark.parametrize("value,shown", [
