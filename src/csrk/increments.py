@@ -43,9 +43,16 @@ class CapacityError(RuntimeError):
 
 
 def check_step(h: float) -> None:
-    """Refuse a step size that is not positive and finite."""
+    """Refuse a step size that is not positive and finite, or whose
+    increments overflow a float: the largest value ``_from_uniforms`` forms
+    is sqrt(3h)^2 + h, an entry of dW dW^T + V."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be positive and finite, got {h}")
+    x = float(h)  # a NumPy float would warn of the overflow refused here
+    r3h = math.sqrt(3.0 * x)
+    if math.isinf(r3h * r3h + x):
+        raise ValueError(f"step h={h} is too large: the increments' "
+                         "dW dW^T + V overflows a float")
 
 
 def uniforms_per_step(m: int) -> int:

@@ -13,8 +13,8 @@ advances a single path (state shape ``(d,)``) or a whole chunk of paths
 The one routine that takes a step, ``stats._advance``, calls
 ``compute_step_arrays`` and ``evaluate_dense`` for the path loop, which
 serves the path simulator and the Monte Carlo engine, and for the
-enumeration oracle's level loop; it gives a ``BlowupError`` its step, and
-its path where the rows are paths.
+enumeration oracle's level loop; it checks the states it makes, and gives
+a ``BlowupError`` its step, and its path where the rows are paths.
 
 Batches are path-fastest in memory (Fortran order for ``(B, ...)``): the
 engines make their states and increments that way, every element-wise

@@ -30,9 +30,9 @@ in the states they step and where the increments come from:
   validated against.
 
 A non-finite stage value, state, f-value or enumerated expectation raises a
-``BlowupError``; ``_advance`` names the step of a stage value and, where the
-rows are paths, its path.  The tables measure the functional of the given
-``ReferenceSolution``; which reference to use is the caller's choice.
+``BlowupError``; ``_advance`` names the step of a stage value or state and,
+where the rows are paths, its path.  The tables measure the functional of the
+given ``ReferenceSolution``; which reference to use is the caller's choice.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .integrator import (
     BlowupError,
     StageCache,
     TimeGrid,
+    _check_finite,
     compute_step_arrays,
     evaluate_dense,
 )
@@ -160,19 +161,20 @@ def _advance(scheme, problem, grid, n, y, dW, I2, weights, paths=None):
     """Step n of the grid from states y: (cache, Y(t_n + theta h_n)), where
     ``weights`` is ``scheme.dense_weights(theta)``.
 
-    A BlowupError leaves with its step set, and with its path: the entry
-    of ``paths`` at the failing batch row, or None without ``paths``, whose
-    rows are not paths.
+    A non-finite stage value or new state raises a BlowupError with its
+    step set, and with its path: the entry of ``paths`` at the failing
+    batch row, or None without ``paths``, whose rows are not paths.
     """
     t_n, h_n = grid.step(n)
     try:
         cache = compute_step_arrays(scheme, problem, t_n, y, h_n, dW, I2)
+        y = evaluate_dense(cache, weights)
+        _check_finite(y, None, None, None, y.ndim > 1)
     except BlowupError as exc:
         exc.step = n
-        # exc.path is the failing batch row, None for a single path
         exc.path = None if paths is None else int(paths.flat[exc.path or 0])
         raise
-    return cache, evaluate_dense(cache, weights)
+    return cache, y
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
     ``(d,)``) or of a batch (states ``(B, d)``): yields (n, cache, y).
 
     Step n of path p draws from (seed, p, n); ``step_weights`` are the dense
-    weights at theta = 1.  A BlowupError leaves with its step and path set.
+    weights at theta = 1.
     """
     m = problem.dim_noise
     y = np.broadcast_to(problem.x0, paths.shape + (problem.dim_state,)
@@ -236,9 +238,6 @@ def _path_steps(scheme, problem, grid, seed, paths, n_steps, step_weights):
         cache, y = _advance(scheme, problem, grid, n, y,
                             *sample_batch(m, grid.step(n)[1], seed, paths, n),
                             step_weights, paths)
-        if not np.isfinite(y).all():
-            path = int(paths.flat[np.argmin(np.isfinite(y).all(axis=-1))])
-            raise BlowupError(step=n, path=path)
         yield n, cache, y
         # step n + 1 is taken with no cache of step n held here
         del cache
@@ -546,19 +545,22 @@ def check_fit_steps(hs) -> None:
 def empirical_order(errors) -> OrderEstimate:
     """Least-squares slope of log2|error| against log2 h of (h, error) pairs.
 
-    A non-finite error is refused; zero-error pairs are dropped with a
-    warning, and the others must span at least two distinct step sizes.
+    A non-finite error is refused; zero-error pairs are dropped, with a
+    warning once the others are known to span at least two distinct step
+    sizes, so a refused fit warns of nothing.
     """
-    pairs = []
+    pairs, zeros = [], []
     for h, err in errors:
         check_step(h)
         if not math.isfinite(err):
             raise ValueError(f"error at h={h} must be finite, got {err}")
         if err == 0.0:
-            warnings.warn(f"dropping zero error at h={h} from order fit")
+            zeros.append(h)
             continue
         pairs.append((float(h), abs(float(err))))
     check_fit_steps([h for h, _ in pairs])
+    for h in zeros:
+        warnings.warn(f"dropping zero error at h={h} from order fit")
     # math.log2, not np.log2, whose SIMD loops round differently on CPUs
     # with and without AVX-512
     x = np.array([math.log2(h) for h, _ in pairs])

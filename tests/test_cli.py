@@ -782,9 +782,13 @@ class TestOneHandler:
         (EXACT + ("--T", "1e308"),
          "the horizon 1e+308 over 4 steps overflows a float"),
         (EXACT + ("--theta-eval", "1.5"), "theta must lie in [0, 1], got 1.5"),
+        (("exact-order", "--scheme", "CRDI2WM", "--problem", "ode", "--lam",
+          "0", "--x0", "1", "--T", "1e308", "--N-list", "1,2"),
+         "step h=1e+308 is too large: the increments' dW dW^T + V "
+         "overflows a float"),
     ], ids=["converge-a-nan", "exact-order-a-nan", "converge-b-inf",
             "simulate-lam-nan", "converge-T-huge", "exact-order-T-huge",
-            "theta-eval-above-1"])
+            "theta-eval-above-1", "exact-order-increments-overflow"])
     def test_refused_by_name_before_any_step(self, capsys, monkeypatch, argv,
                                              message):
         monkeypatch.setattr(csrk.stats, "compute_step_arrays",
@@ -826,8 +830,45 @@ class TestExitContract:
             "abc")
     NON_FINITE = {"nan", "inf", "-inf"}
 
+    def run_contract(self, capsys, tmp_path, argv):
+        """Exit status, stderr lines and step calls of one command, which
+        must exit 0, or 2 with one line and no warning."""
+        steps = []
+        step_arrays = csrk.stats.compute_step_arrays
+
+        def step(*args):
+            steps.append(args)
+            return step_arrays(*args)
+
+        with pytest.MonkeyPatch.context() as mp, \
+                warnings.catch_warnings(record=True) as caught:
+            # every warning is recorded here, not captured by pytest
+            warnings.simplefilter("always")
+            mp.setattr(csrk.stats, "compute_step_arrays", step)
+            # an --output value is a file name
+            mp.chdir(tmp_path)
+            code, err = usage_error(capsys, *argv)
+        assert code in (0, 2), argv
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("csrk: error: "), (
+                argv, err)
+            assert not caught, (argv, [str(w.message) for w in caught])
+        return code, err, steps
+
     def test_every_command_has_a_valid_run(self):
         assert set(self.VALID) == set(_subparsers())
+
+    @pytest.mark.parametrize("argv", [
+        ("local-order", *PROBLEM, "--x0", "0", "--h-list", "0.5,0.25"),
+        ("converge", *VALID["converge"], "--t-eval", "0"),
+        ("exact-order", *VALID["exact-order"], "--a", "0"),
+    ], ids=["local-order-x0-0", "converge-t-eval-0", "exact-order-a-0"])
+    def test_refused_fit_warns_nothing(self, capsys, tmp_path, argv):
+        # every error is zero, so the fit is refused after the runs
+        code, err, steps = self.run_contract(capsys, tmp_path, argv)
+        assert code == 2 and steps
+        assert err[0].startswith("csrk: error: order estimation needs "
+                                 "nonzero errors")
 
     @pytest.mark.parametrize("command", sorted(_subparsers()))
     @settings(max_examples=40, derandomize=True, deadline=None,
@@ -843,22 +884,7 @@ class TestExitContract:
             min_size=1, max_size=2, unique_by=lambda ov: ov[0]))
         argv = (command, *self.VALID[command],
                 *(f"{option}={value}" for option, value in drawn))
-        steps = []
-        step_arrays = csrk.stats.compute_step_arrays
-
-        def step(*args):
-            steps.append(args)
-            return step_arrays(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(csrk.stats, "compute_step_arrays", step)
-            # an --output value is a file name
-            mp.chdir(tmp_path)
-            code, err = usage_error(capsys, *argv)
-        assert code in (0, 2), argv
-        if code == 2:
-            assert len(err) == 1 and err[0].startswith("csrk: error: "), (
-                argv, err)
+        code, err, steps = self.run_contract(capsys, tmp_path, argv)
         if steps:
             # no step runs on a number that is not finite
             assert not [o for o, v in drawn if v in self.NON_FINITE and

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -293,3 +294,28 @@ def test_local_order_step_refused_by_one_rule(capsys, h):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"csrk: error: step h must be positive and finite, got {h}"]
+
+
+# sqrt(3h) overflows from h = 6e307, and an entry sqrt(3h)^2 + h of
+# dW dW^T + V from 4.5e307: refused by the same rule, a NumPy float with no
+# overflow warning
+OVERFLOWING_STEPS = [4.5e307, 6e307, 1e308, np.float64(4.5e307),
+                     np.float64(1e308)]
+
+
+@pytest.mark.parametrize("h", OVERFLOWING_STEPS)
+@pytest.mark.parametrize("entry", STEP_ENTRIES)
+def test_step_whose_increments_overflow_refused(entry, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as ei:
+            STEP_ENTRIES[entry](h)
+    assert str(ei.value) == (f"step h={h} is too large: the increments' "
+                             "dW dW^T + V overflows a float")
+
+
+def test_largest_steps_keep_finite_increments():
+    h = 4.49e307
+    dW, I2, _ = enumerate_outcomes(2, h)
+    assert np.isfinite(dW).all() and np.isfinite(I2).all()
+    assert dW.max() == math.sqrt(3.0 * h)

@@ -363,6 +363,15 @@ SQUARE_OVERFLOWS = SdeProblem(
     x0=[1.2e154], t0=0.0, T=0.5, label="square-overflows",
 )
 
+# a noise-free state that overflows in the step from t = 2/3 (N = 3) or from
+# t = 0 (N = 2); the drift stays finite, the diffusion 0 * x does not
+STATE_OVERFLOWS = SdeProblem(
+    dim_state=1, dim_noise=1,
+    drift=lambda t, x: 1e308 * np.ones_like(x),
+    diffusion=lambda t, x: 0.0 * x[..., :, None],
+    x0=[1e308], t0=0.0, T=2.0, label="ovf",
+)
+
 # drift overflows once a stage value passes 8: a few paths of seed 3 blow up
 BLOWS_UP = SdeProblem(
     dim_state=1, dim_noise=1,
@@ -511,6 +520,25 @@ class TestBlowup:
             0.5, 1, first[0])
         assert str(ei.value) == (f"path {first[0]} blew up at step 1: "
                                  "non-finite f value at t=0.5")
+
+    @pytest.mark.parametrize("N,step", [(2, 0), (3, 1)])
+    def test_state_overflow_named_at_its_step_by_both_engines(self, N, step):
+        # every stage value is finite until a state overflows; the next
+        # step's diffusion, 0 * inf, would be the first non-finite value
+        grid = TimeGrid.uniform(0.0, 2.0, N)
+        t = builtin_scheme("EULER_OPT")
+        runs = {
+            "path 0": lambda: simulate_path(t, STATE_OVERFLOWS, grid, 0),
+            "enumeration": lambda: exact_weak_expectation(
+                t, STATE_OVERFLOWS, grid, FX),
+        }
+        for who, run in runs.items():
+            with np.errstate(all="ignore"), pytest.raises(BlowupError) as ei:
+                run()
+            assert str(ei.value) == f"{who} blew up at step {step}"
+            assert ei.value.step == step
+            assert (ei.value.family, ei.value.stage, ei.value.t_n) == (
+                None, None, None)
 
     def test_enumeration_refuses_a_non_finite_expectation(self):
         with np.errstate(over="ignore"), pytest.raises(BlowupError) as ei:
@@ -859,10 +887,24 @@ class TestOrderEstimation:
         assert str(ei.value) == ("order estimation needs nonzero errors at 2 "
                                  "or more distinct step sizes, got "
                                  "[0.25, 0.25]")
-        # the only other step size has a zero error, which is dropped
-        with pytest.warns(UserWarning, match="zero error"), \
-                pytest.raises(ValueError, match=r"got \[0.5, 0.5\]"):
-            empirical_order([(0.5, 1e-3), (0.25, 0.0), (0.5, 3e-3)])
+        # the only other step size has a zero error, which is dropped; the
+        # fit is refused before that drop is warned of
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"got \[0.5, 0.5\]"):
+                empirical_order([(0.5, 1e-3), (0.25, 0.0), (0.5, 3e-3)])
+
+    @pytest.mark.parametrize("errors", [
+        [(0.5, 0.0), (0.25, 0.0)],
+        [(0.5, 0.0), (0.25, 1e-3)],
+        [(0.5, 2e-3), (0.25, 0.0), (0.5, 1e-3)],
+    ], ids=["all-zero", "one-left", "one-step-left"])
+    def test_refused_fit_warns_nothing(self, errors):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="needs nonzero errors"):
+                empirical_order(errors)
+        assert caught == []
 
 
 class TestErrorTable:
